@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Config, Dataset, LabeledSeries, SeededRng, Shapelet, ShapeletPool, STREAM_AUGMENT
-from .distance import MatchResult, ShapeletLengthError, psd
+from .distance import MatchResult, ShapeletLengthError, match_pool, psd
 
 
 @dataclass(frozen=True)
@@ -38,26 +38,27 @@ def build_mask(x: LabeledSeries, s: Shapelet, clamp: bool = False,
     tail of every channel (0, so padding stays structurally zero).
     """
     match = psd(x, s.channel, s.values, znorm=znorm)
+    return _mask(x, s, match.psd, match.offset, clamp), match
+
+
+def _mask(x: LabeledSeries, s: Shapelet, dist: float, offset: int,
+          clamp: bool) -> np.ndarray:
     mask = np.ones_like(x.values)
-    scale = min(match.psd, 1.0) if clamp else match.psd
-    mask[s.channel, match.offset : match.offset + len(s)] = scale
+    mask[s.channel, offset : offset + len(s)] = min(dist, 1.0) if clamp else dist
     mask[:, x.original_length:] = 0.0
-    return mask, match
+    return mask
 
 
-def augment_instance(x: LabeledSeries, pool: ShapeletPool, spec: NoiseSpec,
-                     rng: SeededRng, tag: int = 0, clamp: bool = False,
-                     znorm: bool = False) -> LabeledSeries:
-    """One augmented copy of ``x`` guided by a sampled same-class shapelet."""
-    eligible = [s for s in pool.of_class(x.label) if len(s) <= x.original_length]
+def _eligible(x: LabeledSeries, shapelets: list[Shapelet]) -> list[int]:
+    """Indices of the same-class shapelets that fit ``x``, in pool order."""
+    eligible = [k for k, s in enumerate(shapelets) if len(s) <= x.original_length]
     if not eligible:
-        raise ShapeletLengthError(
-            f"no shapelet of class {x.label} fits instance {x.id}"
-        )
-    gen = rng.generator()
-    s = eligible[int(gen.integers(len(eligible)))]
-    mask, _ = build_mask(x, s, clamp=clamp, znorm=znorm)
+        raise ShapeletLengthError(f"no shapelet of class {x.label} fits instance {x.id}")
+    return eligible
 
+
+def _noisy_copy(x: LabeledSeries, mask: np.ndarray, spec: NoiseSpec,
+                gen: np.random.Generator, tag: int) -> LabeledSeries:
     sigma = spec.sigma_scale * x.values[:, : x.original_length].std(axis=1)
     noise = spec.mu + sigma[:, None] * gen.standard_normal(x.values.shape)
     return LabeledSeries(
@@ -69,13 +70,27 @@ def augment_instance(x: LabeledSeries, pool: ShapeletPool, spec: NoiseSpec,
     )
 
 
+def augment_instance(x: LabeledSeries, pool: ShapeletPool, spec: NoiseSpec,
+                     rng: SeededRng, tag: int = 0, clamp: bool = False,
+                     znorm: bool = False) -> LabeledSeries:
+    """One augmented copy of ``x`` guided by a sampled same-class shapelet."""
+    shapelets = pool.of_class(x.label)
+    eligible = _eligible(x, shapelets)
+    gen = rng.generator()
+    s = shapelets[eligible[int(gen.integers(len(eligible)))]]
+    mask, _ = build_mask(x, s, clamp=clamp, znorm=znorm)
+    return _noisy_copy(x, mask, spec, gen, tag)
+
+
 def balance_dataset(dataset: Dataset, pool: ShapeletPool, config: Config,
                     rng: SeededRng | None = None) -> Dataset:
     """Append ``r_sa`` augmented copies of every minority-class instance.
 
     The majority class (most frequent; first in label order on ties) is
     left untouched. Each copy draws from its own (instance, replica)
-    stream, so serial and parallel runs produce the same dataset.
+    stream, so serial and parallel runs produce the same dataset. Masks
+    come from one matching-engine pass per minority class over that
+    class's instances and shapelets.
     """
     if rng is None:
         rng = SeededRng(config.seed).derive(STREAM_AUGMENT)
@@ -85,13 +100,25 @@ def balance_dataset(dataset: Dataset, pool: ShapeletPool, config: Config,
     majority = max(dataset.labels, key=lambda lab: counts[lab])
     spec = NoiseSpec(sigma_scale=config.noise_sigma_scale)
 
+    # instance index -> (dists, offsets) against its class's shapelets
+    matches = {}
+    for lab in dataset.labels:
+        if lab == majority:
+            continue
+        idx = [i for i, x in enumerate(dataset) if x.label == lab]
+        dists, offsets = match_pool([dataset[i] for i in idx], pool.of_class(lab), config.znorm)
+        matches.update({i: (dists[r], offsets[r]) for r, i in enumerate(idx)})
+
     augmented = list(dataset.instances)
     for i, x in enumerate(dataset):
         if x.label == majority:
             continue
+        shapelets = pool.of_class(x.label)
+        eligible = _eligible(x, shapelets)
+        dists, offsets = matches[i]
         for j in range(config.r_sa):
-            augmented.append(augment_instance(
-                x, pool, spec, rng.derive(i).derive(j), tag=j,
-                clamp=config.clamp_mask, znorm=config.znorm,
-            ))
+            gen = rng.derive(i).derive(j).generator()
+            k = eligible[int(gen.integers(len(eligible)))]
+            mask = _mask(x, shapelets[k], dists[k], offsets[k], config.clamp_mask)
+            augmented.append(_noisy_copy(x, mask, spec, gen, j))
     return Dataset(tuple(augmented))

@@ -70,6 +70,8 @@ class LabeledSeries:
             raise ValidationError(
                 f"{self.id}: original_length {self.original_length} outside [3, {t}]"
             )
+        if not np.all(np.isfinite(self.values)):
+            raise ValidationError(f"{self.id}: NaN or infinite values")
         if self.original_length < t and np.any(self.values[:, self.original_length:] != 0.0):
             raise ValidationError(f"{self.id}: non-zero values in the padded tail")
 
@@ -139,12 +141,33 @@ class ShapeletPool:
 
 @dataclass(frozen=True)
 class Dataset:
-    """Ordered list of instances plus derived class bookkeeping."""
+    """Ordered list of instances plus derived class bookkeeping.
+
+    Every instance has the first one's (V, T) shape and channel names, so
+    a channel across the dataset stacks into one matrix, and ids are
+    unique.
+    """
 
     instances: tuple[LabeledSeries, ...]
 
     def __post_init__(self):
         object.__setattr__(self, "instances", tuple(self.instances))
+        if not self.instances:
+            return
+        first = self.instances[0]
+        seen: set[str] = set()
+        for x in self.instances:
+            if x.values.shape != first.values.shape:
+                raise ValidationError(
+                    f"{x.id}: shape {x.values.shape} differs from {first.id}'s "
+                    f"{first.values.shape}")
+            if x.channel_names != first.channel_names:
+                raise ValidationError(
+                    f"{x.id}: channels {list(x.channel_names)} differ from {first.id}'s "
+                    f"{list(first.channel_names)}")
+            if x.id in seen:
+                raise ValidationError(f"duplicate instance id {x.id!r}")
+            seen.add(x.id)
 
     def __len__(self) -> int:
         return len(self.instances)
@@ -262,11 +285,6 @@ class SeededRng:
 
     def generator(self) -> np.random.Generator:
         return np.random.default_rng(np.random.SeedSequence(self.seed, spawn_key=self.stream))
-
-
-def derive_stream(rng: SeededRng, task_index: int) -> SeededRng:
-    """Independent deterministic substream for task ``task_index``."""
-    return rng.derive(task_index)
 
 
 # ---------------------------------------------------------------------------

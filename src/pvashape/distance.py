@@ -15,6 +15,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .core import LabeledSeries
+from .parallel import thread_map
 
 # Guards the complexity ratio when one side is constant (zero complexity).
 EPS_COMPLEXITY = 1e-8
@@ -67,40 +68,102 @@ def _znorm_rows(a: np.ndarray) -> np.ndarray:
     return (a - mean) / std
 
 
-def window_cid_profile(series: np.ndarray, s: np.ndarray, znorm: bool = False) -> np.ndarray:
-    """CID of the query against every window of a 1-D series.
+# Instances scored per engine step: bounds the (chunk, windows, length)
+# working arrays whatever the dataset size.
+MATCH_CHUNK = 64
 
-    ``series`` must already be trimmed to the unpadded region. Returns an
-    array of length ``len(series) - len(s) + 1``. This is the reference
-    (non-batched) computation; every user-facing distance comes from here.
+
+def match(values: np.ndarray, lengths: np.ndarray, queries: np.ndarray,
+          znorm: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """Minimum-CID match of each query against each instance, exactly.
+
+    Parameters
+    ----------
+    values : (M, T) one channel across M zero-padded instances
+    lengths : (M,) unpadded lengths
+    queries : (n, l) equal-length queries
+
+    Returns ``(dists, offsets)`` of shape (M, n). Each distance is computed
+    by direct difference, so an exact match reads 0. Windows that leave the
+    unpadded region never win, ties go to the smallest offset, and an
+    instance shorter than ``l`` gets +inf and offset -1. Every sum runs
+    along one window in the same order for any batch, so a result never
+    depends on which other instances or queries share the call.
     """
-    series = np.asarray(series, dtype=np.float64)
-    s = np.asarray(s, dtype=np.float64)
-    l = len(s)
-    if l > len(series):
-        raise ShapeletLengthError(f"query of length {l} vs series of length {len(series)}")
-    windows = sliding_window_view(series, l)
-    if znorm:
-        windows = _znorm_rows(windows)
-        s = _znorm_rows(s[None, :])[0]
-    diff = windows - s
-    ed = np.sqrt(np.einsum("ij,ij->i", diff, diff))
-    if l >= 2:
-        dw = np.diff(windows, axis=1)
-        ce_w = np.sqrt(np.einsum("ij,ij->i", dw, dw))
-        ds = np.diff(s)
-        ce_s = np.sqrt(np.dot(ds, ds))
-    else:
-        ce_w = np.zeros(len(windows))
-        ce_s = 0.0
-    return ed * _complexity_factor(ce_w, ce_s)
+    values = np.asarray(values, dtype=np.float64)
+    lengths = np.asarray(lengths, dtype=np.int64)
+    queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
+    (m, t), (n, l) = values.shape, queries.shape
+    if l < 1:
+        raise ValueError("queries must have at least one sample")
+    dists = np.full((m, n), np.inf)
+    offsets = np.full((m, n), -1, dtype=np.int64)
+    if l > t:
+        return dists, offsets
+
+    qs = [_znorm_rows(q[None, :])[0] if znorm else q for q in queries]
+    ce_q = [complexity_estimate(q) for q in qs]
+    w = t - l + 1
+    steps = np.diff(values, axis=1)
+    for i0 in range(0, m, MATCH_CHUNK):
+        i1 = min(i0 + MATCH_CHUNK, m)
+        windows = sliding_window_view(values[i0:i1], l, axis=1)      # (c, W, l)
+        if znorm:
+            windows = _znorm_rows(windows)
+            dw = np.diff(windows, axis=-1)
+        else:
+            dw = sliding_window_view(steps[i0:i1], l - 1, axis=1)
+        ce_w = np.sqrt(np.einsum("...j,...j->...", dw, dw))
+        invalid = np.arange(w)[None, :] > (lengths[i0:i1, None] - l)
+        rows = np.arange(i1 - i0)
+        for k, q in enumerate(qs):
+            diff = windows - q
+            profile = np.sqrt(np.einsum("...j,...j->...", diff, diff))
+            profile *= _complexity_factor(ce_w, ce_q[k])
+            profile[invalid] = np.inf
+            best = np.argmin(profile, axis=1)                         # first index wins ties
+            dists[i0:i1, k] = profile[rows, best]
+            offsets[i0:i1, k] = best
+    offsets[lengths < l] = -1                     # no window fits: dists stay +inf
+    return dists, offsets
+
+
+def match_pool(instances, shapelets, znorm: bool = False,
+               threads: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    """Best match of every shapelet on every instance, in the given orders.
+
+    Shapelets are grouped by (channel, length) and each group is scored
+    against all instances in one ``match`` call. Returns ``(dists,
+    offsets)`` of shape (len(instances), len(shapelets)); offset -1 marks a
+    shapelet longer than the instance's unpadded region.
+    """
+    instances = list(instances)
+    dists = np.full((len(instances), len(shapelets)), np.inf)
+    offsets = np.full(dists.shape, -1, dtype=np.int64)
+    if not instances:
+        return dists, offsets
+    lengths = np.asarray([x.original_length for x in instances], dtype=np.int64)
+    groups: dict[tuple[int, int], list[int]] = {}
+    for j, s in enumerate(shapelets):
+        groups.setdefault((s.channel, len(s)), []).append(j)
+    channels = {v: np.stack([x.values[v] for x in instances]) for v, _ in groups}
+
+    def run(item):
+        (channel, _), idx = item
+        return match(channels[channel], lengths,
+                     np.stack([shapelets[j].values for j in idx]), znorm)
+
+    items = sorted(groups.items())
+    for (_, idx), (d, o) in zip(items, thread_map(run, items, threads)):
+        dists[:, idx], offsets[:, idx] = d, o
+    return dists, offsets
 
 
 def psd(x: LabeledSeries, channel: int, s: np.ndarray, znorm: bool = False) -> MatchResult:
     """Minimum-CID match of query ``s`` on one channel of an instance.
 
-    Windows never extend into the zero-padded tail. Ties resolve to the
-    smallest start index.
+    A one-row call of ``match``: windows never extend into the zero-padded
+    tail and ties resolve to the smallest start index.
     """
     if not 0 <= channel < x.n_channels:
         raise ValueError(f"channel {channel} out of range for {x.n_channels} channels")
@@ -110,17 +173,17 @@ def psd(x: LabeledSeries, channel: int, s: np.ndarray, znorm: bool = False) -> M
             f"shapelet of length {len(s)} does not fit instance {x.id} "
             f"(original_length {x.original_length})"
         )
-    series = x.channel(channel)
-    profile = window_cid_profile(series, s, znorm=znorm)
-    j = int(np.argmin(profile))
-    return MatchResult(psd=float(profile[j]), offset=j, window=series[j : j + len(s)].copy())
+    d, o = match(x.values[channel][None, :], [x.original_length], s[None, :], znorm)
+    j = int(o[0, 0])
+    return MatchResult(psd=float(d[0, 0]), offset=j,
+                       window=x.values[channel, j : j + len(s)].copy())
 
 
 # ---------------------------------------------------------------------------
 # Batched search used by discovery scoring
 # ---------------------------------------------------------------------------
 # Discovery evaluates every candidate against every training instance; the
-# reference path above is far too slow for that, so same-length queries are
+# exact engine above is too slow for that, so same-length queries are
 # scored jointly with one windows-by-queries matmul. Block sizes are fixed
 # constants: results are bit-identical no matter how work is scheduled.
 

@@ -12,8 +12,8 @@ import json
 import numpy as np
 
 from .core import Dataset, ShapeletPool, ValidationError
-from .distance import psd
-from .features import apply_scaler, instance_features
+from .distance import match_pool
+from .features import apply_scaler, feature_matrix
 from .model import ModelCheckpoint, forward
 
 
@@ -23,10 +23,10 @@ def build_explain_report(dataset: Dataset, checkpoint: ModelCheckpoint,
     """Prediction plus best-match evidence for each requested instance.
 
     Shapelets longer than an instance's unpadded region cannot match and
-    are omitted from that instance's entries. Distances come from the same
-    search used everywhere else, so they agree with the feature transform
-    exactly. The unpadded waveforms ride along so the report is
-    self-contained for plotting.
+    are omitted from that instance's entries. Features and evidence come
+    from one pass of the matching engine the feature transform uses, so
+    every reported distance equals its feature exactly. The unpadded
+    waveforms ride along so the report is self-contained for plotting.
     """
     cfg = checkpoint.config
     instances = list(dataset)
@@ -34,33 +34,32 @@ def build_explain_report(dataset: Dataset, checkpoint: ModelCheckpoint,
         instances = [x for x in instances if x.id == instance_id]
         if not instances:
             raise ValidationError(f"instance {instance_id!r} not found")
+    dists, offsets = match_pool(instances, pool.shapelets, cfg.znorm)
+    z = feature_matrix(instances, pool if cfg.use_shapelet_features else None,
+                       cfg.logsig_depth, (dists, offsets))
+    if checkpoint.scaler:
+        z = apply_scaler(z, checkpoint.scaler)
     out = []
-    for x in instances:
-        z_raw = instance_features(x, pool if cfg.use_shapelet_features else None,
-                                  cfg.logsig_depth,
-                                  include_shapelets=cfg.use_shapelet_features,
-                                  znorm=cfg.znorm).z
-        z = apply_scaler(z_raw[None, :], checkpoint.scaler)[0] if checkpoint.scaler else z_raw
-        probs = forward(checkpoint.params, z)
+    for r, x in enumerate(instances):
+        probs = forward(checkpoint.params, z[r])
         pred_idx = int(np.argmax(probs))
         predicted = checkpoint.classes[pred_idx]
         matches = []
         for j, s in enumerate(pool.shapelets):
-            if not all_classes and s.label != predicted:
+            if (not all_classes and s.label != predicted) or offsets[r, j] < 0:
                 continue
-            if len(s) > x.original_length:
-                continue
-            m = psd(x, s.channel, s.values, znorm=cfg.znorm)
+            offset = int(offsets[r, j])
+            window = x.values[s.channel, offset : offset + len(s)]
             matches.append({
                 "shapelet": f"S{j:03d}",
                 "pool_index": j,
                 "label": s.label,
                 "channel": int(s.channel),
                 "channel_name": x.channel_names[s.channel],
-                "offset": int(m.offset),
-                "psd": float(m.psd),
+                "offset": offset,
+                "psd": float(dists[r, j]),
                 "shapelet_values": [float(v) for v in s.values],
-                "window_values": [float(v) for v in m.window],
+                "window_values": [float(v) for v in window],
             })
         out.append({
             "id": x.id,

@@ -17,22 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Dataset, LabeledSeries, ShapeletPool
-from .distance import ShapeletLengthError, psd
-from .parallel import thread_map
+from .distance import ShapeletLengthError, match_pool
 
 EPS_SCALE = 1e-8
-
-
-@dataclass(frozen=True)
-class FeatureVector:
-    """Shapelet block, statistics block, and their concatenation."""
-
-    z_sha: np.ndarray
-    z_sta: np.ndarray
-
-    @property
-    def z(self) -> np.ndarray:
-        return np.concatenate([self.z_sha, self.z_sta])
 
 
 def signed_log(d: np.ndarray) -> np.ndarray:
@@ -43,23 +30,31 @@ def signed_log(d: np.ndarray) -> np.ndarray:
 
 def shapelet_transform(x: LabeledSeries, pool: ShapeletPool,
                        znorm: bool = False) -> np.ndarray:
-    """Distance of the instance to every pool shapelet, in pool order.
+    """Distance of one instance to every pool shapelet, in pool order."""
+    return shapelet_features([x], pool, match_pool([x], pool.shapelets, znorm))[0]
 
-    Shapelets longer than the instance's unpadded region cannot match; the
+
+def shapelet_features(instances, pool: ShapeletPool,
+                      matches: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """Shapelet block of the feature matrix from ``match_pool`` output.
+
+    Shapelets longer than an instance's unpadded region cannot match; the
     entry falls back to the largest distance the shapelet produced on the
     training set, recorded at discovery time.
     """
-    out = np.empty(len(pool))
+    dists, offsets = matches
+    out = dists.copy()
     for j, s in enumerate(pool.shapelets):
-        if len(s) > x.original_length:
-            if s.max_train_psd is None:
-                raise ShapeletLengthError(
-                    f"shapelet {j} does not fit instance {x.id} and the pool "
-                    "carries no fallback distance (not produced by discovery)"
-                )
-            out[j] = s.max_train_psd
-        else:
-            out[j] = psd(x, s.channel, s.values, znorm=znorm).psd
+        misses = offsets[:, j] < 0
+        if not misses.any():
+            continue
+        if s.max_train_psd is None:
+            x = instances[int(np.argmax(misses))]
+            raise ShapeletLengthError(
+                f"shapelet {j} does not fit instance {x.id} and the pool "
+                "carries no fallback distance (not produced by discovery)"
+            )
+        out[misses, j] = s.max_train_psd
     return out
 
 
@@ -96,26 +91,31 @@ def _channel_terms(series: np.ndarray, depth: int) -> np.ndarray:
     return terms
 
 
-def instance_features(x: LabeledSeries, pool: ShapeletPool | None, depth: int,
-                      include_shapelets: bool = True,
-                      znorm: bool = False) -> FeatureVector:
-    z_sha = (shapelet_transform(x, pool, znorm=znorm)
-             if include_shapelets and pool is not None else np.zeros(0))
-    z_sta = logsig_transform(x, depth)
-    return FeatureVector(z_sha=z_sha, z_sta=z_sta)
+def feature_matrix(instances, pool: ShapeletPool | None, depth: int,
+                   matches: tuple[np.ndarray, np.ndarray] | None) -> np.ndarray:
+    """Rows of [shapelet distances | signed-log statistics], one per
+    instance. ``matches`` is ``match_pool`` output for ``pool``; without a
+    pool the rows hold the statistics only."""
+    blocks = [shapelet_features(instances, pool, matches)] if pool is not None else []
+    stats = [logsig_transform(x, depth) for x in instances]
+    blocks.append(np.stack(stats) if stats else np.zeros((0, 0)))
+    return np.concatenate(blocks, axis=1)
 
 
 def transform_dataset(dataset: Dataset, pool: ShapeletPool | None, depth: int,
                       include_shapelets: bool = True, znorm: bool = False,
                       threads: int = 1) -> tuple[np.ndarray, list[str], list[str]]:
-    """Feature matrix for a dataset, row order matching instance order."""
+    """Feature matrix for a dataset, row order matching instance order.
 
-    def one(x: LabeledSeries) -> np.ndarray:
-        return instance_features(x, pool, depth, include_shapelets, znorm).z
-
-    rows = thread_map(one, list(dataset), threads)
-    z = np.stack(rows) if rows else np.zeros((0, 0))
-    return z, [x.id for x in dataset], [x.label for x in dataset]
+    Each (channel, length) group of pool shapelets is scored against the
+    whole dataset in one engine call; ``threads`` runs groups concurrently.
+    """
+    instances = list(dataset)
+    pool = pool if include_shapelets else None
+    matches = (match_pool(instances, pool.shapelets, znorm, threads)
+               if pool is not None else None)
+    z = feature_matrix(instances, pool, depth, matches)
+    return z, [x.id for x in instances], [x.label for x in instances]
 
 
 @dataclass(frozen=True)

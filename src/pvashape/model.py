@@ -398,14 +398,6 @@ def evaluate(params: HeadParams, z: np.ndarray, labels: list[str],
     return compute_metrics(y_true, y_pred, classes)
 
 
-def evaluate_checkpoint(ckpt: ModelCheckpoint, z_raw: np.ndarray,
-                        labels: list[str]) -> EvalReport:
-    """Evaluate on raw features, applying the checkpoint's scaler first."""
-    from .features import apply_scaler
-    z = apply_scaler(z_raw, ckpt.scaler) if ckpt.scaler is not None else z_raw
-    return evaluate(ckpt.params, z, labels, ckpt.classes)
-
-
 # ---------------------------------------------------------------------------
 # k-grid search
 # ---------------------------------------------------------------------------

@@ -118,6 +118,57 @@ def test_explain_exact_match_has_zero_psd(chain, tmp_path):
     assert m["window_values"] == m["shapelet_values"]
 
 
+@pytest.mark.parametrize("args", [["--all-classes"], ["--instance", "syn-00004"]])
+def test_explain_evidence_equals_transform_features(chain, tmp_path, args):
+    report_path = tmp_path / "explain.json"
+    rc = main(["explain", "--data", str(chain / "data.ndjson"),
+               "--checkpoint", str(chain / "ckpt.json"),
+               "--pool", str(chain / "pool.json"), "--out", str(report_path)] + args)
+    assert rc == 0
+    report = json.loads(report_path.read_text())
+    z, ids, _ = load_features(chain / "fva.ndjson")
+    row = {id_: i for i, id_ in enumerate(ids)}
+    checked = 0
+    for inst in report["instances"]:
+        for m in inst["matches"]:
+            assert m["psd"] == z[row[inst["id"]], m["pool_index"]]
+            series = inst["series"][m["channel_name"]]
+            window = series[m["offset"] : m["offset"] + len(m["shapelet_values"])]
+            assert m["window_values"] == window
+            checked += 1
+    assert checked > 0
+    if "--instance" in args:
+        assert [inst["id"] for inst in report["instances"]] == ["syn-00004"]
+        assert {m["label"] for m in report["instances"][0]["matches"]} == {
+            report["instances"][0]["predicted"]}
+
+
+def _mutate_first(rec, kind):
+    if kind == "wider":
+        rec["values"] = [row + [0.0] * 10 for row in rec["values"]]
+    elif kind == "channels":
+        rec["channels"] = rec["channels"][::-1]
+    elif kind in ("nan", "inf"):
+        rec["values"][0][1] = float(kind)
+
+
+@pytest.mark.parametrize("kind", ["wider", "channels", "duplicate-id", "nan", "inf"])
+def test_evaluate_rejects_inconsistent_input(chain, tmp_path, kind, capsys):
+    lines = (chain / "data.ndjson").read_text().splitlines()[:6]
+    recs = [json.loads(line) for line in lines]
+    if kind == "duplicate-id":
+        recs[1]["id"] = recs[0]["id"]
+    else:
+        _mutate_first(recs[1], kind)
+    bad = tmp_path / "bad.ndjson"
+    bad.write_text("".join(json.dumps(r) + "\n" for r in recs))
+    rc = main(["evaluate", "--data", str(bad), "--checkpoint", str(chain / "ckpt.json"),
+               "--out", str(tmp_path / "m.json")])
+    assert rc == 2
+    assert recs[1]["id"] in capsys.readouterr().err
+    assert not (tmp_path / "m.json").exists()
+
+
 def test_explain_unknown_instance_exits_two(chain, tmp_path):
     rc = main(["explain", "--data", str(chain / "data.ndjson"),
                "--checkpoint", str(chain / "ckpt.json"),

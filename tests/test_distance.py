@@ -3,12 +3,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracles
 from conftest import make_series
-from pvashape.core import LabeledSeries
-from pvashape.distance import (ShapeletLengthError, batch_min_cid, cid,
-                               complexity_estimate, psd, window_cid_profile)
+from pvashape.core import LabeledSeries, Shapelet
+from pvashape.distance import (MATCH_CHUNK, ShapeletLengthError, batch_min_cid, cid,
+                               complexity_estimate, match, match_pool, psd)
 
 
 def test_complexity_constant_is_zero():
@@ -101,13 +102,16 @@ def test_psd_matches_oracle_random():
             assert got.offset == want_j
 
 
-def test_window_profile_matches_oracle():
+def test_match_matches_oracle_per_window():
+    # one instance per window of a series: each row's only window is scored
     gen = np.random.default_rng(3)
     series = gen.normal(size=20)
     q = gen.normal(size=5)
-    prof = window_cid_profile(series, q)
-    for j in range(len(series) - 5 + 1):
-        assert prof[j] == pytest.approx(oracles.cid(q, series[j : j + 5]), abs=1e-9)
+    windows = np.stack([series[j : j + 5] for j in range(len(series) - 5 + 1)])
+    d, off = match(windows, np.full(len(windows), 5), q[None, :])
+    assert np.array_equal(off[:, 0], np.zeros(len(windows)))
+    for j, w in enumerate(windows):
+        assert d[j, 0] == pytest.approx(oracles.cid(q, w), abs=1e-9)
 
 
 def _random_batch(gen, m=12, t=40):
@@ -161,3 +165,115 @@ def test_batch_marks_too_short_instances():
     assert d[0, 0] == 0.0 and off[0, 0] == 0
     assert np.isinf(d[1, 0]) and off[1, 0] == -1
     assert np.isfinite(d[2, 0])
+
+
+# ---------------------------------------------------------------------------
+# Property tests: the matching engine against the scalar oracle
+# ---------------------------------------------------------------------------
+
+PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def padded_case(draw):
+    """One zero-padded series plus a query that fits its unpadded region.
+
+    Small integer alphabets make exact ties common; the query length runs
+    up to the whole unpadded length."""
+    n = draw(st.integers(3, 24))
+    pad = draw(st.integers(0, 8))
+    l = draw(st.integers(1, n))
+    if draw(st.booleans()):
+        elems = st.integers(-3, 3).map(float)
+    else:
+        elems = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+    series = draw(st.lists(elems, min_size=n, max_size=n))
+    query = draw(st.lists(elems, min_size=l, max_size=l))
+    values = np.zeros(n + pad)
+    values[:n] = series
+    return values, n, np.asarray(query)
+
+
+@PROPERTY
+@given(padded_case(), st.booleans())
+def test_match_agrees_with_oracle(case, use_z):
+    values, n, q = case
+    d, off = match(values[None, :], [n], q[None, :], znorm=use_z)
+    got_d, got_j = d[0, 0], int(off[0, 0])
+    want_d, want_j = oracles.psd(values, n, q, use_znorm=use_z)
+    assert 0 <= got_j <= n - len(q)          # never a window in the padding
+    assert got_d == pytest.approx(want_d, rel=1e-9, abs=1e-9)
+    ints = np.all(values == np.round(values)) and np.all(q == np.round(q))
+    if ints and not use_z:
+        # integer inputs are exact in both paths: equal distances, equal ties
+        assert got_d == want_d and got_j == want_j
+    else:
+        w = values[got_j : got_j + len(q)]
+        q_ref = oracles.znorm(q) if use_z else list(q)
+        w_ref = oracles.znorm(w) if use_z else list(w)
+        assert oracles.cid(q_ref, w_ref) == pytest.approx(want_d, rel=1e-9, abs=1e-9)
+
+
+@PROPERTY
+@given(st.lists(st.integers(-3, 3).map(float), min_size=1, max_size=6),
+       st.integers(2, 5), st.integers(0, 5), st.integers(1, 6), st.booleans())
+def test_match_ties_go_to_first_offset(pattern, reps, pad, l, use_z):
+    k = len(pattern)
+    n = k * reps
+    l = min(l, n)
+    values = np.zeros(n + pad)
+    values[:n] = np.tile(pattern, reps)
+    # the series repeats with period k, so offsets j and j + k tie exactly
+    d, off = match(values[None, :], [n], values[None, :l], znorm=use_z)
+    assert d[0, 0] == 0.0 and off[0, 0] == 0
+    q = np.asarray(pattern[::-1] * 2)[:l]
+    d, off = match(values[None, :], [n], q[None, :], znorm=use_z)
+    assert off[0, 0] < k
+
+
+@PROPERTY
+@given(st.floats(-1e3, 1e3), st.integers(3, 20), st.integers(0, 5), st.booleans())
+def test_match_constant_series_takes_offset_zero(level, n, pad, use_z):
+    values = np.zeros(n + pad)
+    values[:n] = level
+    q = np.linspace(-1.0, 1.0, max(2, n // 2))
+    d, off = match(values[None, :], [n], q[None, :], znorm=use_z)
+    assert off[0, 0] == 0
+    want_d, _ = oracles.psd(values, n, q, use_znorm=use_z)
+    assert d[0, 0] == pytest.approx(want_d, rel=1e-9, abs=1e-9)
+
+
+def _shapelet(values, channel):
+    return Shapelet(values=values, channel=channel, source_id="s", start=0,
+                    end=len(values) - 1, label="NP")
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 2 * MATCH_CHUNK + 5), st.booleans())
+def test_match_pool_independent_of_batching(seed, m, use_z):
+    gen = np.random.default_rng(seed)
+    t = 24
+    instances = []
+    for i in range(m):
+        n = int(gen.integers(3, t + 1))
+        vals = np.zeros((2, t))
+        vals[:, :n] = gen.integers(-2, 3, size=(2, n)) if i % 3 == 0 else gen.normal(size=(2, n))
+        instances.append(LabeledSeries(id=f"i{i}", values=vals, label="NP",
+                                       original_length=n, channel_names=("a", "b")))
+    shapelets = [_shapelet(gen.normal(size=int(gen.integers(2, 9))), int(gen.integers(2)))
+                 for _ in range(7)]
+    d, off = match_pool(instances, shapelets, use_z)
+    d_rev, off_rev = match_pool(instances[::-1], shapelets, use_z)
+    assert np.array_equal(d_rev[::-1], d) and np.array_equal(off_rev[::-1], off)
+    d_two, off_two = match_pool(instances, shapelets, use_z, threads=2)
+    assert np.array_equal(d_two, d) and np.array_equal(off_two, off)
+    for i in range(0, m, max(1, m // 7)):
+        x = instances[i]
+        d_one, off_one = match_pool([x], shapelets, use_z)
+        assert np.array_equal(d_one[0], d[i]) and np.array_equal(off_one[0], off[i])
+        for j, s in enumerate(shapelets):
+            if len(s) > x.original_length:
+                assert np.isinf(d[i, j]) and off[i, j] == -1
+                continue
+            one = psd(x, s.channel, s.values, znorm=use_z)
+            assert one.psd == d[i, j] and one.offset == off[i, j]

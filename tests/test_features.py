@@ -8,10 +8,10 @@ import oracles
 from conftest import make_series
 from pvashape.core import Shapelet, ShapeletPool
 from pvashape.distance import ShapeletLengthError
+from pvashape.core import Dataset
 from pvashape.features import (FeatureScaler, apply_scaler, fit_scaler,
-                               instance_features, load_features, logsig_transform,
-                               save_features, shapelet_transform, signed_log,
-                               transform_dataset)
+                               load_features, logsig_transform, save_features,
+                               shapelet_transform, signed_log, transform_dataset)
 
 
 def test_signed_log_is_odd_and_zero_at_zero():
@@ -123,19 +123,18 @@ def test_shapelet_transform_without_sentinel_raises():
         shapelet_transform(x, pool)
 
 
-def test_instance_features_concatenation():
+def test_transform_dataset_concatenation():
     x = make_series([[1, 2, 4], [0, 0, 0]])
     pool = _pool([_shapelet([2, 4])])
-    fv = instance_features(x, pool, depth=2, include_shapelets=True)
-    assert fv.z_sha.shape == (1,) and fv.z_sta.shape == (4,)
-    assert np.array_equal(fv.z, np.concatenate([fv.z_sha, fv.z_sta]))
-    no_sha = instance_features(x, None, depth=2, include_shapelets=False)
-    assert no_sha.z_sha.shape == (0,)
-    assert np.array_equal(no_sha.z, fv.z_sta)
+    z, _, _ = transform_dataset(Dataset((x,)), pool, depth=2)
+    assert z.shape == (1, 1 + 4)
+    assert np.array_equal(z[0], np.concatenate([shapelet_transform(x, pool),
+                                                logsig_transform(x, 2)]))
+    no_sha, _, _ = transform_dataset(Dataset((x,)), pool, depth=2, include_shapelets=False)
+    assert np.array_equal(no_sha, z[:, 1:])
 
 
 def test_transform_dataset_order_and_threads():
-    from pvashape.core import Dataset
     gen = np.random.default_rng(5)
     rows = tuple(make_series(gen.normal(size=(2, 10)), id=f"x{i}",
                              label="NP" if i % 2 else "AC") for i in range(6))

@@ -1,7 +1,7 @@
 """Seeded stream derivation: determinism and independence."""
 import numpy as np
 
-from pvashape.core import SeededRng, derive_stream
+from pvashape.core import SeededRng
 
 
 def test_same_stream_twice_is_identical():
@@ -35,7 +35,3 @@ def test_child_stream_starts_at_draw_zero():
     b = SeededRng(3).derive(2).generator().random(10)
     assert np.array_equal(a, b)
 
-
-def test_derive_stream_helper_matches_method():
-    r = SeededRng(11, (4,))
-    assert derive_stream(r, 9) == r.derive(9)
