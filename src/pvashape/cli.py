@@ -21,7 +21,7 @@ import numpy as np
 from . import __version__
 from .core import (Config, STREAM_SPLIT, STREAM_TRAIN, SeededRng,
                    ValidationError, config_hash, load_dataset, save_dataset)
-from .discovery import discover, load_pool, save_pool
+from .discovery import discover, load_pool, pool_digest, save_pool
 from .augment import balance_dataset
 from .distance import ShapeletLengthError
 from .explain import build_explain_report, emit_plot_data
@@ -122,17 +122,22 @@ def _write_json(path, doc: dict) -> None:
 
 def _load_pool_for(checkpoint: ModelCheckpoint, ckpt_path: str, pool_arg):
     """Pool from --pool, else from the checkpoint's recorded path (tried
-    as-is, then relative to the checkpoint's directory)."""
-    if pool_arg:
-        return load_pool(pool_arg)
-    if checkpoint.pool_path:
-        if os.path.exists(checkpoint.pool_path):
-            return load_pool(checkpoint.pool_path)
+    as-is, then relative to the checkpoint's directory). A pool whose
+    content differs from the one the checkpoint was fitted with is refused."""
+    path = pool_arg
+    if not path and checkpoint.pool_path:
         sibling = os.path.join(os.path.dirname(os.path.abspath(ckpt_path)),
                                os.path.basename(checkpoint.pool_path))
-        if os.path.exists(sibling):
-            return load_pool(sibling)
-    return None
+        path = next((p for p in (checkpoint.pool_path, sibling) if os.path.exists(p)), None)
+    if not path:
+        return None
+    pool = load_pool(path)
+    digest = pool_digest(pool)
+    if checkpoint.pool_sha256 is not None and digest != checkpoint.pool_sha256:
+        raise ValidationError(
+            f"pool {path} (sha256 {digest[:12]}) is not the pool the checkpoint was "
+            f"fitted with (sha256 {checkpoint.pool_sha256[:12]})")
+    return pool
 
 
 def _parse_proportions(raw):
@@ -220,7 +225,8 @@ def cmd_train(args) -> int:
     ckpt = train(apply_scaler(z_tr, scaler), labels_tr,
                  apply_scaler(z_va, scaler), labels_va,
                  cfg, SeededRng(cfg.seed).derive(STREAM_TRAIN), scaler=scaler,
-                 pool_path=args.pool)
+                 pool_path=args.pool,
+                 pool_sha256=pool_digest(load_pool(args.pool)) if args.pool else None)
     save_checkpoint(args.out, ckpt)
     write_manifest(f"{args.out}.manifest.json", "train", cfg,
                    {"train_features": args.train_features,

@@ -2,23 +2,27 @@
 
 Candidates are the spans of three consecutive perceptually important
 points, collected after every point insertion on every channel of every
-instance. Each candidate is scored by the information gain of the best
+instance. Each candidate is ranked by the information gain of the best
 one-vs-rest threshold split on its subsequence distances to the whole
-training set, and the top candidates per class form the pool.
+training set, screened with a matrix-product kernel, and the top
+candidates per class form the pool. The gain, threshold and largest
+training distance recorded for each pool shapelet are then recomputed
+from the exact matching engine's distances.
 """
 from __future__ import annotations
 
+import bisect
+import hashlib
 import json
 import logging
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (Config, Dataset, LabeledSeries, Shapelet, ShapeletPool,
-                   result_config)
-from .distance import QUERY_BLOCK, prepare_windows, prepared_min_cid
+from .core import Config, Dataset, Shapelet, ShapeletPool, result_config
+from .distance import QUERY_BLOCK, match_pool, prepare_windows, prepared_min_cid
 from .parallel import thread_map
-from .pips import extract_pips_incremental
+from .pips import pip_insertions
 
 log = logging.getLogger(__name__)
 
@@ -43,35 +47,42 @@ class Candidate:
         return len(self.values)
 
 
-def generate_candidates(x: LabeledSeries, k: int) -> list[Candidate]:
+def generate_candidates(instances, k: int) -> list[Candidate]:
     """All unique three-point spans produced while extracting ``k`` points.
 
+    ``instances`` share one (channels, time) shape, as in a Dataset; the
+    points of every channel of every instance are extracted in one batch.
     After each insertion at sorted position ``idx``, the spans
     ``[P[idx - z], P[idx + 2 - z]]`` for ``z`` in 0..2 (where they exist)
-    are emitted; spans shorter than 3 and duplicates are dropped.
+    are emitted; spans shorter than 3 and duplicates within an instance are
+    dropped. Candidates come in instance, channel, insertion, ``z`` order.
     """
+    instances = list(instances)
+    if not instances:
+        return []
+    v = instances[0].n_channels
+    lengths = np.repeat([x.original_length for x in instances], v)
+    added = pip_insertions(np.concatenate([x.values for x in instances]), lengths, k)
     out: list[Candidate] = []
-    seen: set[tuple[int, int, int]] = set()
-    for v in range(x.n_channels):
-        series = x.channel(v)
-        for state in extract_pips_incremental(series, k):
-            p = state.pips
-            idx = state.last_added[1]
-            for z in (0, 1, 2):
-                i0, i2 = idx - z, idx + 2 - z
-                if i0 < 0 or i2 > len(p) - 1:
-                    continue
-                start, end = p[i0], p[i2]
-                if end - start + 1 < MIN_CANDIDATE_LENGTH:
-                    continue
-                key = (v, start, end)
-                if key in seen:
-                    continue
-                seen.add(key)
-                out.append(Candidate(
-                    values=x.values[v, start : end + 1].copy(),
-                    channel=v, source_id=x.id, start=start, end=end, label=x.label,
-                ))
+    for i, x in enumerate(instances):
+        seen: set[tuple[int, int, int]] = set()
+        for ch in range(v):
+            p = [0, x.original_length - 1]
+            for t in added[i * v + ch].tolist():
+                idx = bisect.bisect_left(p, t)
+                p.insert(idx, t)
+                for z in (0, 1, 2):
+                    i0, i2 = idx - z, idx + 2 - z
+                    if i0 < 0 or i2 > len(p) - 1:
+                        continue
+                    start, end = p[i0], p[i2]
+                    if end - start + 1 < MIN_CANDIDATE_LENGTH or (ch, start, end) in seen:
+                        continue
+                    seen.add((ch, start, end))
+                    out.append(Candidate(
+                        values=x.values[ch, start : end + 1].copy(), channel=ch,
+                        source_id=x.id, start=start, end=end, label=x.label,
+                    ))
     return out
 
 
@@ -110,7 +121,10 @@ def _gain_block(dists: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, np.
     Returns per-row (gain, threshold).
     """
     b, m = dists.shape
-    order = np.argsort(dists, axis=1, kind="stable")
+    # Any sort order works: a split falls only between distinct distances,
+    # where the count of targets to its left does not depend on how ties
+    # were ordered, so the faster unstable sort gives the same results.
+    order = np.argsort(dists, axis=1)
     d_sorted = np.take_along_axis(dists, order, axis=1)
     y_sorted = np.take_along_axis(targets, order, axis=1)
     valid = np.isfinite(d_sorted)                       # sorted to a prefix
@@ -170,51 +184,49 @@ def discover(dataset: Dataset, config: Config) -> ShapeletPool:
     classes = dataset.labels
     quota = max(config.g // len(classes), 1)
 
-    candidates: list[Candidate] = []
-    skipped = 0
-    for x in dataset:
-        if x.original_length < config.k:
-            skipped += 1
-            continue
-        candidates.extend(generate_candidates(x, config.k))
-    if skipped:
+    sources = [x for x in dataset if x.original_length >= config.k]
+    if len(sources) < len(dataset):
         log.warning("skipped %d instances shorter than k=%d during discovery",
-                    skipped, config.k)
+                    len(dataset) - len(sources), config.k)
+    candidates = generate_candidates(sources, config.k)
     if not candidates:
         raise ValueError("no shapelet candidates could be generated")
 
-    gains, thresholds, max_psds = _score_candidates(dataset, candidates, config)
-
-    pool: list[Shapelet] = []
+    screen = _screen_gains(dataset, candidates, config)
+    chosen: list[Candidate] = []
     for lab in classes:
         idx = [i for i, c in enumerate(candidates) if c.label == lab]
-        idx.sort(key=lambda i: (-gains[i], len(candidates[i]),
+        idx.sort(key=lambda i: (-screen[i], len(candidates[i]),
                                 candidates[i].start, candidates[i].source_id))
         if len(idx) < quota:
             log.warning("class %s supplied %d candidates for a quota of %d",
                         lab, len(idx), quota)
-        for i in idx[:quota]:
-            c = candidates[i]
-            pool.append(Shapelet(
-                values=c.values, channel=c.channel, source_id=c.source_id,
-                start=c.start, end=c.end, label=c.label,
-                info_gain=float(gains[i]), split_threshold=float(thresholds[i]),
-                max_train_psd=float(max_psds[i]),
-            ))
-    return ShapeletPool(shapelets=tuple(pool), per_class_quota=quota,
+        chosen.extend(candidates[i] for i in idx[:quota])
+
+    # The recorded numbers come from the exact engine the transform uses,
+    # not from the screen that ranked the candidates.
+    labels = np.asarray([x.label for x in dataset])
+    dists = match_pool(dataset, chosen, config.znorm, config.threads)[0].T   # (G, M)
+    gains, thresholds = _gain_block(dists, np.stack([labels == c.label for c in chosen]))
+    max_psds = np.max(np.where(np.isfinite(dists), dists, -np.inf), axis=1)
+    pool = tuple(
+        Shapelet(values=c.values, channel=c.channel, source_id=c.source_id,
+                 start=c.start, end=c.end, label=c.label, info_gain=float(g),
+                 split_threshold=float(th), max_train_psd=float(mx))
+        for c, g, th, mx in zip(chosen, gains, thresholds, max_psds)
+    )
+    return ShapeletPool(shapelets=pool, per_class_quota=quota,
                         labels=classes, config=result_config(config))
 
 
-def _score_candidates(dataset: Dataset, candidates: list[Candidate],
-                      config: Config) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Gain, threshold and max finite distance for every candidate."""
+def _screen_gains(dataset: Dataset, candidates: list[Candidate],
+                  config: Config) -> np.ndarray:
+    """Information gain of every candidate on the matrix-product kernel's
+    distances, which agree with the exact engine except close to 0."""
     lengths = np.asarray([x.original_length for x in dataset], dtype=np.int64)
     labels = np.asarray([x.label for x in dataset])
     by_channel = {}
-
     gains = np.zeros(len(candidates))
-    thresholds = np.zeros(len(candidates))
-    max_psds = np.zeros(len(candidates))
 
     groups: dict[tuple[int, int], list[int]] = {}
     for i, c in enumerate(candidates):
@@ -232,18 +244,12 @@ def _score_candidates(dataset: Dataset, candidates: list[Candidate],
 
         def run_block(block, prep=prep):
             queries = np.stack([candidates[i].values for i in block])
-            dists, _ = prepared_min_cid(prep, queries)
-            dmat = dists.T                               # (b, M)
             targets = np.stack([labels == candidates[i].label for i in block])
-            g, th = _gain_block(dmat, targets)
-            finite = np.where(np.isfinite(dmat), dmat, -np.inf)
-            return block, g, th, np.max(finite, axis=1)
+            return block, _gain_block(prepared_min_cid(prep, queries).T, targets)[0]
 
-        for block, g, th, mx in thread_map(run_block, blocks, config.threads):
+        for block, g in thread_map(run_block, blocks, config.threads):
             gains[block] = g
-            thresholds[block] = th
-            max_psds[block] = mx
-    return gains, thresholds, max_psds
+    return gains
 
 
 # ---------------------------------------------------------------------------
@@ -287,6 +293,12 @@ def pool_from_dict(d: dict) -> ShapeletPool:
     )
     return ShapeletPool(shapelets=shapelets, per_class_quota=int(d["per_class_quota"]),
                         labels=tuple(d["labels"]), config=dict(d.get("config", {})))
+
+
+def pool_digest(pool: ShapeletPool) -> str:
+    """sha256 of a pool's content, independent of file formatting."""
+    blob = json.dumps(pool_to_dict(pool), sort_keys=True).encode()
+    return hashlib.sha256(blob).hexdigest()
 
 
 def save_pool(path, pool: ShapeletPool) -> None:

@@ -189,6 +189,8 @@ def psd(x: LabeledSeries, channel: int, s: np.ndarray, znorm: bool = False) -> M
 
 QUERY_BLOCK = 64
 INSTANCE_CHUNK = 128
+# Instances per step of the elementwise pass over one matmul's output.
+MIN_TILE = 8
 
 
 @dataclass(frozen=True)
@@ -217,9 +219,11 @@ def prepare_windows(values: np.ndarray, lengths: np.ndarray, l: int,
     The window matrix carries two extra columns, the window's squared norm
     and a constant one. Dotting a row with an extended query
     ``[-2q, 1, ||q||^2]`` then yields the squared Euclidean distance straight
-    from the matmul. Under z-normalization the stored windows are the raw
-    values divided by the window std: a z-scored query sums to zero, so the
-    mean term drops out of the cross product and the same layout holds.
+    from the matmul. Raw windows take their squared norm and complexity from
+    prefix sums. Under z-normalization the stored windows are z-scored one
+    by one, as ``match`` scores them, and their norm and complexity are
+    summed over each window: prefix-sum moments cancel on near-constant
+    series.
     """
     values = np.asarray(values, dtype=np.float64)
     lengths = np.asarray(lengths, dtype=np.int64)
@@ -229,29 +233,25 @@ def prepare_windows(values: np.ndarray, lengths: np.ndarray, l: int,
         raise ShapeletLengthError(f"query length {l} exceeds series length {t}")
 
     windows = sliding_window_view(values, l, axis=1)          # (M, W, l) view
-
-    # Sliding complexity and sum of squares via prefix sums.
-    d2 = np.square(np.diff(values, axis=1))
-    ce2 = _sliding_sum(d2, l - 1) if l >= 2 else np.zeros((m, w))
-    ce_w = np.sqrt(np.maximum(ce2, 0.0))
-    sq = _sliding_sum(np.square(values), l)
-
     flat = np.empty((m * w, l + 2))
-    ce_eff = ce_w
+    body = flat.reshape(m, w, l + 2)[:, :, :l]               # one copy of the view
     if znorm:
-        mean_w = _sliding_sum(values, l) / l
-        var_w = np.maximum(sq / l - np.square(mean_w), 0.0)
-        std_w = np.maximum(np.sqrt(var_w), EPS_STD)
-        np.divide(windows.reshape(m * w, l), std_w.reshape(m * w, 1), out=flat[:, :l])
-        flat[:, l] = (l * var_w / np.square(std_w)).ravel()   # ||z-scored window||^2
-        ce_eff = ce_w / std_w
+        np.subtract(windows, windows.mean(axis=-1, keepdims=True), out=body)
+        body /= np.maximum(windows.std(axis=-1, keepdims=True), EPS_STD)
+        dz = np.diff(body, axis=-1)
+        ce2 = np.einsum("...j,...j->...", dz, dz)
+        sq = np.einsum("...j,...j->...", body, body)
     else:
-        flat[:, :l] = windows.reshape(m * w, l)
-        flat[:, l] = sq.ravel()
+        np.copyto(body, windows)
+        d2 = np.square(np.diff(values, axis=1))
+        ce2 = _sliding_sum(d2, l - 1) if l >= 2 else np.zeros((m, w))
+        sq = _sliding_sum(np.square(values), l)
+    flat[:, l] = sq.ravel()
     flat[:, l + 1] = 1.0
 
-    ce2_eff = np.square(ce_eff)
-    inv_ce2 = np.square(1.0 / np.maximum(ce_eff, EPS_COMPLEXITY))
+    ce_w = np.sqrt(np.maximum(ce2, 0.0))
+    ce2_eff = np.square(ce_w)
+    inv_ce2 = np.square(1.0 / np.maximum(ce_w, EPS_COMPLEXITY))
 
     n_valid = np.maximum(lengths - l + 1, 0)                  # valid windows per instance
     invalid = np.arange(w)[None, :] >= n_valid[:, None]       # (M, W)
@@ -259,16 +259,17 @@ def prepare_windows(values: np.ndarray, lengths: np.ndarray, l: int,
                            ce2=ce2_eff, inv_ce2=inv_ce2, znorm=znorm)
 
 
-def prepared_min_cid(prep: PreparedWindows,
-                     queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Minimum CID of one query block against prepared windows.
+def prepared_min_cid(prep: PreparedWindows, queries: np.ndarray) -> np.ndarray:
+    """Minimum CID of one query block against prepared windows, shape (M, n).
 
     Callers must chunk queries into fixed QUERY_BLOCK-sized blocks so the
     matmul shapes (and therefore the accumulation order) never depend on
-    scheduling. Instances are likewise processed in fixed INSTANCE_CHUNK
-    slices with preallocated scratch, which keeps the working set small and
-    avoids churning large temporaries; comparisons happen on squared CID
-    (the square root is monotone) and the root is taken once on the minima.
+    scheduling. Each matmul covers one fixed INSTANCE_CHUNK slice; the
+    elementwise pass and the min reduction then walk its output in
+    MIN_TILE-instance tiles with one small scratch, so the pass stays in
+    cache. Comparisons happen on squared CID (the square root is monotone)
+    and the root is taken once on the minima. Instances with no valid
+    window read +inf.
 
     The complexity ratio is applied squared via
     ``cf^2 = max(ce_w^2 / max(ce_q, eps)^2, ce_q^2 / max(ce_w, eps)^2)``,
@@ -296,53 +297,31 @@ def prepared_min_cid(prep: PreparedWindows,
     qext[l + 1] = sq_q
 
     dists = np.empty((m, n))
-    offsets = np.empty((m, n), dtype=np.int64)
     chunk = min(INSTANCE_CHUNK, m)
     gemm = np.empty((chunk * w, n))
-    scratch = np.empty((2, chunk, w, n))
+    scratch = np.empty((2, min(MIN_TILE, chunk), w, n))
     for i0 in range(0, m, chunk):
         i1 = min(i0 + chunk, m)
-        c = i1 - i0
-        buf = np.matmul(prep.flat[i0 * w : i1 * w], qext, out=gemm[: c * w])
-        buf = buf.reshape(c, w, n)
-        # Squared complexity factor, then squared CID.
-        t1 = np.multiply(prep.ce2[i0:i1, :, None], inv_ce2_q, out=scratch[0, :c])
-        t2 = np.multiply(prep.inv_ce2[i0:i1, :, None], ce2_q, out=scratch[1, :c])
-        np.maximum(t1, t2, out=t1)
-        np.multiply(buf, t1, out=buf)
-        buf[prep.invalid[i0:i1]] = np.inf
-        am = np.argmin(buf, axis=1)                  # first index wins ties
-        offsets[i0:i1] = am
-        dists[i0:i1] = np.take_along_axis(buf, am[:, None, :], axis=1)[:, 0, :]
+        buf = np.matmul(prep.flat[i0 * w : i1 * w], qext, out=gemm[: (i1 - i0) * w])
+        buf = buf.reshape(i1 - i0, w, n)
+        for j0 in range(i0, i1, MIN_TILE):
+            j1 = min(j0 + MIN_TILE, i1)
+            tile = buf[j0 - i0 : j1 - i0]
+            # Squared complexity factor, then squared CID. The outer products
+            # go through einsum, which is about twice as fast here as a
+            # broadcast multiply and gives the same products.
+            t1 = np.einsum("tw,n->twn", prep.ce2[j0:j1], inv_ce2_q, out=scratch[0, : j1 - j0])
+            t2 = np.einsum("tw,n->twn", prep.inv_ce2[j0:j1], ce2_q, out=scratch[1, : j1 - j0])
+            np.maximum(t1, t2, out=t1)
+            np.multiply(tile, t1, out=tile)
+            invalid = prep.invalid[j0:j1]
+            if invalid.any():
+                tile[invalid] = np.inf
+            np.min(tile, axis=1, out=dists[j0:j1])
     # ed^2 can round slightly negative for near-identical pairs; clip before
-    # the root. Rows with no valid window stay +inf and report offset -1.
+    # the root. Rows with no valid window stay +inf.
     np.sqrt(np.maximum(dists, 0.0, out=dists), out=dists)
-    offsets[~np.isfinite(dists)] = -1
-    return dists, offsets
-
-
-def batch_min_cid(values: np.ndarray, lengths: np.ndarray, queries: np.ndarray,
-                  znorm: bool = False) -> tuple[np.ndarray, np.ndarray]:
-    """Minimum CID of each query against each instance's valid windows.
-
-    Parameters
-    ----------
-    values : (M, T) matrix of one channel across M instances
-    lengths : (M,) unpadded lengths
-    queries : (n, l) equal-length queries
-
-    Returns ``(dists, offsets)`` of shape (M, n); entries are +inf / -1
-    where the query does not fit the instance.
-    """
-    queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
-    n, l = queries.shape
-    prep = prepare_windows(values, lengths, l, znorm=znorm)
-    dists = np.full((prep.m, n), np.inf)
-    offsets = np.full((prep.m, n), -1, dtype=np.int64)
-    for lo in range(0, n, QUERY_BLOCK):
-        hi = min(lo + QUERY_BLOCK, n)
-        dists[:, lo:hi], offsets[:, lo:hi] = prepared_min_cid(prep, queries[lo:hi])
-    return dists, offsets
+    return dists
 
 
 def _sliding_sum(a: np.ndarray, width: int) -> np.ndarray:

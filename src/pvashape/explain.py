@@ -13,7 +13,7 @@ import numpy as np
 
 from .core import Dataset, ShapeletPool, ValidationError
 from .distance import match_pool
-from .features import apply_scaler, feature_matrix
+from .features import feature_matrix
 from .model import ModelCheckpoint, forward
 
 
@@ -37,8 +37,7 @@ def build_explain_report(dataset: Dataset, checkpoint: ModelCheckpoint,
     dists, offsets = match_pool(instances, pool.shapelets, cfg.znorm)
     z = feature_matrix(instances, pool if cfg.use_shapelet_features else None,
                        cfg.logsig_depth, (dists, offsets))
-    if checkpoint.scaler:
-        z = apply_scaler(z, checkpoint.scaler)
+    z = checkpoint.head_input(z)
     out = []
     for r, x in enumerate(instances):
         probs = forward(checkpoint.params, z[r])

@@ -21,7 +21,7 @@ import numpy as np
 
 from .core import (Config, Dataset, SeededRng, STREAM_TUNE, ValidationError,
                    config_hash, order_labels, result_config)
-from .features import FeatureScaler
+from .features import FeatureScaler, apply_scaler
 
 HIDDEN_1 = 512
 HIDDEN_2 = 256
@@ -172,6 +172,7 @@ class ModelCheckpoint:
     scaler: FeatureScaler | None
     config: Config
     pool_path: str | None
+    pool_sha256: str | None         # content hash of the pool it was fitted with
     history: tuple[dict, ...]
     best_epoch: int
     best_val_macro_f1: float
@@ -184,6 +185,7 @@ class ModelCheckpoint:
             "config": result_config(self.config),
             "config_hash": config_hash(self.config),
             "pool_path": self.pool_path,
+            "pool_sha256": self.pool_sha256,
             "history": list(self.history),
             "best_epoch": self.best_epoch,
             "best_val_macro_f1": self.best_val_macro_f1,
@@ -197,10 +199,23 @@ class ModelCheckpoint:
             scaler=FeatureScaler.from_dict(d["scaler"]) if d.get("scaler") else None,
             config=Config.from_dict(d["config"]),
             pool_path=d.get("pool_path"),
+            pool_sha256=d.get("pool_sha256"),
             history=tuple(d.get("history", [])),
             best_epoch=int(d.get("best_epoch", 0)),
             best_val_macro_f1=float(d.get("best_val_macro_f1", 0.0)),
         )
+
+    def head_input(self, z_raw: np.ndarray) -> np.ndarray:
+        """Raw feature matrix -> the head's input, scaled as in training.
+
+        A matrix of another width (features of a different pool or
+        channel set) is refused instead of failing inside numpy.
+        """
+        if z_raw.shape[1] != self.params.d:
+            raise ValidationError(
+                f"{z_raw.shape[1]} features per instance, but the checkpoint's head "
+                f"takes {self.params.d}: not the pool or channels it was trained with")
+        return apply_scaler(z_raw, self.scaler) if self.scaler else z_raw
 
 
 def save_checkpoint(path, ckpt: ModelCheckpoint) -> None:
@@ -229,7 +244,8 @@ def train(train_z: np.ndarray, train_labels: list[str],
           config: Config, rng: SeededRng, *,
           classes: tuple[str, ...] | None = None,
           scaler: FeatureScaler | None = None,
-          pool_path: str | None = None) -> ModelCheckpoint:
+          pool_path: str | None = None,
+          pool_sha256: str | None = None) -> ModelCheckpoint:
     """Fit the head on (already standardized) features.
 
     Stops early when validation macro-F1 has not improved for
@@ -296,7 +312,7 @@ def train(train_z: np.ndarray, train_labels: list[str],
 
     final = HeadParams(**{name: best[name] for name in PARAM_NAMES})
     return ModelCheckpoint(params=final, classes=classes, scaler=scaler,
-                           config=config, pool_path=pool_path,
+                           config=config, pool_path=pool_path, pool_sha256=pool_sha256,
                            history=tuple(history), best_epoch=best_epoch,
                            best_val_macro_f1=max(best_f1, 0.0))
 

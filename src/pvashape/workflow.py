@@ -17,7 +17,7 @@ import numpy as np
 from .augment import balance_dataset
 from .core import (Config, Dataset, STREAM_TRAIN, SeededRng, ShapeletPool,
                    ValidationError, order_labels)
-from .discovery import discover
+from .discovery import discover, pool_digest
 from .features import apply_scaler, fit_scaler, transform_dataset
 from .model import (EvalReport, ModelCheckpoint, compute_metrics, evaluate,
                     forward_batch, train)
@@ -99,7 +99,8 @@ def fit(train_ds: Dataset, val_ds: Dataset, config: Config, *,
     with clock("train"):
         checkpoint = train(z_tr, train_labels, z_va, val_labels, config,
                            SeededRng(config.seed).derive(STREAM_TRAIN),
-                           classes=classes, scaler=scaler, pool_path=pool_path)
+                           classes=classes, scaler=scaler, pool_path=pool_path,
+                           pool_sha256=None if pool is None else pool_digest(pool))
     index = {lab: i for i, lab in enumerate(classes)}
     val_true = np.array([index[lab] for lab in val_labels])
     with clock("evaluate"):
@@ -138,5 +139,5 @@ def evaluate_on(checkpoint: ModelCheckpoint, dataset: Dataset,
         dataset, pool if cfg.use_shapelet_features else None, cfg.logsig_depth,
         include_shapelets=cfg.use_shapelet_features, znorm=cfg.znorm,
         threads=threads)
-    z = apply_scaler(z_raw, checkpoint.scaler) if checkpoint.scaler else z_raw
-    return evaluate(checkpoint.params, z, labels, checkpoint.classes)
+    return evaluate(checkpoint.params, checkpoint.head_input(z_raw), labels,
+                    checkpoint.classes)

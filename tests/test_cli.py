@@ -6,7 +6,7 @@ import pytest
 
 from pvashape.cli import main
 from pvashape.core import load_dataset
-from pvashape.discovery import load_pool
+from pvashape.discovery import load_pool, pool_digest
 from pvashape.features import load_features
 
 TINY = ["--seed", "3", "--k", "5", "--g", "8", "--rsa", "2", "--threads", "1"]
@@ -167,6 +167,44 @@ def test_evaluate_rejects_inconsistent_input(chain, tmp_path, kind, capsys):
     assert rc == 2
     assert recs[1]["id"] in capsys.readouterr().err
     assert not (tmp_path / "m.json").exists()
+
+
+def _scoring_args(cmd, chain, checkpoint, pool, out):
+    return [cmd, "--data", str(chain / "data.ndjson"), "--checkpoint", str(checkpoint),
+            "--pool", str(pool), "--out", str(out)]
+
+
+def test_checkpoint_refuses_a_foreign_pool(chain, tmp_path, capsys):
+    ckpt = json.loads((chain / "ckpt.json").read_text())
+    assert ckpt["pool_sha256"] == pool_digest(load_pool(chain / "pool.json"))
+    # same size, one number changed: the features would have the right width
+    doc = json.loads((chain / "pool.json").read_text())
+    doc["shapelets"][0]["values"][0] += 0.5
+    foreign = tmp_path / "foreign.json"
+    foreign.write_text(json.dumps(doc))
+    for cmd in ("evaluate", "explain"):
+        out = tmp_path / f"{cmd}.json"
+        assert main(_scoring_args(cmd, chain, chain / "ckpt.json", foreign, out)) == 2
+        assert "not the pool the checkpoint was fitted with" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_checkpoint_refuses_features_of_another_width(chain, tmp_path, capsys):
+    # a checkpoint without the pool binding still checks the head's input width
+    ckpt = json.loads((chain / "ckpt.json").read_text())
+    del ckpt["pool_sha256"]
+    unbound = tmp_path / "ckpt.json"
+    unbound.write_text(json.dumps(ckpt))
+    doc = json.loads((chain / "pool.json").read_text())
+    doc["shapelets"] = doc["shapelets"][:-1]
+    smaller = tmp_path / "smaller.json"
+    smaller.write_text(json.dumps(doc))
+    for cmd in ("evaluate", "explain"):
+        out = tmp_path / f"{cmd}.json"
+        assert main(_scoring_args(cmd, chain, unbound, smaller, out)) == 2
+        assert "features per instance, but the checkpoint's head takes" in (
+            capsys.readouterr().err)
+        assert not out.exists()
 
 
 def test_explain_unknown_instance_exits_two(chain, tmp_path):

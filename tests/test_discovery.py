@@ -8,7 +8,8 @@ from pvashape.core import Config, Dataset
 from pvashape.discovery import (discover, generate_candidates,
                                 information_gain, load_pool, pool_from_dict,
                                 pool_to_dict, save_pool)
-from pvashape.distance import psd
+from pvashape.distance import match_pool, psd
+from pvashape.pipeline import SynthConfig, generate_synthetic
 
 
 def test_gain_pure_split():
@@ -52,7 +53,7 @@ def test_gain_matches_exhaustive_oracle_random():
 
 def test_candidates_single_spike():
     x = make_series([0, 0, 4, 0, 0])
-    cands = generate_candidates(x, 3)
+    cands = generate_candidates([x], 3)
     assert len(cands) == 1
     c = cands[0]
     assert (c.start, c.end, c.channel) == (0, 4, 0)
@@ -66,7 +67,7 @@ def test_candidates_respect_bounds_and_dedup():
         n = int(gen.integers(6, 30))
         k = int(gen.integers(3, min(8, n) + 1))
         x = make_series(gen.normal(size=(2, n)), id=f"c{trial}")
-        cands = generate_candidates(x, k)
+        cands = generate_candidates([x], k)
         seen = set()
         per_channel = {0: 0, 1: 0}
         for c in cands:
@@ -122,6 +123,19 @@ def test_discover_records_max_train_psd():
         dists = [psd(x, s.channel, s.values).psd for x in ds
                  if x.original_length >= len(s)]
         assert s.max_train_psd == pytest.approx(max(dists), rel=1e-9, abs=1e-9)
+
+
+def test_pool_numbers_come_from_exact_distances():
+    # the kernel that ranks candidates is off by ~1e-6 near a self-match;
+    # the recorded gain, threshold and maximum must be the exact engine's
+    ds = generate_synthetic(SynthConfig(n_instances=40, t=60, seed=5))
+    pool = discover(ds, Config(k=6, g=8, seed=0))
+    dists, _ = match_pool(ds, pool.shapelets)
+    for j, s in enumerate(pool.shapelets):
+        pairs = [(float(d), x.label == s.label) for d, x in zip(dists[:, j], ds)
+                 if np.isfinite(d)]
+        assert (s.info_gain, s.split_threshold) == information_gain(pairs)
+        assert s.max_train_psd == max(d for d, _ in pairs)
 
 
 def test_discover_thread_count_does_not_change_pool():

@@ -8,8 +8,9 @@ from hypothesis import given, settings, strategies as st
 import oracles
 from conftest import make_series
 from pvashape.core import LabeledSeries, Shapelet
-from pvashape.distance import (MATCH_CHUNK, ShapeletLengthError, batch_min_cid, cid,
-                               complexity_estimate, match, match_pool, psd)
+from pvashape.distance import (INSTANCE_CHUNK, MATCH_CHUNK, MIN_TILE, QUERY_BLOCK,
+                               ShapeletLengthError, cid, complexity_estimate, match,
+                               match_pool, prepare_windows, prepared_min_cid, psd)
 
 
 def test_complexity_constant_is_zero():
@@ -122,48 +123,49 @@ def _random_batch(gen, m=12, t=40):
     return values, lengths.astype(np.int64)
 
 
+def _kernel(values, lengths, queries, znorm=False):
+    """Discovery's kernel: one window preparation, fixed query blocks."""
+    prep = prepare_windows(values, lengths, queries.shape[1], znorm=znorm)
+    return np.concatenate([prepared_min_cid(prep, queries[lo : lo + QUERY_BLOCK])
+                           for lo in range(0, len(queries), QUERY_BLOCK)], axis=1)
+
+
 def test_batch_matches_scalar_plain():
     gen = np.random.default_rng(7)
     values, lengths = _random_batch(gen)
     queries = [gen.normal(size=int(gen.integers(2, 7))) for _ in range(9)]
     for l in {len(q) for q in queries}:
         qs = np.stack([q for q in queries if len(q) == l])
-        d, off = batch_min_cid(values, lengths, qs)
+        d = _kernel(values, lengths, qs)
         for i in range(len(values)):
             x = LabeledSeries(id=str(i), values=values[i][None, :], label="NP",
                               original_length=int(lengths[i]), channel_names=("c",))
             for j in range(len(qs)):
-                m = psd(x, 0, qs[j])
-                assert d[i, j] == pytest.approx(m.psd, rel=1e-9, abs=1e-9)
-                assert off[i, j] == m.offset
+                assert d[i, j] == pytest.approx(psd(x, 0, qs[j]).psd, rel=1e-9, abs=1e-9)
 
 
 def test_batch_matches_scalar_znorm_distances():
-    # the batched path factors the squared distance through one matmul, so
-    # near-tie offsets may differ under z-normalization; distances must agree
+    # the kernel factors the squared distance through one matmul, so under
+    # z-normalization it agrees with the exact engine to a looser tolerance
     gen = np.random.default_rng(8)
     values, lengths = _random_batch(gen)
     qs = gen.normal(size=(6, 5))
-    d, off = batch_min_cid(values, lengths, qs, znorm=True)
+    d = _kernel(values, lengths, qs, znorm=True)
     for i in range(len(values)):
         x = LabeledSeries(id=str(i), values=values[i][None, :], label="NP",
                           original_length=int(lengths[i]), channel_names=("c",))
         for j in range(len(qs)):
             m = psd(x, 0, qs[j], znorm=True)
             assert d[i, j] == pytest.approx(m.psd, rel=1e-6, abs=1e-6)
-            # the offset it picked must realize the same minimum
-            w = values[i, off[i, j] : off[i, j] + 5]
-            assert oracles.cid(oracles.znorm(qs[j]), oracles.znorm(w)) == pytest.approx(
-                m.psd, rel=1e-6, abs=1e-6)
 
 
 def test_batch_marks_too_short_instances():
     values = np.zeros((3, 10))
     values[:, :4] = [[1, 2, 3, 4], [0, 1, 0, 1], [2, 2, 2, 2]]
     lengths = np.array([4, 3, 4])
-    d, off = batch_min_cid(values, lengths, np.array([[1.0, 2.0, 3.0, 4.0]]))
-    assert d[0, 0] == 0.0 and off[0, 0] == 0
-    assert np.isinf(d[1, 0]) and off[1, 0] == -1
+    d = _kernel(values, lengths, np.array([[1.0, 2.0, 3.0, 4.0]]))
+    assert d[0, 0] == 0.0
+    assert np.isinf(d[1, 0])
     assert np.isfinite(d[2, 0])
 
 
@@ -277,3 +279,58 @@ def test_match_pool_independent_of_batching(seed, m, use_z):
                 continue
             one = psd(x, s.channel, s.values, znorm=use_z)
             assert one.psd == d[i, j] and one.offset == off[i, j]
+
+
+# ---------------------------------------------------------------------------
+# Property tests: discovery's kernel against the scalar oracle
+# ---------------------------------------------------------------------------
+
+def _draw(gen, kind, n):
+    if kind == "integers":                  # exact arithmetic, many exact matches
+        return gen.integers(-3, 4, size=n).astype(float)
+    if kind == "near-constant":             # tiny wiggles on a large level
+        level = gen.uniform(-200.0, 200.0)
+        return level + 10.0 ** gen.uniform(-9.0, -3.0) * gen.normal(size=n)
+    return gen.normal(size=n)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, INSTANCE_CHUNK + MIN_TILE + 3),
+       st.integers(3, 14), st.sampled_from(["3", "T", "any"]),
+       st.sampled_from(["normal", "near-constant", "integers"]), st.booleans())
+def test_kernel_agrees_with_oracle(seed, m, t, l_kind, kind, use_z):
+    """Any batch size (across MIN_TILE and INSTANCE_CHUNK boundaries),
+    ragged padded rows, rows too short for the query, l = 3 and l = T."""
+    gen = np.random.default_rng(seed)
+    l = {"3": 3, "T": t, "any": int(gen.integers(3, t + 1))}[l_kind]
+    lengths = gen.integers(1, t + 1, size=m)
+    values = np.zeros((m, t))
+    for i, n in enumerate(lengths):
+        values[i, :n] = _draw(gen, kind, n)
+    queries = np.stack([_draw(gen, kind, l) for _ in range(2)])
+    d = _kernel(values, lengths, queries, znorm=use_z)
+    assert d.shape == (m, 2)
+    tol = dict(rel=1e-6, abs=1e-6) if use_z else dict(rel=1e-9, abs=1e-9)
+    for i in range(m):
+        for j, q in enumerate(queries):
+            if lengths[i] < l:
+                assert d[i, j] == np.inf
+                continue
+            want, _ = oracles.psd(values[i], int(lengths[i]), q, use_znorm=use_z)
+            assert d[i, j] == pytest.approx(want, **tol)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 2**32 - 1), st.integers(3, 30), st.booleans())
+def test_kernel_self_match_error_is_bounded(seed, t, use_z):
+    """The matmul expansion cancels near an exact float match, so a window
+    scored against itself reads a small positive distance, not 0; it stays
+    below sqrt(l * eps) times the query's scale."""
+    gen = np.random.default_rng(seed)
+    values = gen.normal(scale=10.0 ** gen.uniform(-3, 3), size=(1, t))
+    l = int(gen.integers(3, t + 1))
+    j = int(gen.integers(0, t - l + 1))
+    q = values[:, j : j + l]
+    d = _kernel(values, [t], q, znorm=use_z)[0, 0]
+    scale = np.sqrt(l) if use_z else np.linalg.norm(q)
+    assert 0.0 <= d <= 4.0 * np.sqrt(l * np.finfo(float).eps) * scale

@@ -1,9 +1,10 @@
 """Perceptually important point extraction against per-step recomputation."""
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracles
-from pvashape.pips import (extract_pips, extract_pips_incremental,
+from pvashape.pips import (extract_pips, extract_pips_incremental, pip_insertions,
                            reconstruction_distance)
 
 
@@ -82,3 +83,20 @@ def test_rejects_bad_k():
         extract_pips(np.zeros(10), 2)
     with pytest.raises(ValueError):
         extract_pips(np.zeros(4), 5)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 12), st.integers(3, 10))
+def test_batch_matches_oracle_on_ragged_batches(seed, rows, k):
+    # padded rows of different lengths, mostly small integer alphabets (ties)
+    gen = np.random.default_rng(seed)
+    t = int(gen.integers(k, 40))
+    lengths = gen.integers(k, t + 1, size=rows)
+    values = np.zeros((rows, t))
+    for i, n in enumerate(lengths):
+        values[i, :n] = gen.integers(0, 4, size=n) if i % 3 else gen.normal(size=n)
+    got = pip_insertions(values, lengths, k)
+    assert got.shape == (rows, k - 2)
+    for i, n in enumerate(lengths):
+        want = [added for added, _ in oracles.pip_steps(values[i, :n], k)]
+        assert got[i].tolist() == want
