@@ -12,25 +12,21 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import platform
 import sys
-import time
-
-import numpy as np
 
 from . import __version__
-from .core import (Config, STREAM_SPLIT, STREAM_TRAIN, SeededRng,
-                   ValidationError, config_hash, load_dataset, save_dataset)
+from .core import (Config, Dataset, STREAM_SPLIT, SeededRng, ValidationError,
+                   load_dataset, save_dataset, write_json as _write_json)
 from .discovery import discover, load_pool, pool_digest, save_pool
 from .augment import balance_dataset
 from .distance import ShapeletLengthError
 from .explain import build_explain_report, emit_plot_data
-from .features import (apply_scaler, fit_scaler, load_features, save_features,
-                       transform_dataset)
+from .features import load_features, save_features
 from .model import (ModelCheckpoint, TrainingDivergedError, load_checkpoint,
-                    save_checkpoint, train, tune_k)
+                    save_checkpoint, tune_k)
 from .pipeline import SynthConfig, generate_synthetic, split, subset_channels
 from . import workflow
+from .workflow import Run, write_manifest
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -44,11 +40,8 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         self.print_usage(sys.stderr)
-        raise SystemExit(self.exit_code_with(message))
-
-    def exit_code_with(self, message) -> int:
         print(f"{self.prog}: error: {message}", file=sys.stderr)
-        return EXIT_USAGE
+        raise SystemExit(EXIT_USAGE)
 
 
 def _config_flags(p: argparse.ArgumentParser) -> None:
@@ -71,7 +64,7 @@ def build_config(args) -> Config:
     cfg = Config()
     if getattr(args, "config", None):
         with open(args.config) as fh:
-            cfg = Config.from_dict({**cfg.to_dict(), **json.load(fh)})
+            cfg = Config.from_dict(json.load(fh))
     updates = {}
     for flag, field in [("seed", "seed"), ("k", "k"), ("g", "g"), ("rsa", "r_sa"),
                         ("sigma_scale", "noise_sigma_scale"),
@@ -91,33 +84,6 @@ def build_config(args) -> Config:
     if getattr(args, "no_shapelet_features", False):
         updates["use_shapelet_features"] = False
     return cfg.with_updates(**updates) if updates else cfg
-
-
-def write_manifest(path, command: str, cfg: Config, inputs: dict, outputs: dict,
-                   timings: dict) -> None:
-    doc = {
-        "command": command,
-        "config": cfg.to_dict(),
-        "config_hash": config_hash(cfg),
-        "seed": cfg.seed,
-        "inputs": {k: str(v) for k, v in inputs.items()},
-        "outputs": {k: str(v) for k, v in outputs.items()},
-        "timings_s": timings,
-        "versions": {"pvashape": __version__,
-                     "python": platform.python_version(),
-                     "numpy": np.__version__},
-    }
-    tmp = f"{path}.tmp"
-    with open(tmp, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    os.replace(tmp, path)
-
-
-def _write_json(path, doc: dict) -> None:
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 def _load_pool_for(checkpoint: ModelCheckpoint, ckpt_path: str, pool_arg):
@@ -153,117 +119,103 @@ def _parse_proportions(raw):
 # Commands
 # ---------------------------------------------------------------------------
 
-def cmd_synth(args) -> int:
-    cfg = build_config(args)
-    t0 = time.perf_counter()
-    synth = SynthConfig(n_instances=args.n, class_proportions=_parse_proportions(args.proportions),
-                        noise=args.noise, seed=cfg.seed, t=args.t)
-    ds = generate_synthetic(synth)
+def _synthesize(args, cfg: Config, path) -> Dataset:
+    """The synth stage of ``synth`` and ``run-all``: generate, keep the
+    configured channels, save."""
+    ds = generate_synthetic(SynthConfig(
+        n_instances=args.n, class_proportions=_parse_proportions(args.proportions),
+        noise=args.noise, seed=cfg.seed, t=args.t))
     if cfg.channel_subset is not None:
         ds = subset_channels(ds, cfg.channel_subset)
-    save_dataset(args.out, ds)
-    write_manifest(f"{args.out}.manifest.json", "synth", cfg, {}, {"data": args.out},
-                   {"synth": round(time.perf_counter() - t0, 6)})
+    save_dataset(path, ds)
+    return ds
+
+
+def cmd_synth(args) -> int:
+    run = Run("synth", build_config(args), {}, {"data": args.out})
+    with run.stage("synth"):
+        ds = _synthesize(args, run.config, args.out)
+    write_manifest(f"{args.out}.manifest.json", run)
     print(f"wrote {len(ds)} instances to {args.out}")
     return EXIT_OK
 
 
 def cmd_discover(args) -> int:
-    cfg = build_config(args)
-    ds = load_dataset(args.data)
-    ds = workflow.align_channels(ds, cfg)
-    t0 = time.perf_counter()
-    pool = discover(ds, cfg)
-    save_pool(args.out, pool)
-    write_manifest(f"{args.out}.manifest.json", "discover", cfg,
-                   {"data": args.data}, {"pool": args.out},
-                   {"discover": round(time.perf_counter() - t0, 6)})
+    run = Run("discover", build_config(args), {"data": args.data}, {"pool": args.out})
+    ds = workflow.align_channels(load_dataset(args.data), run.config)
+    with run.stage("discover"):
+        pool = discover(ds, run.config)
+        save_pool(args.out, pool)
+    write_manifest(f"{args.out}.manifest.json", run)
     print(f"wrote pool of {len(pool)} shapelets to {args.out}")
     return EXIT_OK
 
 
 def cmd_augment(args) -> int:
-    cfg = build_config(args)
-    ds = load_dataset(args.data)
+    run = Run("augment", build_config(args), {"data": args.data, "pool": args.pool},
+              {"data": args.out})
+    ds = workflow.align_channels(load_dataset(args.data), run.config)
     pool = load_pool(args.pool)
-    t0 = time.perf_counter()
-    out = balance_dataset(ds, pool, cfg)
-    save_dataset(args.out, out)
-    write_manifest(f"{args.out}.manifest.json", "augment", cfg,
-                   {"data": args.data, "pool": args.pool}, {"data": args.out},
-                   {"augment": round(time.perf_counter() - t0, 6)})
+    with run.stage("augment"):
+        out = balance_dataset(ds, pool, run.config)
+        save_dataset(args.out, out)
+    write_manifest(f"{args.out}.manifest.json", run)
     print(f"wrote {len(out)} instances ({len(out) - len(ds)} augmented) to {args.out}")
     return EXIT_OK
 
 
 def cmd_transform(args) -> int:
-    cfg = build_config(args)
+    run = Run("transform", build_config(args), {"data": args.data, "pool": args.pool or ""},
+              {"features": args.out})
     ds = load_dataset(args.data)
     pool = load_pool(args.pool) if args.pool else None
-    if cfg.use_shapelet_features and pool is None:
-        raise ValidationError("shapelet features enabled but no --pool given "
-                              "(pass --no-shapelet-features for statistics only)")
-    t0 = time.perf_counter()
-    z, ids, labels = transform_dataset(ds, pool, cfg.logsig_depth,
-                                       include_shapelets=cfg.use_shapelet_features,
-                                       znorm=cfg.znorm, threads=cfg.threads)
-    save_features(args.out, z, ids, labels)
-    write_manifest(f"{args.out}.manifest.json", "transform", cfg,
-                   {"data": args.data, "pool": args.pool or ""},
-                   {"features": args.out},
-                   {"transform": round(time.perf_counter() - t0, 6)})
+    with run.stage("transform"):
+        z, ids, labels = workflow.featurize(ds, pool, run.config, run.config.threads)
+        save_features(args.out, z, ids, labels)
+    write_manifest(f"{args.out}.manifest.json", run)
     print(f"wrote {z.shape[0]} x {z.shape[1]} feature matrix to {args.out}")
     return EXIT_OK
 
 
 def cmd_train(args) -> int:
-    cfg = build_config(args)
-    z_tr, _, labels_tr = load_features(args.train_features)
-    z_va, _, labels_va = load_features(args.val_features)
-    t0 = time.perf_counter()
-    scaler = fit_scaler(z_tr)
-    ckpt = train(apply_scaler(z_tr, scaler), labels_tr,
-                 apply_scaler(z_va, scaler), labels_va,
-                 cfg, SeededRng(cfg.seed).derive(STREAM_TRAIN), scaler=scaler,
-                 pool_path=args.pool,
-                 pool_sha256=pool_digest(load_pool(args.pool)) if args.pool else None)
-    save_checkpoint(args.out, ckpt)
-    write_manifest(f"{args.out}.manifest.json", "train", cfg,
-                   {"train_features": args.train_features,
-                    "val_features": args.val_features},
-                   {"checkpoint": args.out},
-                   {"train": round(time.perf_counter() - t0, 6)})
+    run = Run("train", build_config(args),
+              {"train_features": args.train_features, "val_features": args.val_features},
+              {"checkpoint": args.out})
+    train_features = load_features(args.train_features)
+    val_features = load_features(args.val_features)
+    with run.stage("train"):
+        ckpt = workflow.train_head(train_features, val_features, run.config,
+                                   pool=load_pool(args.pool) if args.pool else None,
+                                   pool_path=args.pool)
+        save_checkpoint(args.out, ckpt)
+    write_manifest(f"{args.out}.manifest.json", run)
     print(f"best epoch {ckpt.best_epoch}, validation macro-F1 "
           f"{ckpt.best_val_macro_f1:.4f}; wrote {args.out}")
     return EXIT_OK
 
 
 def cmd_evaluate(args) -> int:
-    cfg = build_config(args)
+    threads = build_config(args).threads
     ckpt = load_checkpoint(args.checkpoint)
+    run = Run("evaluate", ckpt.config, {"data": args.data, "checkpoint": args.checkpoint},
+              {"metrics": args.out})
     ds = load_dataset(args.data)
     pool = _load_pool_for(ckpt, args.checkpoint, args.pool)
-    t0 = time.perf_counter()
-    report = workflow.evaluate_on(ckpt, ds, pool, threads=cfg.threads)
-    _write_json(args.out, report.to_dict())
-    write_manifest(f"{args.out}.manifest.json", "evaluate", ckpt.config,
-                   {"data": args.data, "checkpoint": args.checkpoint},
-                   {"metrics": args.out},
-                   {"evaluate": round(time.perf_counter() - t0, 6)})
+    with run.stage("evaluate"):
+        report = workflow.evaluate_on(ckpt, ds, pool, threads=threads)
+        _write_json(args.out, report.to_dict())
+    write_manifest(f"{args.out}.manifest.json", run)
     print(f"accuracy {report.accuracy:.4f}, macro-F1 {report.macro_f1:.4f}; wrote {args.out}")
     return EXIT_OK
 
 
 def cmd_tune_k(args) -> int:
-    cfg = build_config(args)
-    ds = load_dataset(args.data)
-    ds = workflow.align_channels(ds, cfg)
-    t0 = time.perf_counter()
-    result = tune_k(ds, cfg, folds=args.folds)
-    _write_json(args.out, result.to_dict())
-    write_manifest(f"{args.out}.manifest.json", "tune-k", cfg,
-                   {"data": args.data}, {"tuning": args.out},
-                   {"tune_k": round(time.perf_counter() - t0, 6)})
+    run = Run("tune-k", build_config(args), {"data": args.data}, {"tuning": args.out})
+    ds = workflow.align_channels(load_dataset(args.data), run.config)
+    with run.stage("tune_k"):
+        result = tune_k(ds, run.config)
+        _write_json(args.out, result.to_dict())
+    write_manifest(f"{args.out}.manifest.json", run)
     print(f"best k = {result.best_k}; wrote {args.out}")
     return EXIT_OK
 
@@ -271,30 +223,28 @@ def cmd_tune_k(args) -> int:
 def cmd_explain(args) -> int:
     build_config(args)
     ckpt = load_checkpoint(args.checkpoint)
-    ds = load_dataset(args.data)
-    ds = workflow.align_channels(ds, ckpt.config)
+    run = Run("explain", ckpt.config, {"data": args.data, "checkpoint": args.checkpoint},
+              {"report": args.out})
+    ds = workflow.align_channels(load_dataset(args.data), ckpt.config)
     pool = _load_pool_for(ckpt, args.checkpoint, args.pool)
     if pool is None:
         raise ValidationError("explain requires a shapelet pool (--pool or a "
                               "checkpoint with a recorded pool path)")
-    t0 = time.perf_counter()
-    report = build_explain_report(ds, ckpt, pool, all_classes=args.all_classes,
-                                  instance_id=args.instance)
-    _write_json(args.out, report)
-    outputs = {"report": args.out}
-    if args.plot_data:
-        emit_plot_data(report, args.plot_data)
-        outputs["plot_data"] = args.plot_data
-    write_manifest(f"{args.out}.manifest.json", "explain", ckpt.config,
-                   {"data": args.data, "checkpoint": args.checkpoint}, outputs,
-                   {"explain": round(time.perf_counter() - t0, 6)})
+    with run.stage("explain"):
+        report = build_explain_report(ds, ckpt, pool, all_classes=args.all_classes,
+                                      instance_id=args.instance)
+        _write_json(args.out, report)
+        if args.plot_data:
+            emit_plot_data(report, args.plot_data)
+            run.outputs["plot_data"] = args.plot_data
+    write_manifest(f"{args.out}.manifest.json", run)
     print(f"explained {len(report['instances'])} instance(s); wrote {args.out}")
     return EXIT_OK
 
 
 def cmd_run_all(args) -> int:
-    cfg = build_config(args)
-    out_dir = args.out_dir
+    run = Run("run-all", build_config(args))
+    cfg, out_dir = run.config, args.out_dir
     os.makedirs(out_dir, exist_ok=True)
     paths = {name: os.path.join(out_dir, fname) for name, fname in [
         ("data", "data.ndjson"), ("train", "train.ndjson"), ("val", "val.ndjson"),
@@ -303,49 +253,35 @@ def cmd_run_all(args) -> int:
         ("features_val", "features_val.ndjson"),
         ("checkpoint", "checkpoint.json"), ("metrics", "metrics.json"),
     ]}
-    timings: dict = {}
 
-    t0 = time.perf_counter()
-    synth = SynthConfig(n_instances=args.n, class_proportions=_parse_proportions(args.proportions),
-                        noise=args.noise, seed=cfg.seed, t=args.t)
-    ds = generate_synthetic(synth)
-    if cfg.channel_subset is not None:
-        ds = subset_channels(ds, cfg.channel_subset)
-    save_dataset(paths["data"], ds)
-    timings["synth"] = round(time.perf_counter() - t0, 6)
-
-    t0 = time.perf_counter()
-    train_ds, val_ds = split(ds, args.train_fraction,
-                             SeededRng(cfg.seed).derive(STREAM_SPLIT))
-    save_dataset(paths["train"], train_ds)
-    save_dataset(paths["val"], val_ds)
-    timings["split"] = round(time.perf_counter() - t0, 6)
+    with run.stage("synth"):
+        ds = _synthesize(args, cfg, paths["data"])
+    with run.stage("split"):
+        train_ds, val_ds = split(ds, args.train_fraction,
+                                 SeededRng(cfg.seed).derive(STREAM_SPLIT))
+        save_dataset(paths["train"], train_ds)
+        save_dataset(paths["val"], val_ds)
 
     # Record the pool as a sibling name so the checkpoint bytes do not
     # depend on the output directory; evaluate resolves it next to the
     # checkpoint file.
     result = workflow.fit(train_ds, val_ds, cfg,
-                          pool_path=os.path.basename(paths["pool"]),
-                          timings=timings)
+                          pool_path=os.path.basename(paths["pool"]), run=run)
 
-    outputs = {k: paths[k] for k in ("data", "train", "val", "checkpoint", "metrics")}
+    run.outputs = {k: paths[k] for k in ("data", "train", "val", "features_train",
+                                         "features_val", "checkpoint", "metrics")}
     if result.pool is not None:
         save_pool(paths["pool"], result.pool)
-        outputs["pool"] = paths["pool"]
+        run.outputs["pool"] = paths["pool"]
     if cfg.use_augment and len(result.train_full) != len(train_ds):
         save_dataset(paths["train_aug"], result.train_full)
-        outputs["train_aug"] = paths["train_aug"]
-    save_features(paths["features_train"], result.z_train_raw, result.train_ids,
-                  result.train_labels)
-    save_features(paths["features_val"], result.z_val_raw, result.val_ids,
-                  result.val_labels)
-    outputs["features_train"] = paths["features_train"]
-    outputs["features_val"] = paths["features_val"]
+        run.outputs["train_aug"] = paths["train_aug"]
+    save_features(paths["features_train"], *result.train_features)
+    save_features(paths["features_val"], *result.val_features)
     save_checkpoint(paths["checkpoint"], result.checkpoint)
     _write_json(paths["metrics"], result.report.to_dict())
 
-    write_manifest(os.path.join(out_dir, "manifest.json"), "run-all", cfg, {},
-                   outputs, timings)
+    write_manifest(os.path.join(out_dir, "manifest.json"), run)
     r = result.report
     per_class = " ".join(f"{lab}={r.per_class_f1[lab]:.3f}" for lab in r.classes)
     print(f"accuracy {r.accuracy:.4f}, macro-F1 {r.macro_f1:.4f}, per-class F1: {per_class}")
@@ -370,12 +306,15 @@ def build_parser() -> _Parser:
         p.set_defaults(func=func)
         return p
 
+    def synth_flags(p):
+        p.add_argument("--n", type=int, default=2000)
+        p.add_argument("--proportions", default=None, help="JSON object class -> fraction")
+        p.add_argument("--noise", type=float, default=0.1)
+        p.add_argument("--t", type=int, default=150)
+
     p = add("synth", cmd_synth, "generate a synthetic labeled dataset")
     p.add_argument("--out", required=True)
-    p.add_argument("--n", type=int, default=2000)
-    p.add_argument("--proportions", default=None, help="JSON object class -> fraction")
-    p.add_argument("--noise", type=float, default=0.1)
-    p.add_argument("--t", type=int, default=150)
+    synth_flags(p)
 
     p = add("discover", cmd_discover, "extract a shapelet pool from a dataset")
     p.add_argument("--data", required=True)
@@ -419,10 +358,7 @@ def build_parser() -> _Parser:
 
     p = add("run-all", cmd_run_all, "synth, discover, augment, transform, train, evaluate")
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--n", type=int, default=2000)
-    p.add_argument("--proportions", default=None)
-    p.add_argument("--noise", type=float, default=0.1)
-    p.add_argument("--t", type=int, default=150)
+    synth_flags(p)
     p.add_argument("--train-fraction", type=float, default=0.8)
 
     return parser

@@ -9,7 +9,10 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field, replace
+import numbers
+import os
+from contextlib import contextmanager, suppress
+from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
 from typing import Iterable, Sequence
 
@@ -96,6 +99,8 @@ class Shapelet:
     ``channel`` of the source instance. ``max_train_psd`` is the largest
     finite distance observed against the training set at discovery time,
     used as the "no match possible" sentinel by the feature transform.
+    Discovery's candidates are shapelets whose gain, threshold and
+    ``max_train_psd`` are not yet filled in.
     """
 
     values: np.ndarray
@@ -222,6 +227,10 @@ class Config:
     threads: int = 1
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not _TYPE_CHECKS[f.type](value):
+                raise ValidationError(f"config {f.name} must be {f.type}, got {value!r}")
         if self.k < 3:
             raise ValidationError(f"k must be >= 3, got {self.k}")
         if self.channel_subset is not None:
@@ -238,10 +247,28 @@ class Config:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Config":
-        known = {k: v for k, v in d.items() if k in cls.__dataclass_fields__}
-        if known.get("channel_subset") is not None:
-            known["channel_subset"] = tuple(known["channel_subset"])
-        return cls(**known)
+        """Config from a JSON object. Missing keys keep their defaults;
+        unknown keys and wrongly typed values are refused."""
+        if not isinstance(d, dict):
+            raise ValidationError(f"config must be a JSON object, got {type(d).__name__}")
+        unknown = sorted(set(d) - set(cls.__dataclass_fields__))
+        if unknown:
+            raise ValidationError(f"unknown config key(s): {', '.join(unknown)}")
+        return cls(**d)
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
+# Type check per Config field annotation; integers pass as floats.
+_TYPE_CHECKS = {
+    "bool": lambda v: isinstance(v, bool),
+    "int": _is_int,
+    "float": lambda v: isinstance(v, numbers.Real) and not isinstance(v, bool),
+    "tuple[int, ...] | None": lambda v: v is None or (
+        isinstance(v, (list, tuple)) and all(_is_int(i) for i in v)),
+}
 
 
 def result_config(config: Config) -> dict:
@@ -288,6 +315,41 @@ class SeededRng:
 
 
 # ---------------------------------------------------------------------------
+# Artifact writers
+# ---------------------------------------------------------------------------
+
+@contextmanager
+def atomic_write(path):
+    """Text handle whose content replaces ``path`` only once the block
+    completes. Writing goes to the sibling ``<path>.tmp``; on any failure
+    that file is removed and the target keeps its previous bytes."""
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, "w") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
+
+
+def write_json(path, doc) -> None:
+    """One indented, key-sorted JSON document. NaN and infinity are not
+    JSON, so they raise instead of being written."""
+    with atomic_write(path) as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True, allow_nan=False)
+        fh.write("\n")
+
+
+def write_ndjson(path, records) -> None:
+    """One compact JSON document per line; NaN and infinity raise."""
+    with atomic_write(path) as fh:
+        for rec in records:
+            fh.write(json.dumps(rec, allow_nan=False) + "\n")
+
+
+# ---------------------------------------------------------------------------
 # NDJSON dataset serialization
 # ---------------------------------------------------------------------------
 
@@ -315,9 +377,7 @@ def series_from_record(rec: dict) -> LabeledSeries:
 
 
 def save_dataset(path, dataset: Dataset) -> None:
-    with open(path, "w") as fh:
-        for x in dataset:
-            fh.write(json.dumps(series_to_record(x)) + "\n")
+    write_ndjson(path, (series_to_record(x) for x in dataset))
 
 
 def load_dataset(path) -> Dataset:

@@ -15,11 +15,11 @@ import bisect
 import hashlib
 import json
 import logging
-from dataclasses import dataclass
+from dataclasses import replace
 
 import numpy as np
 
-from .core import Config, Dataset, Shapelet, ShapeletPool, result_config
+from .core import Config, Dataset, Shapelet, ShapeletPool, result_config, write_json
 from .distance import QUERY_BLOCK, match_pool, prepare_windows, prepared_min_cid
 from .parallel import thread_map
 from .pips import pip_insertions
@@ -32,23 +32,9 @@ MIN_CANDIDATE_LENGTH = 3
 GAIN_EPS = 1e-12
 
 
-@dataclass(frozen=True)
-class Candidate:
-    """A scored-pending shapelet candidate (inclusive span of one channel)."""
-
-    values: np.ndarray
-    channel: int
-    source_id: str
-    start: int
-    end: int
-    label: str
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-
-def generate_candidates(instances, k: int) -> list[Candidate]:
-    """All unique three-point spans produced while extracting ``k`` points.
+def generate_candidates(instances, k: int) -> list[Shapelet]:
+    """All unique three-point spans produced while extracting ``k`` points,
+    as shapelets not yet scored.
 
     ``instances`` share one (channels, time) shape, as in a Dataset; the
     points of every channel of every instance are extracted in one batch.
@@ -63,7 +49,7 @@ def generate_candidates(instances, k: int) -> list[Candidate]:
     v = instances[0].n_channels
     lengths = np.repeat([x.original_length for x in instances], v)
     added = pip_insertions(np.concatenate([x.values for x in instances]), lengths, k)
-    out: list[Candidate] = []
+    out: list[Shapelet] = []
     for i, x in enumerate(instances):
         seen: set[tuple[int, int, int]] = set()
         for ch in range(v):
@@ -79,7 +65,7 @@ def generate_candidates(instances, k: int) -> list[Candidate]:
                     if end - start + 1 < MIN_CANDIDATE_LENGTH or (ch, start, end) in seen:
                         continue
                     seen.add((ch, start, end))
-                    out.append(Candidate(
+                    out.append(Shapelet(
                         values=x.values[ch, start : end + 1].copy(), channel=ch,
                         source_id=x.id, start=start, end=end, label=x.label,
                     ))
@@ -193,7 +179,7 @@ def discover(dataset: Dataset, config: Config) -> ShapeletPool:
         raise ValueError("no shapelet candidates could be generated")
 
     screen = _screen_gains(dataset, candidates, config)
-    chosen: list[Candidate] = []
+    chosen: list[Shapelet] = []
     for lab in classes:
         idx = [i for i, c in enumerate(candidates) if c.label == lab]
         idx.sort(key=lambda i: (-screen[i], len(candidates[i]),
@@ -210,16 +196,14 @@ def discover(dataset: Dataset, config: Config) -> ShapeletPool:
     gains, thresholds = _gain_block(dists, np.stack([labels == c.label for c in chosen]))
     max_psds = np.max(np.where(np.isfinite(dists), dists, -np.inf), axis=1)
     pool = tuple(
-        Shapelet(values=c.values, channel=c.channel, source_id=c.source_id,
-                 start=c.start, end=c.end, label=c.label, info_gain=float(g),
-                 split_threshold=float(th), max_train_psd=float(mx))
+        replace(c, info_gain=float(g), split_threshold=float(th), max_train_psd=float(mx))
         for c, g, th, mx in zip(chosen, gains, thresholds, max_psds)
     )
     return ShapeletPool(shapelets=pool, per_class_quota=quota,
                         labels=classes, config=result_config(config))
 
 
-def _screen_gains(dataset: Dataset, candidates: list[Candidate],
+def _screen_gains(dataset: Dataset, candidates: list[Shapelet],
                   config: Config) -> np.ndarray:
     """Information gain of every candidate on the matrix-product kernel's
     distances, which agree with the exact engine except close to 0."""
@@ -302,9 +286,7 @@ def pool_digest(pool: ShapeletPool) -> str:
 
 
 def save_pool(path, pool: ShapeletPool) -> None:
-    with open(path, "w") as fh:
-        json.dump(pool_to_dict(pool), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, pool_to_dict(pool))
 
 
 def load_pool(path) -> ShapeletPool:

@@ -7,11 +7,9 @@ evidence behind a prediction can be plotted or audited directly.
 """
 from __future__ import annotations
 
-import json
-
 import numpy as np
 
-from .core import Dataset, ShapeletPool, ValidationError
+from .core import Dataset, ShapeletPool, ValidationError, write_ndjson
 from .distance import match_pool
 from .features import feature_matrix
 from .model import ModelCheckpoint, forward
@@ -79,28 +77,29 @@ def emit_plot_data(report: dict, out_path) -> None:
     Overlay index 0 sits at the match offset on the overlay's channel;
     every document is directly consumable by a plotting tool.
     """
-    try:
-        with open(out_path, "w") as fh:
-            for entry in report["instances"]:
-                doc = {
-                    "id": entry["id"],
-                    "label": entry["label"],
-                    "predicted": entry["predicted"],
-                    "time": list(range(len(next(iter(entry["series"].values()))))),
-                    "series": entry["series"],
-                    "overlays": [
-                        {
-                            "shapelet": m["shapelet"],
-                            "label": m["label"],
-                            "channel": m["channel"],
-                            "channel_name": m["channel_name"],
-                            "offset": m["offset"],
-                            "psd": m["psd"],
-                            "values": m["shapelet_values"],
-                        }
-                        for m in entry["matches"]
-                    ],
+    docs = (
+        {
+            "id": entry["id"],
+            "label": entry["label"],
+            "predicted": entry["predicted"],
+            "time": list(range(len(next(iter(entry["series"].values()))))),
+            "series": entry["series"],
+            "overlays": [
+                {
+                    "shapelet": m["shapelet"],
+                    "label": m["label"],
+                    "channel": m["channel"],
+                    "channel_name": m["channel_name"],
+                    "offset": m["offset"],
+                    "psd": m["psd"],
+                    "values": m["shapelet_values"],
                 }
-                fh.write(json.dumps(doc) + "\n")
+                for m in entry["matches"]
+            ],
+        }
+        for entry in report["instances"]
+    )
+    try:
+        write_ndjson(out_path, docs)
     except OSError as exc:
         raise OSError(f"cannot write plot data to {out_path}: {exc}") from exc

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Dataset, LabeledSeries, ShapeletPool
+from .core import Dataset, LabeledSeries, ShapeletPool, write_ndjson
 from .distance import ShapeletLengthError, match_pool
 
 EPS_SCALE = 1e-8
@@ -153,10 +153,8 @@ def apply_scaler(features: np.ndarray, scaler: FeatureScaler) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def save_features(path, z: np.ndarray, ids: list[str], labels: list[str]) -> None:
-    with open(path, "w") as fh:
-        for row, id_, lab in zip(z, ids, labels):
-            fh.write(json.dumps({"id": id_, "label": lab,
-                                 "z": [float(v) for v in row]}) + "\n")
+    write_ndjson(path, ({"id": id_, "label": lab, "z": [float(v) for v in row]}
+                        for row, id_, lab in zip(z, ids, labels)))
 
 
 def load_features(path) -> tuple[np.ndarray, list[str], list[str]]:

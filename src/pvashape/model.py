@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (Config, Dataset, SeededRng, STREAM_TUNE, ValidationError,
-                   config_hash, order_labels, result_config)
+                   config_hash, order_labels, result_config, write_json)
 from .features import FeatureScaler, apply_scaler
 
 HIDDEN_1 = 512
@@ -219,9 +219,7 @@ class ModelCheckpoint:
 
 
 def save_checkpoint(path, ckpt: ModelCheckpoint) -> None:
-    with open(path, "w") as fh:
-        json.dump(ckpt.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, ckpt.to_dict())
 
 
 def load_checkpoint(path) -> ModelCheckpoint:
@@ -373,6 +371,13 @@ def compute_metrics(y_true: np.ndarray, y_pred: np.ndarray,
     c = len(classes)
     confusion = np.zeros((c, c), dtype=np.int64)
     np.add.at(confusion, (y_true, y_pred), 1)
+    return confusion_metrics(confusion, classes)
+
+
+def confusion_metrics(confusion: np.ndarray, classes: tuple[str, ...]) -> EvalReport:
+    """Metrics of a (true x predicted) count matrix. Counts add, so the
+    sum of per-fold matrices scores the pooled predictions exactly."""
+    c = len(classes)
     total = confusion.sum()
     diag = np.diag(confusion).astype(np.float64)
     row = confusion.sum(axis=1).astype(np.float64)   # support per true class
@@ -489,23 +494,19 @@ def tune_k(dataset: Dataset, config: Config, folds: int | None = None) -> TuneRe
     grid = k_grid(dataset.length)
     scores: dict[int, float] = {}
     reports: dict[int, EvalReport] = {}
-    index = {lab: i for i, lab in enumerate(classes)}
     for k in grid:
         cfg_k = config.with_updates(k=k)
         fold_f1: list[float] = []
-        pooled_true: list[int] = []
-        pooled_pred: list[int] = []
-        for f, val_idx in enumerate(fold_idx):
+        confusion = np.zeros((len(classes), len(classes)), dtype=np.int64)
+        for val_idx in fold_idx:
             val_mask = np.zeros(n, dtype=bool)
             val_mask[val_idx] = True
             train_ds = Dataset(tuple(x for i, x in enumerate(dataset) if not val_mask[i]))
             val_ds = Dataset(tuple(x for i, x in enumerate(dataset) if val_mask[i]))
-            report, y_true, y_pred = workflow.fit_and_score(train_ds, val_ds, cfg_k,
-                                                            classes=classes)
+            report = workflow.fit(train_ds, val_ds, cfg_k, classes=classes).report
             fold_f1.append(report.macro_f1)
-            pooled_true.extend(y_true.tolist())
-            pooled_pred.extend(y_pred.tolist())
-        pooled = compute_metrics(np.array(pooled_true), np.array(pooled_pred), classes)
+            confusion += report.confusion
+        pooled = confusion_metrics(confusion, classes)
         scores[k] = pooled.macro_f1 if loocv else float(np.mean(fold_f1))
         reports[k] = pooled
     best_k = grid[0]

@@ -1,4 +1,5 @@
-"""End-to-end fitting engine shared by the CLI, k tuning, and tests.
+"""End-to-end fitting engine and run bookkeeping shared by the CLI, k
+tuning, and tests.
 
 A fit is: discover shapelets on the original training split, rebalance the
 minority classes with shapelet-guided noise, build features (shapelet
@@ -8,15 +9,17 @@ runs before augmentation so the pool reflects real waveforms only.
 """
 from __future__ import annotations
 
+import platform
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import __version__
 from .augment import balance_dataset
 from .core import (Config, Dataset, STREAM_TRAIN, SeededRng, ShapeletPool,
-                   ValidationError, order_labels)
+                   ValidationError, config_hash, order_labels, write_json)
 from .discovery import discover, pool_digest
 from .features import apply_scaler, fit_scaler, transform_dataset
 from .model import (EvalReport, ModelCheckpoint, compute_metrics, evaluate,
@@ -24,100 +27,124 @@ from .model import (EvalReport, ModelCheckpoint, compute_metrics, evaluate,
 from .pipeline import subset_channels
 
 
-class _StageClock:
-    """Records stage durations into a caller-owned dict; no-op if None."""
+class Run:
+    """The record of one command: its config, input and output paths, and
+    the wall-clock seconds of each stage it ran. Its manifest is the only
+    place timings are kept, so result artifacts stay byte-reproducible."""
 
-    def __init__(self, sink: dict | None):
-        self.sink = sink
+    def __init__(self, command: str, config: Config, inputs: dict | None = None,
+                 outputs: dict | None = None):
+        self.command = command
+        self.config = config
+        self.inputs = dict(inputs or {})
+        self.outputs = dict(outputs or {})
+        self.timings: dict[str, float] = {}
 
     @contextmanager
-    def __call__(self, name: str):
+    def stage(self, name: str):
         start = time.perf_counter()
         try:
             yield
         finally:
-            if self.sink is not None:
-                self.sink[name] = round(time.perf_counter() - start, 6)
+            self.timings[name] = round(time.perf_counter() - start, 6)
+
+
+def write_manifest(path, run: Run) -> None:
+    """The run's config snapshot and hash, paths, stage timings and versions."""
+    cfg = run.config
+    write_json(path, {
+        "command": run.command,
+        "config": cfg.to_dict(),
+        "config_hash": config_hash(cfg),
+        "seed": cfg.seed,
+        "inputs": {k: str(v) for k, v in run.inputs.items()},
+        "outputs": {k: str(v) for k, v in run.outputs.items()},
+        "timings_s": run.timings,
+        "versions": {"pvashape": __version__,
+                     "python": platform.python_version(),
+                     "numpy": np.__version__},
+    })
 
 
 @dataclass(frozen=True)
 class FitResult:
     checkpoint: ModelCheckpoint
     pool: ShapeletPool | None
-    train_full: Dataset
-    report: EvalReport
-    val_true: np.ndarray
-    val_pred: np.ndarray
-    z_train_raw: np.ndarray
-    train_ids: list
-    train_labels: list
-    z_val_raw: np.ndarray
-    val_ids: list
-    val_labels: list
+    train_full: Dataset             # the training split after augmentation
+    report: EvalReport              # validation metrics
+    train_features: tuple           # raw (z, ids, labels) of train_full
+    val_features: tuple             # raw (z, ids, labels) of the validation split
 
 
 def fit(train_ds: Dataset, val_ds: Dataset, config: Config, *,
         classes: tuple[str, ...] | None = None,
         pool: ShapeletPool | None = None,
         pool_path: str | None = None,
-        timings: dict | None = None) -> FitResult:
+        run: Run | None = None) -> FitResult:
     """Fit every enabled stage on the training split, score the validation
-    split, and return all intermediates. ``timings`` (if given) collects
-    per-stage wall-clock seconds."""
+    split, and return what the CLI saves. ``run`` (if given) records the
+    seconds of each stage."""
     if len(train_ds) == 0 or len(val_ds) == 0:
         raise ValidationError("both splits must be non-empty")
     if classes is None:
         classes = order_labels([x.label for x in train_ds] + [x.label for x in val_ds])
-    clock = _StageClock(timings)
+    train_ds, val_ds = align_channels(train_ds, config), align_channels(val_ds, config)
+    stage = (run or Run("fit", config)).stage
 
     # Augmentation needs a pool even when shapelet features are ablated.
     needs_pool = config.use_shapelet_features or config.use_augment
     if needs_pool and pool is None:
-        with clock("discover"):
+        with stage("discover"):
             pool = discover(train_ds, config)
 
     train_full = train_ds
     if config.use_augment and pool is not None and len(pool) > 0:
-        with clock("augment"):
+        with stage("augment"):
             train_full = balance_dataset(train_ds, pool, config)
 
-    feature_pool = pool if config.use_shapelet_features else None
-    with clock("transform"):
-        z_tr_raw, train_ids, train_labels = transform_dataset(
-            train_full, feature_pool, config.logsig_depth,
-            include_shapelets=config.use_shapelet_features,
-            znorm=config.znorm, threads=config.threads)
-        z_va_raw, val_ids, val_labels = transform_dataset(
-            val_ds, feature_pool, config.logsig_depth,
-            include_shapelets=config.use_shapelet_features,
-            znorm=config.znorm, threads=config.threads)
+    with stage("transform"):
+        train_features = featurize(train_full, pool, config, config.threads)
+        val_features = featurize(val_ds, pool, config, config.threads)
 
-    scaler = fit_scaler(z_tr_raw)
-    z_tr = apply_scaler(z_tr_raw, scaler)
-    z_va = apply_scaler(z_va_raw, scaler)
-
-    with clock("train"):
-        checkpoint = train(z_tr, train_labels, z_va, val_labels, config,
-                           SeededRng(config.seed).derive(STREAM_TRAIN),
-                           classes=classes, scaler=scaler, pool_path=pool_path,
-                           pool_sha256=None if pool is None else pool_digest(pool))
+    with stage("train"):
+        checkpoint = train_head(train_features, val_features, config, classes=classes,
+                                pool=pool, pool_path=pool_path)
     index = {lab: i for i, lab in enumerate(classes)}
-    val_true = np.array([index[lab] for lab in val_labels])
-    with clock("evaluate"):
+    val_true = np.array([index[lab] for lab in val_features[2]])
+    with stage("evaluate"):
+        z_va = checkpoint.head_input(val_features[0])
         val_pred = np.argmax(forward_batch(checkpoint.params, z_va), axis=1)
         report = compute_metrics(val_true, val_pred, classes)
     return FitResult(checkpoint=checkpoint, pool=pool, train_full=train_full,
-                     report=report, val_true=val_true, val_pred=val_pred,
-                     z_train_raw=z_tr_raw, train_ids=train_ids,
-                     train_labels=train_labels, z_val_raw=z_va_raw,
-                     val_ids=val_ids, val_labels=val_labels)
+                     report=report, train_features=train_features,
+                     val_features=val_features)
 
 
-def fit_and_score(train_ds: Dataset, val_ds: Dataset, config: Config, *,
-                  classes: tuple[str, ...] | None = None):
-    """Report plus raw index predictions, for cross-validation pooling."""
-    r = fit(train_ds, val_ds, config, classes=classes)
-    return r.report, r.val_true, r.val_pred
+def featurize(dataset: Dataset, pool: ShapeletPool | None, config: Config,
+              threads: int) -> tuple[np.ndarray, list, list]:
+    """Raw (features, ids, labels) of a dataset as ``config`` defines them:
+    its channel subset, its log-signature depth, and shapelet distances
+    only when shapelet features are enabled, which then needs a pool."""
+    if config.use_shapelet_features and pool is None:
+        raise ValidationError("shapelet features are enabled but no shapelet pool was "
+                              "given (pass --pool, or --no-shapelet-features)")
+    return transform_dataset(align_channels(dataset, config), pool, config.logsig_depth,
+                             include_shapelets=config.use_shapelet_features,
+                             znorm=config.znorm, threads=threads)
+
+
+def train_head(train_features: tuple, val_features: tuple, config: Config, *,
+               classes: tuple[str, ...] | None = None,
+               pool: ShapeletPool | None = None,
+               pool_path: str | None = None) -> ModelCheckpoint:
+    """Standardize on the training features and train the head; the
+    checkpoint keeps the scaler and the pool's path and content hash."""
+    (z_tr, _, labels_tr), (z_va, _, labels_va) = train_features, val_features
+    scaler = fit_scaler(z_tr)
+    return train(apply_scaler(z_tr, scaler), labels_tr, apply_scaler(z_va, scaler),
+                 labels_va, config, SeededRng(config.seed).derive(STREAM_TRAIN),
+                 classes=classes, scaler=scaler, pool_path=pool_path,
+                 pool_sha256=None if pool is None else pool_digest(pool))
 
 
 def align_channels(dataset: Dataset, config: Config) -> Dataset:
@@ -131,13 +158,6 @@ def align_channels(dataset: Dataset, config: Config) -> Dataset:
 def evaluate_on(checkpoint: ModelCheckpoint, dataset: Dataset,
                 pool: ShapeletPool | None, threads: int = 1) -> EvalReport:
     """Score a dataset with a fitted checkpoint (features + scaler + head)."""
-    cfg = checkpoint.config
-    dataset = align_channels(dataset, cfg)
-    if cfg.use_shapelet_features and pool is None:
-        raise ValidationError("checkpoint expects shapelet features but no pool was given")
-    z_raw, _, labels = transform_dataset(
-        dataset, pool if cfg.use_shapelet_features else None, cfg.logsig_depth,
-        include_shapelets=cfg.use_shapelet_features, znorm=cfg.znorm,
-        threads=threads)
+    z_raw, _, labels = featurize(dataset, pool, checkpoint.config, threads)
     return evaluate(checkpoint.params, checkpoint.head_input(z_raw), labels,
                     checkpoint.classes)

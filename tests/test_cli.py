@@ -5,12 +5,18 @@ import numpy as np
 import pytest
 
 from pvashape.cli import main
-from pvashape.core import load_dataset
+from pvashape.core import load_dataset, write_json
 from pvashape.discovery import load_pool, pool_digest
-from pvashape.features import load_features
+from pvashape.features import load_features, save_features
 
+RUN_ALL_STAGES = {"synth", "split", "discover", "augment", "transform", "train", "evaluate"}
 TINY = ["--seed", "3", "--k", "5", "--g", "8", "--rsa", "2", "--threads", "1"]
 PROPS = '{"NP": 0.4, "AC": 0.2, "DT": 0.2, "IE": 0.2}'
+
+
+def _stage_keys(manifest_path):
+    """The stages a manifest records timings for."""
+    return set(json.loads(manifest_path.read_text())["timings_s"])
 
 
 def _synth_args(out, n=20, t=40):
@@ -60,6 +66,32 @@ def test_config_file_with_flag_override(tmp_path):
     assert man["config"]["g"] == 12     # file survives
 
 
+@pytest.mark.parametrize("doc,problem", [({"rsa": 5}, "unknown config key(s): rsa"),
+                                         ({"k": "5"}, "config k must be int")],
+                         ids=["unknown-key", "wrong-type"])
+def test_config_file_errors_exit_two(tmp_path, capsys, doc, problem):
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps(doc))
+    out = tmp_path / "d.ndjson"
+    assert main(["synth", "--out", str(out), "--n", "8", "--proportions", PROPS,
+                 "--config", str(cfg_file)]) == 2
+    assert problem in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("write", [
+    lambda path, bad: write_json(path, {"x": bad}),
+    lambda path, bad: save_features(path, np.array([[1.0, bad]]), ["a"], ["NP"]),
+], ids=["json", "ndjson"])
+def test_artifact_write_refuses_nan_and_keeps_target(tmp_path, write):
+    target = tmp_path / "artifact.json"
+    target.write_text("previous\n")
+    with pytest.raises(ValueError):
+        write(target, float("nan"))
+    assert target.read_text() == "previous\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["artifact.json"]
+
+
 @pytest.fixture(scope="module")
 def chain(tmp_path_factory):
     """synth -> discover -> augment -> transform -> train, shared by tests."""
@@ -97,6 +129,17 @@ def test_chain_artifacts(chain):
     metrics = json.loads((chain / "metrics.json").read_text())
     assert 0.0 <= metrics["accuracy"] <= 1.0
     assert set(metrics["per_class_f1"]) == {"NP", "AC", "DT", "IE"}
+
+
+def test_subcommand_manifests_time_their_one_stage(chain, tmp_path):
+    report = tmp_path / "explain.json"
+    assert main(["explain", "--data", str(chain / "data.ndjson"),
+                 "--checkpoint", str(chain / "ckpt.json"), "--out", str(report)]) == 0
+    for output, stage in [(chain / "data.ndjson", "synth"), (chain / "pool.json", "discover"),
+                          (chain / "aug.ndjson", "augment"), (chain / "ftr.ndjson", "transform"),
+                          (chain / "ckpt.json", "train"), (chain / "metrics.json", "evaluate"),
+                          (report, "explain")]:
+        assert _stage_keys(output.with_name(output.name + ".manifest.json")) == {stage}
 
 
 def test_explain_exact_match_has_zero_psd(chain, tmp_path):
@@ -254,6 +297,7 @@ def test_run_all_seeded_twice_identical(tmp_path):
     man = json.loads((tmp_path / "a" / "manifest.json").read_text())
     assert set(man["outputs"]) >= {"data", "train", "val", "pool", "checkpoint",
                                    "metrics", "features_train", "features_val"}
+    assert _stage_keys(tmp_path / "a" / "manifest.json") == RUN_ALL_STAGES
 
 
 def test_run_all_ablation_flags(tmp_path):
@@ -270,6 +314,11 @@ def test_run_all_ablation_flags(tmp_path):
     # statistics-only variant has no pool at all
     base_man = json.loads((tmp_path / "base" / "manifest.json").read_text())
     assert "pool" not in base_man["outputs"]
+    # an ablated stage is not timed
+    assert _stage_keys(tmp_path / "s" / "manifest.json") == RUN_ALL_STAGES - {"augment"}
+    assert _stage_keys(tmp_path / "sa" / "manifest.json") == RUN_ALL_STAGES
+    assert (_stage_keys(tmp_path / "base" / "manifest.json")
+            == RUN_ALL_STAGES - {"augment", "discover"})
 
 
 def test_channel_subset_restricts_pool(tmp_path):
@@ -280,6 +329,21 @@ def test_channel_subset_restricts_pool(tmp_path):
     assert rc == 0
     doc = json.loads(pool.read_text())
     assert {s["channel"] for s in doc["shapelets"]} <= {0, 1}
+
+
+def test_transform_and_augment_keep_the_channel_subset(tmp_path):
+    data, pool = tmp_path / "d.ndjson", tmp_path / "p.json"
+    aug, feats = tmp_path / "a.ndjson", tmp_path / "f.ndjson"
+    subset = TINY + ["--channels", "2,3"]
+    assert main(_synth_args(data, n=16)) == 0
+    assert main(["discover", "--data", str(data), "--out", str(pool)] + subset) == 0
+    assert main(["augment", "--data", str(data), "--pool", str(pool),
+                 "--out", str(aug)] + subset) == 0
+    assert load_dataset(aug).n_channels == 2
+    assert main(["transform", "--data", str(data), "--pool", str(pool),
+                 "--out", str(feats)] + subset) == 0
+    z, _, _ = load_features(feats)
+    assert z.shape[1] == len(load_pool(pool)) + 2 * 2    # depth-2 statistics of 2 channels
 
 
 def test_tune_k_cli(tmp_path):
@@ -293,6 +357,7 @@ def test_tune_k_cli(tmp_path):
     doc = json.loads(out.read_text())
     assert doc["best_k"] == 3
     assert set(doc["scores"]) == {"3"}
+    assert _stage_keys(tmp_path / "tuning.json.manifest.json") == {"tune_k"}
 
 
 def test_version_flag_exits_zero(capsys):
