@@ -44,6 +44,10 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+def _threads_flag(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--threads", type=int, default=None)
+
+
 def _config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="JSON config file; flags override its values")
     p.add_argument("--seed", type=int, default=None)
@@ -53,7 +57,7 @@ def _config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--sigma-scale", type=float, default=None, help="noise std scale")
     p.add_argument("--logsig-depth", type=int, default=None)
     p.add_argument("--channels", default=None, help="comma-separated channel indices, e.g. 0,1")
-    p.add_argument("--threads", type=int, default=None)
+    _threads_flag(p)
     p.add_argument("--no-augment", action="store_true", help="ablate augmentation")
     p.add_argument("--no-shapelet-features", action="store_true",
                    help="ablate shapelet distance features")
@@ -194,15 +198,19 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
+def _scoring_config(ckpt: ModelCheckpoint, args) -> Config:
+    """The checkpoint's config with the caller's thread count."""
+    return ckpt.config.with_updates(threads=build_config(args).threads)
+
+
 def cmd_evaluate(args) -> int:
-    threads = build_config(args).threads
     ckpt = load_checkpoint(args.checkpoint)
-    run = Run("evaluate", ckpt.config, {"data": args.data, "checkpoint": args.checkpoint},
-              {"metrics": args.out})
+    run = Run("evaluate", _scoring_config(ckpt, args),
+              {"data": args.data, "checkpoint": args.checkpoint}, {"metrics": args.out})
     ds = load_dataset(args.data)
     pool = _load_pool_for(ckpt, args.checkpoint, args.pool)
     with run.stage("evaluate"):
-        report = workflow.evaluate_on(ckpt, ds, pool, threads=threads)
+        report = workflow.evaluate_on(ckpt, ds, pool, threads=run.config.threads)
         _write_json(args.out, report.to_dict())
     write_manifest(f"{args.out}.manifest.json", run)
     print(f"accuracy {report.accuracy:.4f}, macro-F1 {report.macro_f1:.4f}; wrote {args.out}")
@@ -221,10 +229,9 @@ def cmd_tune_k(args) -> int:
 
 
 def cmd_explain(args) -> int:
-    build_config(args)
     ckpt = load_checkpoint(args.checkpoint)
-    run = Run("explain", ckpt.config, {"data": args.data, "checkpoint": args.checkpoint},
-              {"report": args.out})
+    run = Run("explain", _scoring_config(ckpt, args),
+              {"data": args.data, "checkpoint": args.checkpoint}, {"report": args.out})
     ds = workflow.align_channels(load_dataset(args.data), ckpt.config)
     pool = _load_pool_for(ckpt, args.checkpoint, args.pool)
     if pool is None:
@@ -232,7 +239,7 @@ def cmd_explain(args) -> int:
                               "checkpoint with a recorded pool path)")
     with run.stage("explain"):
         report = build_explain_report(ds, ckpt, pool, all_classes=args.all_classes,
-                                      instance_id=args.instance)
+                                      instance_id=args.instance, threads=run.config.threads)
         _write_json(args.out, report)
         if args.plot_data:
             emit_plot_data(report, args.plot_data)
@@ -300,9 +307,9 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", metavar="command")
     sub.required = True
 
-    def add(name, func, help_):
+    def add(name, func, help_, flags=_config_flags):
         p = sub.add_parser(name, help=help_, parents=[], add_help=True)
-        _config_flags(p)
+        flags(p)
         p.set_defaults(func=func)
         return p
 
@@ -336,7 +343,9 @@ def build_parser() -> _Parser:
     p.add_argument("--pool", default=None, help="pool path recorded in the checkpoint")
     p.add_argument("--out", required=True)
 
-    p = add("evaluate", cmd_evaluate, "score a dataset with a checkpoint")
+    # Scoring takes its settings from the checkpoint; only the thread
+    # count, which never changes a result, is the caller's.
+    p = add("evaluate", cmd_evaluate, "score a dataset with a checkpoint", _threads_flag)
     p.add_argument("--data", required=True)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--pool", default=None)
@@ -346,7 +355,7 @@ def build_parser() -> _Parser:
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
 
-    p = add("explain", cmd_explain, "per-instance shapelet match evidence")
+    p = add("explain", cmd_explain, "per-instance shapelet match evidence", _threads_flag)
     p.add_argument("--data", required=True)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--pool", default=None)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import numbers
 import os
 from contextlib import contextmanager, suppress
@@ -233,6 +234,12 @@ class Config:
                 raise ValidationError(f"config {f.name} must be {f.type}, got {value!r}")
         if self.k < 3:
             raise ValidationError(f"k must be >= 3, got {self.k}")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValidationError(
+                f"learning_rate must be finite and > 0, got {self.learning_rate!r}")
+        for name, low in _LOWER_BOUNDS:
+            if not getattr(self, name) >= low:          # NaN fails too
+                raise ValidationError(f"{name} must be >= {low}, got {getattr(self, name)!r}")
         if self.channel_subset is not None:
             object.__setattr__(self, "channel_subset", tuple(self.channel_subset))
 
@@ -255,6 +262,12 @@ class Config:
         if unknown:
             raise ValidationError(f"unknown config key(s): {', '.join(unknown)}")
         return cls(**d)
+
+
+# Smallest allowed value of each bounded numeric Config field.
+_LOWER_BOUNDS = (("g", 1), ("r_sa", 0), ("noise_sigma_scale", 0), ("logsig_depth", 1),
+                 ("batch_size", 1), ("max_epochs", 0), ("patience", 0), ("folds", 2),
+                 ("threads", 1))
 
 
 def _is_int(v) -> bool:

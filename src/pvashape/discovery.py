@@ -20,7 +20,8 @@ from dataclasses import replace
 import numpy as np
 
 from .core import Config, Dataset, Shapelet, ShapeletPool, result_config, write_json
-from .distance import QUERY_BLOCK, match_pool, prepare_windows, prepared_min_cid
+from .distance import (QUERY_BLOCK, match_pool, prefix_sums, prepare_windows,
+                       prepared_min_cid)
 from .parallel import thread_map
 from .pips import pip_insertions
 
@@ -209,7 +210,6 @@ def _screen_gains(dataset: Dataset, candidates: list[Shapelet],
     distances, which agree with the exact engine except close to 0."""
     lengths = np.asarray([x.original_length for x in dataset], dtype=np.int64)
     labels = np.asarray([x.label for x in dataset])
-    by_channel = {}
     gains = np.zeros(len(candidates))
 
     groups: dict[tuple[int, int], list[int]] = {}
@@ -219,11 +219,17 @@ def _screen_gains(dataset: Dataset, candidates: list[Shapelet],
     # One window-matrix preparation per (channel, length) group, then
     # fixed-size query blocks against it. Fixed block boundaries keep every
     # matmul shape independent of the thread count, which keeps results
-    # bit-identical across schedules.
+    # bit-identical across schedules. Groups come sorted by channel, so a
+    # channel's rows and raw-window prefix sums are built once, sliced for
+    # each of its lengths, and dropped before the next channel's.
+    rows_channel = None
     for (channel, l), idx in sorted(groups.items()):
-        if channel not in by_channel:
-            by_channel[channel] = np.stack([x.values[channel] for x in dataset])
-        prep = prepare_windows(by_channel[channel], lengths, l, znorm=config.znorm)
+        if channel != rows_channel:
+            rows = sums = None                  # free the last channel's first
+            rows = np.stack([x.values[channel] for x in dataset])
+            sums = None if config.znorm else prefix_sums(rows)
+            rows_channel = channel
+        prep = prepare_windows(rows, lengths, l, znorm=config.znorm, sums=sums)
         blocks = [idx[j : j + QUERY_BLOCK] for j in range(0, len(idx), QUERY_BLOCK)]
 
         def run_block(block, prep=prep):

@@ -212,18 +212,30 @@ class PreparedWindows:
     znorm: bool
 
 
+def prefix_sums(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Zero-led running sums along each row of ``values**2`` and of the
+    squared first differences. Raw-window prep slices them for any window
+    length, so a caller preparing many lengths of one channel builds them
+    once."""
+    values = np.asarray(values, dtype=np.float64)
+    return (_zero_led_cumsum(np.square(values)),
+            _zero_led_cumsum(np.square(np.diff(values, axis=1))))
+
+
 def prepare_windows(values: np.ndarray, lengths: np.ndarray, l: int,
-                    znorm: bool = False) -> PreparedWindows:
+                    znorm: bool = False,
+                    sums: tuple[np.ndarray, np.ndarray] | None = None) -> PreparedWindows:
     """Window statistics of one channel for all queries of length ``l``.
 
     The window matrix carries two extra columns, the window's squared norm
     and a constant one. Dotting a row with an extended query
     ``[-2q, 1, ||q||^2]`` then yields the squared Euclidean distance straight
     from the matmul. Raw windows take their squared norm and complexity from
-    prefix sums. Under z-normalization the stored windows are z-scored one
-    by one, as ``match`` scores them, and their norm and complexity are
-    summed over each window: prefix-sum moments cancel on near-constant
-    series.
+    prefix sums: ``sums`` is ``prefix_sums(values)`` when the caller already
+    has it, else it is computed here. Under z-normalization the stored
+    windows are z-scored one by one, as ``match`` scores them, and their
+    norm and complexity are summed over each window: prefix-sum moments
+    cancel on near-constant series.
     """
     values = np.asarray(values, dtype=np.float64)
     lengths = np.asarray(lengths, dtype=np.int64)
@@ -243,9 +255,9 @@ def prepare_windows(values: np.ndarray, lengths: np.ndarray, l: int,
         sq = np.einsum("...j,...j->...", body, body)
     else:
         np.copyto(body, windows)
-        d2 = np.square(np.diff(values, axis=1))
-        ce2 = _sliding_sum(d2, l - 1) if l >= 2 else np.zeros((m, w))
-        sq = _sliding_sum(np.square(values), l)
+        c_sq, c_d2 = prefix_sums(values) if sums is None else sums
+        ce2 = _window_sums(c_d2, l - 1) if l >= 2 else np.zeros((m, w))
+        sq = _window_sums(c_sq, l)
     flat[:, l] = sq.ravel()
     flat[:, l + 1] = 1.0
 
@@ -324,9 +336,10 @@ def prepared_min_cid(prep: PreparedWindows, queries: np.ndarray) -> np.ndarray:
     return dists
 
 
-def _sliding_sum(a: np.ndarray, width: int) -> np.ndarray:
-    """Sum of every length-``width`` window along the last axis."""
-    if width <= 0:
-        return np.zeros((a.shape[0], a.shape[1] + 1))
-    c = np.concatenate([np.zeros((a.shape[0], 1)), np.cumsum(a, axis=1)], axis=1)
+def _zero_led_cumsum(a: np.ndarray) -> np.ndarray:
+    return np.concatenate([np.zeros((a.shape[0], 1)), np.cumsum(a, axis=1)], axis=1)
+
+
+def _window_sums(c: np.ndarray, width: int) -> np.ndarray:
+    """Sum of every length-``width`` window, from zero-led running sums."""
     return c[:, width:] - c[:, :-width]

@@ -13,6 +13,7 @@ which doubles as a metrics self-test. Macro-F1 is reported alongside.
 """
 from __future__ import annotations
 
+import base64
 import json
 import math
 from dataclasses import dataclass
@@ -54,10 +55,16 @@ class HeadParams:
             a = getattr(self, name)
             if not np.all(np.isfinite(a)):
                 raise ValidationError(f"non-finite entries in {name}")
-        if self.w1.shape[1] != HIDDEN_1 or self.w2.shape != (HIDDEN_1, HIDDEN_2):
-            raise ValidationError("hidden layer shapes must be d x 512 and 512 x 256")
-        if self.w3.shape[0] != HIDDEN_2:
-            raise ValidationError("output layer must map from 256 units")
+        # Every shape, biases too: a (1,) bias would broadcast silently.
+        d = self.w1.shape[0] if self.w1.ndim == 2 else -1
+        c = self.w3.shape[1] if self.w3.ndim == 2 else -1
+        for name, shape in (("w1", (d, HIDDEN_1)), ("b1", (HIDDEN_1,)),
+                            ("w2", (HIDDEN_1, HIDDEN_2)), ("b2", (HIDDEN_2,)),
+                            ("w3", (HIDDEN_2, c)), ("b3", (c,))):
+            if getattr(self, name).shape != shape:
+                raise ValidationError(
+                    f"{name} has shape {getattr(self, name).shape}; the head is "
+                    "d x 512 -> 512 x 256 -> 256 x classes with matching biases")
 
     @property
     def d(self) -> int:
@@ -68,11 +75,43 @@ class HeadParams:
         return self.w3.shape[1]
 
     def to_dict(self) -> dict:
-        return {name: getattr(self, name).tolist() for name in PARAM_NAMES}
+        return {name: _encode_param(getattr(self, name)) for name in PARAM_NAMES}
 
     @classmethod
     def from_dict(cls, d: dict) -> "HeadParams":
-        return cls(**{name: np.asarray(d[name], dtype=np.float64) for name in PARAM_NAMES})
+        if not isinstance(d, dict):
+            raise ValidationError(f"checkpoint weights are not an object; {_REWRITE}")
+        return cls(**{name: _decode_param(name, d.get(name)) for name in PARAM_NAMES})
+
+
+_REWRITE = "rewrite the checkpoint with `train` or `run-all`"
+
+
+def _encode_param(a: np.ndarray) -> dict:
+    """A parameter as its shape and the base64 of its little-endian float64
+    bytes: exact, and far quicker to write and to parse than one decimal
+    per weight."""
+    return {"shape": list(a.shape),
+            "float64_le": base64.b64encode(a.astype("<f8").tobytes()).decode("ascii")}
+
+
+def _decode_param(name: str, rec) -> np.ndarray:
+    """``_encode_param``'s record back as an owned, writable float64 array.
+    Any other form, and a payload of the wrong size, is refused."""
+    try:
+        shape, payload = rec["shape"], rec["float64_le"]
+        if not (isinstance(shape, list)
+                and all(type(s) is int and s >= 0 for s in shape)):
+            raise TypeError(shape)
+        raw = base64.b64decode(payload, validate=True)
+    except (KeyError, TypeError, ValueError):
+        raise ValidationError(
+            f"checkpoint weight {name} is not a {{shape, float64_le}} record; "
+            f"{_REWRITE}") from None
+    if len(raw) != 8 * math.prod(shape):
+        raise ValidationError(
+            f"checkpoint weight {name} holds {len(raw)} bytes, not 8 x {shape}; {_REWRITE}")
+    return np.frombuffer(raw, dtype="<f8").reshape(shape).astype(np.float64)
 
 
 def init_params(d: int, n_classes: int, rng: SeededRng) -> HeadParams:
@@ -193,6 +232,10 @@ class ModelCheckpoint:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelCheckpoint":
+        missing = [k for k in ("weights", "classes", "config")
+                   if not isinstance(d, dict) or k not in d]
+        if missing:
+            raise ValidationError(f"checkpoint lacks {', '.join(missing)}; {_REWRITE}")
         return cls(
             params=HeadParams.from_dict(d["weights"]),
             classes=tuple(d["classes"]),

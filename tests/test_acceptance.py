@@ -13,7 +13,7 @@ from pvashape.cli import main
 from pvashape.core import Config, Dataset, STREAM_SPLIT, SeededRng
 from pvashape.discovery import discover, information_gain
 from pvashape.distance import psd
-from pvashape.model import (batch_loss, compute_metrics, forward_batch,
+from pvashape.model import (PARAM_NAMES, batch_loss, compute_metrics, forward_batch,
                             gradients, init_params, k_grid, tune_k)
 from pvashape.pips import extract_pips, extract_pips_incremental
 from pvashape.pipeline import SynthConfig, generate_synthetic, split
@@ -178,8 +178,8 @@ def test_criterion_05_gradients_match_finite_differences():
         d = int(gen.integers(2, 15))
         c = int(gen.integers(2, 5))
         b = int(gen.integers(1, 9))
-        params = {k: np.asarray(v) for k, v in
-                  init_params(d, c, SeededRng(int(gen.integers(1 << 30)))).to_dict().items()}
+        init = init_params(d, c, SeededRng(int(gen.integers(1 << 30))))
+        params = {n: getattr(init, n).copy() for n in PARAM_NAMES}
         z = gen.normal(size=(b, d))
         y = gen.integers(0, c, size=b)
         ga = gradients(params, z, y)

@@ -1,4 +1,5 @@
 """Command-line surface: exit codes, artifacts, manifests, chaining."""
+import base64
 import json
 
 import numpy as np
@@ -111,7 +112,7 @@ def chain(tmp_path_factory):
     assert main(["train", "--train-features", str(ftr), "--val-features", str(fva),
                  "--pool", str(pool), "--out", str(ckpt)] + TINY) == 0
     assert main(["evaluate", "--data", str(data), "--checkpoint", str(ckpt),
-                 "--out", str(metrics)] + TINY) == 0
+                 "--out", str(metrics), "--threads", "1"]) == 0
     return d
 
 
@@ -250,6 +251,53 @@ def test_checkpoint_refuses_features_of_another_width(chain, tmp_path, capsys):
         assert not out.exists()
 
 
+def _list_form(weights):
+    """The weights as one decimal list per parameter, the earlier format."""
+    return {name: np.frombuffer(base64.b64decode(rec["float64_le"]), "<f8")
+            .reshape(rec["shape"]).tolist() for name, rec in weights.items()}
+
+
+def _truncated(weights):
+    raw = base64.b64decode(weights["w2"]["float64_le"])[:-8]
+    weights["w2"]["float64_le"] = base64.b64encode(raw).decode()
+    return weights
+
+
+@pytest.mark.parametrize("rewrite", [_list_form, _truncated], ids=["list-form", "truncated"])
+def test_scoring_refuses_a_checkpoint_in_another_format(chain, tmp_path, capsys, rewrite):
+    ckpt = json.loads((chain / "ckpt.json").read_text())
+    ckpt["weights"] = rewrite(ckpt["weights"])
+    old = tmp_path / "ckpt.json"
+    old.write_text(json.dumps(ckpt))
+    for cmd in ("evaluate", "explain"):
+        out = tmp_path / f"{cmd}.json"
+        assert main(_scoring_args(cmd, chain, old, chain / "pool.json", out)) == 2
+        assert "rewrite the checkpoint with `train` or `run-all`" in capsys.readouterr().err
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("flags", [["--k", "99"], ["--rsa", "7"], ["--no-shapelet-features"],
+                                   ["--logsig-depth", "5"], ["--config", "cfg.json"]],
+                         ids=["k", "rsa", "no-shapelet-features", "logsig-depth", "config"])
+def test_scoring_refuses_config_flags_it_would_ignore(chain, tmp_path, flags):
+    for cmd in ("evaluate", "explain"):
+        out = tmp_path / f"{cmd}.json"
+        assert main(_scoring_args(cmd, chain, chain / "ckpt.json", chain / "pool.json",
+                                  out) + flags) == 1
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("cmd", ["evaluate", "explain"])
+def test_scoring_threads_change_the_manifest_only(chain, tmp_path, cmd):
+    for threads in (1, 2):
+        out = tmp_path / f"{threads}.json"
+        assert main(_scoring_args(cmd, chain, chain / "ckpt.json", chain / "pool.json", out)
+                    + ["--threads", str(threads)]) == 0
+        man = json.loads((tmp_path / f"{threads}.json.manifest.json").read_text())
+        assert man["config"]["threads"] == threads
+    assert (tmp_path / "1.json").read_bytes() == (tmp_path / "2.json").read_bytes()
+
+
 def test_explain_unknown_instance_exits_two(chain, tmp_path):
     rc = main(["explain", "--data", str(chain / "data.ndjson"),
                "--checkpoint", str(chain / "ckpt.json"),
@@ -284,6 +332,21 @@ def test_train_divergence_exits_three(chain, tmp_path):
                    "--val-features", str(chain / "fva.ndjson"),
                    "--out", str(tmp_path / "c.json"), "--config", str(cfg_file)])
     assert rc == 3
+
+
+@pytest.mark.parametrize("doc,problem", [
+    ({"learning_rate": -1.0, "max_epochs": 3}, "learning_rate must be finite and > 0"),
+    ({"batch_size": 0}, "batch_size must be >= 1"),
+], ids=["negative-learning-rate", "zero-batch-size"])
+def test_train_refuses_out_of_range_config(chain, tmp_path, capsys, doc, problem):
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps(doc))
+    out = tmp_path / "c.json"
+    assert main(["train", "--train-features", str(chain / "ftr.ndjson"),
+                 "--val-features", str(chain / "fva.ndjson"),
+                 "--out", str(out), "--config", str(cfg_file)]) == 2
+    assert problem in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_run_all_seeded_twice_identical(tmp_path):

@@ -10,7 +10,8 @@ from conftest import make_series
 from pvashape.core import LabeledSeries, Shapelet
 from pvashape.distance import (INSTANCE_CHUNK, MATCH_CHUNK, MIN_TILE, QUERY_BLOCK,
                                ShapeletLengthError, cid, complexity_estimate, match,
-                               match_pool, prepare_windows, prepared_min_cid, psd)
+                               match_pool, prefix_sums, prepare_windows, prepared_min_cid,
+                               psd)
 
 
 def test_complexity_constant_is_zero():
@@ -128,6 +129,18 @@ def _kernel(values, lengths, queries, znorm=False):
     prep = prepare_windows(values, lengths, queries.shape[1], znorm=znorm)
     return np.concatenate([prepared_min_cid(prep, queries[lo : lo + QUERY_BLOCK])
                            for lo in range(0, len(queries), QUERY_BLOCK)], axis=1)
+
+
+def test_shared_prefix_sums_prepare_the_same_windows():
+    # discovery builds a channel's prefix sums once and slices them for
+    # every length: the prepared statistics must not change by a bit
+    values, lengths = _random_batch(np.random.default_rng(6))
+    sums = prefix_sums(values)
+    for l in (1, 2, 3, 17, values.shape[1]):
+        own, shared = (prepare_windows(values, lengths, l),
+                       prepare_windows(values, lengths, l, sums=sums))
+        for field in ("flat", "invalid", "ce2", "inv_ce2"):
+            assert np.array_equal(getattr(own, field), getattr(shared, field)), (l, field)
 
 
 def test_batch_matches_scalar_plain():

@@ -1,4 +1,5 @@
 """Classification head: forward, gradients, training loop, metrics, tuning."""
+import json
 import math
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 
 from pvashape.core import Config, SeededRng, ValidationError
 from pvashape.features import FeatureScaler
-from pvashape.model import (HeadParams, ModelCheckpoint, TrainingDivergedError,
+from pvashape.model import (PARAM_NAMES, HeadParams, ModelCheckpoint, TrainingDivergedError,
                             batch_loss, compute_metrics, evaluate, forward,
                             forward_batch, gradients, init_params, k_grid,
                             load_checkpoint, loss, save_checkpoint,
@@ -76,8 +77,7 @@ def _fd_check(gen, n_coords=10, h=1e-6):
     d = int(gen.integers(3, 15))
     c = int(gen.integers(2, 5))
     params = init_params(d, c, SeededRng(int(gen.integers(1 << 30))))
-    pd = {k: v.copy() for k, v in params.to_dict().items()}
-    pd = {k: np.asarray(v) for k, v in pd.items()}
+    pd = {n: getattr(params, n).copy() for n in PARAM_NAMES}
     b = int(gen.integers(1, 4))
     z = gen.normal(size=(b, d))
     y = gen.integers(0, c, size=b)
@@ -162,6 +162,83 @@ def test_checkpoint_round_trip(tmp_path):
     assert isinstance(again, ModelCheckpoint)
     assert again.classes == ckpt.classes
     assert again.pool_path == "pool.json"
+
+
+def _extreme_params(d=5, c=4, seed=0):
+    """Random head parameters whose first entries are float64 edge values:
+    signed zeros, the smallest subnormals, the largest finite magnitudes
+    and the smallest normal."""
+    gen = np.random.default_rng(seed)
+    shapes = {"w1": (d, 512), "b1": (512,), "w2": (512, 256), "b2": (256,),
+              "w3": (256, c), "b3": (c,)}
+    arrays = {n: gen.normal(size=shape) for n, shape in shapes.items()}
+    special = [-0.0, 0.0, 5e-324, -5e-324, 1.7976931348623157e308,
+               -1.7976931348623157e308, 2.2250738585072014e-308]
+    for a in arrays.values():
+        a.reshape(-1)[: len(special)] = special[: a.size]
+    return HeadParams(**arrays)
+
+
+def test_checkpoint_weights_round_trip_bit_exact(tmp_path):
+    params = _extreme_params()
+    ckpt = ModelCheckpoint(params=params, classes=("NP", "AC", "DT", "IE"), scaler=None,
+                           config=Config(), pool_path=None, pool_sha256=None,
+                           history=(), best_epoch=0, best_val_macro_f1=0.0)
+    p = tmp_path / "ckpt.json"
+    save_checkpoint(p, ckpt)
+    again = load_checkpoint(p).params
+    for name in PARAM_NAMES:
+        a, b = getattr(params, name), getattr(again, name)
+        assert b.dtype == np.float64 and b.shape == a.shape
+        assert np.array_equal(a.view(np.uint64), b.view(np.uint64)), name
+        assert b.flags.owndata and b.flags.writeable
+    assert np.signbit(again.w1.reshape(-1)[0])
+
+
+def test_checkpoint_saves_identical_bytes_twice(tmp_path):
+    z_tr, y_tr, z_va, y_va = _toy_split()
+    ckpt = train(z_tr, y_tr, z_va, y_va, Config(max_epochs=3), SeededRng(1))
+    save_checkpoint(tmp_path / "a.json", ckpt)
+    save_checkpoint(tmp_path / "b.json", load_checkpoint(tmp_path / "a.json"))
+    save_checkpoint(tmp_path / "c.json", ckpt)
+    first = (tmp_path / "a.json").read_bytes()
+    assert (tmp_path / "b.json").read_bytes() == first
+    assert (tmp_path / "c.json").read_bytes() == first
+
+
+@pytest.mark.parametrize("mutate", [
+    lambda w: w.update(b1=w["b1"]["float64_le"]),
+    lambda w: w["w3"].pop("shape"),
+    lambda w: w.pop("b2"),
+    lambda w: w["w2"].update(shape=[512, 255]),
+    lambda w: w["b3"].update(float64_le="not base64!"),
+    lambda w: w["w1"].update(shape=[5.0, 512]),
+], ids=["bare-payload", "no-shape", "missing-param", "wrong-count", "bad-base64",
+        "float-shape"])
+def test_checkpoint_refuses_malformed_weights(mutate):
+    weights = _extreme_params().to_dict()
+    mutate(weights)
+    with pytest.raises(ValidationError, match="rewrite the checkpoint"):
+        HeadParams.from_dict(weights)
+
+
+@pytest.mark.parametrize("name,shape", [("b3", (1,)), ("b1", (1,)), ("w1", (512,)),
+                                        ("w3", (256,)), ("b2", (256, 1))])
+def test_head_refuses_a_parameter_of_the_wrong_shape(name, shape):
+    # a (1,) bias would broadcast over its layer without an error
+    arrays = {n: getattr(_zero_params(), n) for n in PARAM_NAMES}
+    arrays[name] = np.zeros(shape)
+    with pytest.raises(ValidationError, match=f"{name} has shape"):
+        HeadParams(**arrays)
+
+
+@pytest.mark.parametrize("doc", [[], {"weights": {}, "config": {}}, {"classes": ["NP"]}],
+                         ids=["array", "no-classes", "no-weights-or-config"])
+def test_checkpoint_refuses_a_document_missing_its_keys(tmp_path, doc):
+    p = tmp_path / "ckpt.json"
+    p.write_text(json.dumps(doc))
+    with pytest.raises(ValidationError, match="checkpoint lacks"):
+        load_checkpoint(p)
 
 
 def test_metrics_hand_example():
