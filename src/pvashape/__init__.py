@@ -16,7 +16,7 @@ from .pips import extract_pips, extract_pips_incremental
 from .discovery import discover, load_pool, save_pool
 from .augment import NoiseSpec, augment_instance, balance_dataset, build_mask
 from .features import (FeatureScaler, apply_scaler, fit_scaler,
-                       logsig_transform, shapelet_transform, transform_dataset)
+                       logsig_transform, transform_dataset)
 from .model import (EvalReport, HeadParams, ModelCheckpoint,
                     TrainingDivergedError, compute_metrics, evaluate, forward,
                     k_grid, load_checkpoint, save_checkpoint, train, tune_k)
@@ -32,8 +32,8 @@ __all__ = [
     "extract_pips", "extract_pips_incremental", "discover", "load_pool",
     "save_pool", "NoiseSpec", "augment_instance", "balance_dataset",
     "build_mask", "FeatureScaler", "apply_scaler", "fit_scaler",
-    "logsig_transform", "shapelet_transform",
-    "transform_dataset", "EvalReport", "HeadParams", "ModelCheckpoint",
+    "logsig_transform", "transform_dataset",
+    "EvalReport", "HeadParams", "ModelCheckpoint",
     "TrainingDivergedError", "compute_metrics", "evaluate", "forward",
     "k_grid", "load_checkpoint", "save_checkpoint", "train", "tune_k",
     "RawRecording", "SynthConfig", "generate_synthetic", "load_recording",

@@ -405,4 +405,6 @@ def load_dataset(path) -> Dataset:
             except json.JSONDecodeError as err:
                 raise ValidationError(f"{path}:{lineno}: invalid JSON: {err}") from err
             instances.append(series_from_record(rec))
+    if not instances:
+        raise ValidationError(f"{path}: the dataset holds no instances")
     return Dataset(tuple(instances))

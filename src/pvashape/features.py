@@ -10,28 +10,27 @@ odd) for every real difference.
 """
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Dataset, LabeledSeries, ShapeletPool, write_ndjson
+from .core import Dataset, ShapeletPool, write_ndjson
 from .distance import ShapeletLengthError, match_pool
 
 EPS_SCALE = 1e-8
+# Byte budget of the (rows, n * n) signed-log difference buffer that
+# logsig_transform fills per chunk: near the cache size, where fewer and
+# larger numpy calls no longer pay for the memory traffic.
+LOGSIG_CHUNK_BYTES = 3 << 20
 
 
 def signed_log(d: np.ndarray) -> np.ndarray:
     """Odd, monotone, everywhere-defined log of a difference."""
     d = np.asarray(d, dtype=np.float64)
     return np.sign(d) * np.log1p(np.abs(d))
-
-
-def shapelet_transform(x: LabeledSeries, pool: ShapeletPool,
-                       znorm: bool = False) -> np.ndarray:
-    """Distance of one instance to every pool shapelet, in pool order."""
-    return shapelet_features([x], pool, match_pool([x], pool.shapelets, znorm))[0]
 
 
 def shapelet_features(instances, pool: ShapeletPool,
@@ -58,36 +57,71 @@ def shapelet_features(instances, pool: ShapeletPool,
     return out
 
 
-def logsig_transform(x: LabeledSeries, depth: int) -> np.ndarray:
-    """Per-channel signed-log statistics up to ``depth``, channel-major.
+def logsig_transform(instances, depth: int) -> np.ndarray:
+    """Per-channel signed-log statistics up to ``depth``, one row per instance.
 
-    Output length is V * depth: channel 0's orders 1..depth, then
-    channel 1's, and so on. Only the unpadded region contributes.
+    Row layout is channel-major: channel 0's orders 1..depth, then
+    channel 1's, and so on. Only the unpadded region contributes. A row's
+    bits do not depend on which other instances share the batch.
     """
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
-    out = np.zeros(x.n_channels * depth)
-    for v in range(x.n_channels):
-        series = x.channel(v)
-        terms = _channel_terms(series, depth)
-        out[v * depth : (v + 1) * depth] = terms
-    return out
+    instances = list(instances)
+    if not instances:
+        return np.zeros((0, 0))
+    n_channels = instances[0].n_channels
+    out = np.zeros((len(instances), n_channels, depth))
+    by_length: dict[int, list[int]] = {}
+    for i, x in enumerate(instances):
+        by_length.setdefault(x.original_length, []).append(i)
+    for n, rows in by_length.items():
+        series = np.stack([instances[i].values[:, :n] for i in rows]).reshape(-1, n)
+        out[rows] = _series_terms(series, depth).reshape(len(rows), n_channels, depth)
+    return out.reshape(len(instances), n_channels * depth)
 
 
-def _channel_terms(series: np.ndarray, depth: int) -> np.ndarray:
-    n = len(series)
-    terms = np.zeros(depth)
-    terms[0] = float(np.sum(signed_log(np.diff(series))))
-    if depth >= 2:
-        # The order-n summand depends only on the last two indices; the
-        # leading n-2 indices contribute a binomial count of the ways to
-        # sit below the second-to-last one.
-        diffs = signed_log(series[None, :] - series[:, None])
-        row_sums = np.triu(diffs, k=1).sum(axis=1)        # over b > a, per a
-        a = np.arange(n)
-        for order in range(2, depth + 1):
-            coef = np.array([math.comb(int(ai), order - 2) for ai in a], dtype=np.float64)
-            terms[order - 1] = float(np.dot(coef, row_sums))
+@functools.lru_cache(maxsize=16)
+def _upper_triangle(n: int, depth: int):
+    """Index pairs a < b of an n-sample series, their flat positions
+    a * n + b, and per order >= 2 the weights comb(a, order - 2). They are
+    read-only, as every call shares them."""
+    a_idx, b_idx = np.triu_indices(n, 1)
+    flat = a_idx * n + b_idx
+    a = np.arange(n)
+    coef = tuple(np.array([math.comb(int(ai), order - 2) for ai in a], dtype=np.float64)
+                 for order in range(2, depth + 1))
+    for table in (a_idx, b_idx, flat, *coef):
+        table.setflags(write=False)
+    return a_idx, b_idx, flat, coef
+
+
+def _series_terms(series: np.ndarray, depth: int) -> np.ndarray:
+    """(rows, depth) statistics of equal-length series, one per row.
+
+    Orders >= 2 weight the row sums of the n x n matrix of signed-log
+    differences (zero on and below the diagonal) by a binomial count: the
+    order-n summand depends only on the last two indices, and the leading
+    n-2 indices contribute the ways to sit below the second-to-last one.
+    Rows are walked in chunks whose matrices fit LOGSIG_CHUNK_BYTES.
+    """
+    r, n = series.shape
+    terms = np.zeros((r, depth))
+    terms[:, 0] = signed_log(np.diff(series, axis=1)).sum(axis=1)
+    if depth < 2:
+        return terms
+    a_idx, b_idx, flat, coef = _upper_triangle(n, depth)
+    step = max(1, LOGSIG_CHUNK_BYTES // (8 * n * n))
+    diffs = np.zeros((min(step, r), n * n))
+    for lo in range(0, r, step):
+        s = series[lo : lo + step]
+        k = len(s)
+        diffs[:k, flat] = signed_log(np.take(s, b_idx, axis=1) - np.take(s, a_idx, axis=1))
+        row_sums = diffs[:k].reshape(k, n, n).sum(axis=2)     # over b > a, per a
+        # One dot per (row, order): a batched product would sum in
+        # another order and change the last bits.
+        for i in range(k):
+            for order in range(2, depth + 1):
+                terms[lo + i, order - 1] = np.dot(coef[order - 2], row_sums[i])
     return terms
 
 
@@ -97,8 +131,7 @@ def feature_matrix(instances, pool: ShapeletPool | None, depth: int,
     instance. ``matches`` is ``match_pool`` output for ``pool``; without a
     pool the rows hold the statistics only."""
     blocks = [shapelet_features(instances, pool, matches)] if pool is not None else []
-    stats = [logsig_transform(x, depth) for x in instances]
-    blocks.append(np.stack(stats) if stats else np.zeros((0, 0)))
+    blocks.append(logsig_transform(instances, depth))
     return np.concatenate(blocks, axis=1)
 
 

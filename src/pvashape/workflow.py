@@ -10,6 +10,8 @@ runs before augmentation so the pool reflects real waveforms only.
 from __future__ import annotations
 
 import platform
+import resource
+import sys
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -49,8 +51,16 @@ class Run:
             self.timings[name] = round(time.perf_counter() - start, 6)
 
 
+def peak_rss_mib() -> float:
+    """Peak resident memory of this process so far (ru_maxrss is KiB on
+    Linux, bytes on macOS)."""
+    rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return rss / (1 << 20 if sys.platform == "darwin" else 1 << 10)
+
+
 def write_manifest(path, run: Run) -> None:
-    """The run's config snapshot and hash, paths, stage timings and versions."""
+    """The run's config snapshot and hash, paths, stage timings, peak
+    memory and versions."""
     cfg = run.config
     write_json(path, {
         "command": run.command,
@@ -60,6 +70,7 @@ def write_manifest(path, run: Run) -> None:
         "inputs": {k: str(v) for k, v in run.inputs.items()},
         "outputs": {k: str(v) for k, v in run.outputs.items()},
         "timings_s": run.timings,
+        "peak_rss_mib": peak_rss_mib(),
         "versions": {"pvashape": __version__,
                      "python": platform.python_version(),
                      "numpy": np.__version__},

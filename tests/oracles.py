@@ -126,6 +126,32 @@ def logsig_terms(series, depth):
     return out
 
 
+def logsig_loop(x, depth):
+    """The per-(instance, channel) loop that ``features.logsig_transform``
+    batched, kept verbatim as the bit-exact reference for it."""
+    def signed_log(d):
+        d = np.asarray(d, dtype=np.float64)
+        return np.sign(d) * np.log1p(np.abs(d))
+
+    def channel_terms(series, depth):
+        n = len(series)
+        terms = np.zeros(depth)
+        terms[0] = float(np.sum(signed_log(np.diff(series))))
+        if depth >= 2:
+            diffs = signed_log(series[None, :] - series[:, None])
+            row_sums = np.triu(diffs, k=1).sum(axis=1)        # over b > a, per a
+            a = np.arange(n)
+            for order in range(2, depth + 1):
+                coef = np.array([math.comb(int(ai), order - 2) for ai in a], dtype=np.float64)
+                terms[order - 1] = float(np.dot(coef, row_sums))
+        return terms
+
+    out = np.zeros(x.n_channels * depth)
+    for v in range(x.n_channels):
+        out[v * depth : (v + 1) * depth] = channel_terms(x.channel(v), depth)
+    return out
+
+
 def rolling_median(x, window):
     if window % 2 == 0:
         window += 1

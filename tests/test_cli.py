@@ -20,6 +20,10 @@ def _stage_keys(manifest_path):
     return set(json.loads(manifest_path.read_text())["timings_s"])
 
 
+def _peak_rss_mib(manifest_path):
+    return json.loads(manifest_path.read_text())["peak_rss_mib"]
+
+
 def _synth_args(out, n=20, t=40):
     return ["synth", "--out", str(out), "--n", str(n), "--t", str(t),
             "--proportions", PROPS] + TINY
@@ -143,6 +147,16 @@ def test_subcommand_manifests_time_their_one_stage(chain, tmp_path):
         assert _stage_keys(output.with_name(output.name + ".manifest.json")) == {stage}
 
 
+def test_manifests_record_peak_rss(chain, tmp_path):
+    report = tmp_path / "explain.json"
+    assert main(["explain", "--data", str(chain / "data.ndjson"),
+                 "--checkpoint", str(chain / "ckpt.json"), "--out", str(report)]) == 0
+    for output in (chain / "data.ndjson", chain / "pool.json", chain / "aug.ndjson",
+                   chain / "ftr.ndjson", chain / "fva.ndjson", chain / "ckpt.json",
+                   chain / "metrics.json", report):
+        assert _peak_rss_mib(output.with_name(output.name + ".manifest.json")) > 0
+
+
 def test_explain_exact_match_has_zero_psd(chain, tmp_path):
     pool_doc = json.loads((chain / "pool.json").read_text())
     target = pool_doc["shapelets"][0]["source_id"]
@@ -211,6 +225,20 @@ def test_evaluate_rejects_inconsistent_input(chain, tmp_path, kind, capsys):
     assert rc == 2
     assert recs[1]["id"] in capsys.readouterr().err
     assert not (tmp_path / "m.json").exists()
+
+
+@pytest.mark.parametrize("cmd", ["discover", "augment", "transform", "evaluate", "explain"])
+def test_empty_dataset_exits_two(chain, tmp_path, capsys, cmd):
+    empty = tmp_path / "empty.ndjson"
+    empty.write_text("\n")
+    out = tmp_path / "out.json"
+    extra = {"discover": [], "augment": ["--pool", str(chain / "pool.json")],
+             "transform": ["--pool", str(chain / "pool.json")],
+             "evaluate": ["--checkpoint", str(chain / "ckpt.json")],
+             "explain": ["--checkpoint", str(chain / "ckpt.json")]}[cmd]
+    assert main([cmd, "--data", str(empty), "--out", str(out)] + extra) == 2
+    assert f"{empty}: the dataset holds no instances" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def _scoring_args(cmd, chain, checkpoint, pool, out):
@@ -361,6 +389,7 @@ def test_run_all_seeded_twice_identical(tmp_path):
     assert set(man["outputs"]) >= {"data", "train", "val", "pool", "checkpoint",
                                    "metrics", "features_train", "features_val"}
     assert _stage_keys(tmp_path / "a" / "manifest.json") == RUN_ALL_STAGES
+    assert _peak_rss_mib(tmp_path / "a" / "manifest.json") > 0
 
 
 def test_run_all_ablation_flags(tmp_path):
@@ -421,6 +450,7 @@ def test_tune_k_cli(tmp_path):
     assert doc["best_k"] == 3
     assert set(doc["scores"]) == {"3"}
     assert _stage_keys(tmp_path / "tuning.json.manifest.json") == {"tune_k"}
+    assert _peak_rss_mib(tmp_path / "tuning.json.manifest.json") > 0
 
 
 def test_version_flag_exits_zero(capsys):

@@ -6,12 +6,12 @@ import pytest
 
 import oracles
 from conftest import make_series
-from pvashape.core import Shapelet, ShapeletPool
-from pvashape.distance import ShapeletLengthError
-from pvashape.core import Dataset
+from pvashape import features
+from pvashape.core import Dataset, Shapelet, ShapeletPool
+from pvashape.distance import ShapeletLengthError, match_pool
 from pvashape.features import (FeatureScaler, apply_scaler, fit_scaler,
                                load_features, logsig_transform, save_features,
-                               shapelet_transform, signed_log, transform_dataset)
+                               shapelet_features, signed_log, transform_dataset)
 
 
 def test_signed_log_is_odd_and_zero_at_zero():
@@ -24,39 +24,39 @@ def test_signed_log_is_odd_and_zero_at_zero():
 
 def test_logsig_known_values():
     x = make_series([0, 1, 3])
-    out = logsig_transform(x, 2)
+    out = logsig_transform([x], 2)[0]
     assert out[0] == pytest.approx(math.log(6), abs=1e-7)   # ln2 + ln3
     assert out[1] == pytest.approx(math.log(24), abs=1e-7)  # ln2 + ln4 + ln3
 
 
 def test_logsig_constant_channel_is_zero():
     x = make_series([4.2] * 9)
-    assert np.array_equal(logsig_transform(x, 3), np.zeros(3))
+    assert np.array_equal(logsig_transform([x], 3)[0], np.zeros(3))
 
 
 def test_logsig_translation_invariant():
     # integer samples shift without rounding, so invariance is bit-exact
     gen = np.random.default_rng(1)
     ints = gen.integers(-5, 6, size=(2, 15)).astype(np.float64)
-    assert np.array_equal(logsig_transform(make_series(ints), 3),
-                          logsig_transform(make_series(ints + 100.0), 3))
+    assert np.array_equal(logsig_transform([make_series(ints)], 3)[0],
+                          logsig_transform([make_series(ints + 100.0)], 3)[0])
     vals = gen.normal(size=(2, 15))
-    assert np.allclose(logsig_transform(make_series(vals), 3),
-                       logsig_transform(make_series(vals + 100.0), 3),
+    assert np.allclose(logsig_transform([make_series(vals)], 3)[0],
+                       logsig_transform([make_series(vals + 100.0)], 3)[0],
                        rtol=1e-9, atol=1e-9)
 
 
 def test_logsig_ignores_padding():
     gen = np.random.default_rng(2)
     vals = gen.normal(size=12)
-    a = logsig_transform(make_series(vals, pad_to=20), 2)
-    b = logsig_transform(make_series(vals, pad_to=40), 2)
+    a = logsig_transform([make_series(vals, pad_to=20)], 2)[0]
+    b = logsig_transform([make_series(vals, pad_to=40)], 2)[0]
     assert np.array_equal(a, b)
 
 
 def test_logsig_channel_major_layout():
     x = make_series([[0, 1, 3], [5, 5, 5]])
-    out = logsig_transform(x, 2)
+    out = logsig_transform([x], 2)[0]
     assert len(out) == 4
     assert out[0] == pytest.approx(math.log(6), abs=1e-7)
     assert np.array_equal(out[2:], [0.0, 0.0])
@@ -68,14 +68,71 @@ def test_logsig_matches_oracle_random():
         n = int(gen.integers(3, 25))
         depth = int(gen.integers(1, 5))
         vals = gen.normal(size=n) * 3
-        out = logsig_transform(make_series(vals), depth)
+        out = logsig_transform([make_series(vals)], depth)[0]
         want = oracles.logsig_terms(vals, depth)
         assert np.allclose(out, want, rtol=1e-10, atol=1e-10)
 
 
 def test_logsig_rejects_bad_depth():
     with pytest.raises(ValueError):
-        logsig_transform(make_series([1, 2, 3]), 0)
+        logsig_transform([make_series([1, 2, 3])], 0)
+
+
+def _bits(a):
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.uint64)
+
+
+def _assert_matches_loop(instances, depths=(1, 2, 3, 4)):
+    """Batched statistics equal the per-instance loop bit for bit."""
+    for depth in depths:
+        want = np.stack([oracles.logsig_loop(x, depth) for x in instances])
+        assert np.array_equal(_bits(logsig_transform(instances, depth)), _bits(want))
+
+
+def _chunk_rows(n):
+    return max(1, features.LOGSIG_CHUNK_BYTES // (8 * n * n))
+
+
+@pytest.mark.parametrize("rows", [lambda c: 1, lambda c: c - 1, lambda c: c,
+                                  lambda c: c + 1, lambda c: 3 * c + 2],
+                         ids=["1", "chunk-1", "chunk", "chunk+1", "3chunk+2"])
+def test_logsig_matches_loop_across_chunk_boundaries(rows):
+    n = 150
+    gen = np.random.default_rng(6)
+    scales = 10.0 ** np.arange(-3, 4)
+    batch = [make_series(gen.normal(size=n) * scales[i % len(scales)], id=f"x{i}")
+             for i in range(rows(_chunk_rows(n)))]
+    _assert_matches_loop(batch)
+
+
+def test_logsig_matches_loop_on_mixed_lengths_scales_and_padding():
+    gen = np.random.default_rng(7)
+    batch = []
+    for i in range(40):
+        n = int(gen.integers(3, 60))
+        vals = gen.normal(size=(3, n)) * 10.0 ** gen.integers(-3, 4, size=(3, 1))
+        if i % 5 == 0:
+            vals[i % 3] = gen.normal() * 100.0          # a constant channel
+        batch.append(make_series(vals, id=f"x{i}", pad_to=n + int(gen.integers(0, 30))))
+    _assert_matches_loop(batch)
+
+
+def test_logsig_constant_channels_match_loop():
+    batch = [make_series(np.full((2, 150), c), id=f"x{i}")
+             for i, c in enumerate([0.0, -0.0, 4.2, -1e3])]
+    _assert_matches_loop(batch)
+
+
+def test_logsig_row_bits_do_not_depend_on_the_batch():
+    gen = np.random.default_rng(8)
+    batch = [make_series(gen.normal(size=(2, 150)) * 10.0 ** (i % 7 - 3), id=f"x{i}",
+                         original_length=int(gen.integers(140, 151)), pad_to=150)
+             for i in range(3 * _chunk_rows(150) + 2)]
+    whole = logsig_transform(batch, 3)
+    one_by_one = np.concatenate([logsig_transform([x], 3) for x in batch])
+    reversed_ = logsig_transform(batch[::-1], 3)[::-1]
+    assert np.array_equal(_bits(whole), _bits(one_by_one))
+    assert np.array_equal(_bits(whole), _bits(reversed_))
 
 
 def _pool(shapelets):
@@ -91,10 +148,17 @@ def _shapelet(values, channel=0, label="NP", sentinel=5.0):
                     end=len(values) - 1, label=label, max_train_psd=sentinel)
 
 
+def _shapelet_row(x, pool):
+    """The shapelet block of a one-instance dataset's feature row."""
+    z, _, _ = transform_dataset(Dataset((x,)), pool, depth=1)
+    assert z.shape == (1, len(pool) + x.n_channels)
+    return z[0, :len(pool)]
+
+
 def test_shapelet_transform_exact_match_is_zero():
     x = make_series([2, 9, 4, 1])
     pool = _pool([_shapelet([9, 4]), _shapelet([2, 9, 4], label="AC")])
-    out = shapelet_transform(x, pool)
+    out = _shapelet_row(x, pool)
     assert out.shape == (2,)
     assert out[0] == 0.0 and out[1] == 0.0
 
@@ -104,7 +168,7 @@ def test_shapelet_transform_matches_enumeration():
     x = make_series(gen.normal(size=(2, 14)), id="e0")
     pool = _pool([_shapelet(gen.normal(size=4), channel=1),
                   _shapelet(gen.normal(size=3), channel=0, label="AC")])
-    out = shapelet_transform(x, pool)
+    out = _shapelet_row(x, pool)
     for j, s in enumerate(pool.shapelets):
         want, _ = oracles.psd(x.values[s.channel], 14, s.values)
         assert out[j] == pytest.approx(want, abs=1e-9)
@@ -113,14 +177,14 @@ def test_shapelet_transform_matches_enumeration():
 def test_shapelet_transform_uses_sentinel_when_too_long():
     x = make_series([1, 2, 3])
     pool = _pool([_shapelet([0, 1, 2, 3, 4], sentinel=7.5)])
-    assert shapelet_transform(x, pool)[0] == 7.5
+    assert _shapelet_row(x, pool)[0] == 7.5
 
 
 def test_shapelet_transform_without_sentinel_raises():
     x = make_series([1, 2, 3])
     pool = _pool([_shapelet([0, 1, 2, 3, 4], sentinel=None)])
     with pytest.raises(ShapeletLengthError):
-        shapelet_transform(x, pool)
+        _shapelet_row(x, pool)
 
 
 def test_transform_dataset_concatenation():
@@ -128,8 +192,8 @@ def test_transform_dataset_concatenation():
     pool = _pool([_shapelet([2, 4])])
     z, _, _ = transform_dataset(Dataset((x,)), pool, depth=2)
     assert z.shape == (1, 1 + 4)
-    assert np.array_equal(z[0], np.concatenate([shapelet_transform(x, pool),
-                                                logsig_transform(x, 2)]))
+    shapelets = shapelet_features([x], pool, match_pool([x], pool.shapelets, False))[0]
+    assert np.array_equal(z[0], np.concatenate([shapelets, logsig_transform([x], 2)[0]]))
     no_sha, _, _ = transform_dataset(Dataset((x,)), pool, depth=2, include_shapelets=False)
     assert np.array_equal(no_sha, z[:, 1:])
 
