@@ -11,15 +11,14 @@ __version__ = "0.1.0"
 from .core import (CANONICAL_LABELS, Config, Dataset, LabeledSeries, SeededRng,
                    Shapelet, ShapeletPool, ValidationError, load_dataset,
                    save_dataset)
-from .distance import MatchResult, ShapeletLengthError, cid, psd
-from .pips import extract_pips, extract_pips_incremental
+from .distance import MatchResult, ShapeletLengthError, psd
 from .discovery import discover, load_pool, save_pool
-from .augment import NoiseSpec, augment_instance, balance_dataset, build_mask
+from .augment import NoiseSpec, balance_dataset
 from .features import (FeatureScaler, apply_scaler, fit_scaler,
                        logsig_transform, transform_dataset)
 from .model import (EvalReport, HeadParams, ModelCheckpoint,
-                    TrainingDivergedError, compute_metrics, evaluate, forward,
-                    k_grid, load_checkpoint, save_checkpoint, train, tune_k)
+                    TrainingDivergedError, compute_metrics, evaluate, k_grid,
+                    load_checkpoint, save_checkpoint, train, tune_k)
 from .pipeline import (RawRecording, SynthConfig, generate_synthetic,
                        load_recording, segment, split, subset_channels)
 from .workflow import fit
@@ -28,13 +27,11 @@ from .explain import build_explain_report, emit_plot_data
 __all__ = [
     "CANONICAL_LABELS", "Config", "Dataset", "LabeledSeries", "SeededRng",
     "Shapelet", "ShapeletPool", "ValidationError", "load_dataset",
-    "save_dataset", "MatchResult", "ShapeletLengthError", "cid", "psd",
-    "extract_pips", "extract_pips_incremental", "discover", "load_pool",
-    "save_pool", "NoiseSpec", "augment_instance", "balance_dataset",
-    "build_mask", "FeatureScaler", "apply_scaler", "fit_scaler",
-    "logsig_transform", "transform_dataset",
+    "save_dataset", "MatchResult", "ShapeletLengthError", "psd", "discover",
+    "load_pool", "save_pool", "NoiseSpec", "balance_dataset", "FeatureScaler",
+    "apply_scaler", "fit_scaler", "logsig_transform", "transform_dataset",
     "EvalReport", "HeadParams", "ModelCheckpoint",
-    "TrainingDivergedError", "compute_metrics", "evaluate", "forward",
+    "TrainingDivergedError", "compute_metrics", "evaluate",
     "k_grid", "load_checkpoint", "save_checkpoint", "train", "tune_k",
     "RawRecording", "SynthConfig", "generate_synthetic", "load_recording",
     "segment", "split", "subset_channels", "fit", "build_explain_report",

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Config, Dataset, LabeledSeries, SeededRng, Shapelet, ShapeletPool, STREAM_AUGMENT
-from .distance import MatchResult, ShapeletLengthError, match_pool, psd
+from .distance import ShapeletLengthError, match_pool
 
 
 @dataclass(frozen=True)
@@ -29,20 +29,11 @@ class NoiseSpec:
             raise ValueError("sigma_scale must be >= 0")
 
 
-def build_mask(x: LabeledSeries, s: Shapelet, clamp: bool = False,
-               znorm: bool = False) -> tuple[np.ndarray, MatchResult]:
-    """Noise mask for one (instance, shapelet) pair.
-
-    Entries are 1 everywhere except the matched span on the shapelet's
-    channel (the match distance, optionally clamped to 1) and the padded
-    tail of every channel (0, so padding stays structurally zero).
-    """
-    match = psd(x, s.channel, s.values, znorm=znorm)
-    return _mask(x, s, match.psd, match.offset, clamp), match
-
-
 def _mask(x: LabeledSeries, s: Shapelet, dist: float, offset: int,
           clamp: bool) -> np.ndarray:
+    """Noise mask of one match: the distance (clamped to 1 if asked) on the
+    matched span of the shapelet's channel, 0 on every channel's padded
+    tail, so padding stays zero, and 1 elsewhere."""
     mask = np.ones_like(x.values)
     mask[s.channel, offset : offset + len(s)] = min(dist, 1.0) if clamp else dist
     mask[:, x.original_length:] = 0.0
@@ -68,18 +59,6 @@ def _noisy_copy(x: LabeledSeries, mask: np.ndarray, spec: NoiseSpec,
         original_length=x.original_length,
         channel_names=x.channel_names,
     )
-
-
-def augment_instance(x: LabeledSeries, pool: ShapeletPool, spec: NoiseSpec,
-                     rng: SeededRng, tag: int = 0, clamp: bool = False,
-                     znorm: bool = False) -> LabeledSeries:
-    """One augmented copy of ``x`` guided by a sampled same-class shapelet."""
-    shapelets = pool.of_class(x.label)
-    eligible = _eligible(x, shapelets)
-    gen = rng.generator()
-    s = shapelets[eligible[int(gen.integers(len(eligible)))]]
-    mask, _ = build_mask(x, s, clamp=clamp, znorm=znorm)
-    return _noisy_copy(x, mask, spec, gen, tag)
 
 
 def balance_dataset(dataset: Dataset, pool: ShapeletPool, config: Config,

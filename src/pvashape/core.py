@@ -15,7 +15,7 @@ import os
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -116,6 +116,8 @@ class Shapelet:
 
     def __post_init__(self):
         object.__setattr__(self, "values", _freeze(self.values))
+        if self.channel < 0:
+            raise ValidationError(f"shapelet channel {self.channel} is negative")
         if self.start >= self.end:
             raise ValidationError(f"shapelet span [{self.start}, {self.end}] is degenerate")
         if len(self.values) != self.end - self.start + 1:
@@ -372,12 +374,14 @@ def series_to_record(x: LabeledSeries) -> dict:
         "label": x.label,
         "original_length": int(x.original_length),
         "channels": list(x.channel_names),
-        "values": [[float(v) for v in row] for row in x.values],
+        "values": x.values.tolist(),
     }
 
 
 def series_from_record(rec: dict) -> LabeledSeries:
-    try:
+    if not isinstance(rec, dict):
+        raise ValidationError(f"dataset record is a JSON {type(rec).__name__}, not an object")
+    with refuse_malformed("dataset record"):
         return LabeledSeries(
             id=str(rec["id"]),
             values=np.asarray(rec["values"], dtype=np.float64),
@@ -385,8 +389,33 @@ def series_from_record(rec: dict) -> LabeledSeries:
             original_length=int(rec["original_length"]),
             channel_names=tuple(rec["channels"]),
         )
+
+
+@contextmanager
+def refuse_malformed(what: str):
+    """Re-raise a missing field, or a value of the wrong type or shape,
+    inside the block as a ValidationError about ``what``."""
+    try:
+        yield
     except KeyError as err:
-        raise ValidationError(f"dataset record missing field {err}") from err
+        raise ValidationError(f"{what} missing field {err}") from err
+    except ValidationError:
+        raise
+    except (TypeError, ValueError) as err:
+        raise ValidationError(f"{what} is malformed: {err}") from err
+
+
+def read_ndjson(path):
+    """``(line number, record)`` for each non-blank line of an NDJSON file;
+    a line that is not JSON raises ValidationError naming the file and line."""
+    with open(path) as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
+                yield lineno, json.loads(line)
+            except json.JSONDecodeError as err:
+                raise ValidationError(f"{path}:{lineno}: invalid JSON: {err}") from err
 
 
 def save_dataset(path, dataset: Dataset) -> None:
@@ -395,16 +424,11 @@ def save_dataset(path, dataset: Dataset) -> None:
 
 def load_dataset(path) -> Dataset:
     instances = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as err:
-                raise ValidationError(f"{path}:{lineno}: invalid JSON: {err}") from err
+    for lineno, rec in read_ndjson(path):
+        try:
             instances.append(series_from_record(rec))
+        except ValidationError as err:
+            raise ValidationError(f"{path}:{lineno}: {err}") from err
     if not instances:
         raise ValidationError(f"{path}: the dataset holds no instances")
     return Dataset(tuple(instances))

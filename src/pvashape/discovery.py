@@ -19,7 +19,8 @@ from dataclasses import replace
 
 import numpy as np
 
-from .core import Config, Dataset, Shapelet, ShapeletPool, result_config, write_json
+from .core import (Config, Dataset, Shapelet, ShapeletPool, ValidationError,
+                   refuse_malformed, result_config, write_json)
 from .distance import (QUERY_BLOCK, match_pool, prefix_sums, prepare_windows,
                        prepared_min_cid)
 from .parallel import thread_map
@@ -82,22 +83,6 @@ def _entropy(p: np.ndarray) -> np.ndarray:
     return np.where((p <= 0.0) | (p >= 1.0), 0.0, h)
 
 
-def information_gain(distances: list[tuple[float, bool]]) -> tuple[float, float]:
-    """Best one-vs-rest split of labelled distances.
-
-    Thresholds are midpoints between consecutive distinct sorted values;
-    returns (gain in bits, threshold), taking the smallest threshold on
-    gain ties. When no split attains positive gain (single class, tied
-    distances, uninformative ordering) the result is (0, minimum distance).
-    """
-    if not distances:
-        raise ValueError("no distances to split")
-    d = np.asarray([t[0] for t in distances], dtype=np.float64)
-    y = np.asarray([bool(t[1]) for t in distances])
-    gains, thresholds = _gain_block(d[None, :], y[None, :])
-    return float(gains[0]), float(thresholds[0])
-
-
 def _gain_block(dists: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized gain search over a block of candidates.
 
@@ -105,7 +90,10 @@ def _gain_block(dists: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, np.
         does not fit (excluded from the split).
     targets : (B, M) one-vs-rest labels.
 
-    Returns per-row (gain, threshold).
+    Returns per-row (gain in bits, threshold). Thresholds are midpoints
+    between consecutive distinct sorted distances, the smallest on gain
+    ties. A row with no split of positive gain (one class, tied distances,
+    uninformative order) gets (0, its minimum distance).
     """
     b, m = dists.shape
     # Any sort order works: a split falls only between distinct distances,
@@ -253,7 +241,7 @@ def pool_to_dict(pool: ShapeletPool) -> dict:
         "per_class_quota": pool.per_class_quota,
         "shapelets": [
             {
-                "values": [float(v) for v in s.values],
+                "values": s.values.tolist(),
                 "channel": s.channel,
                 "source_id": s.source_id,
                 "start": s.start,
@@ -269,20 +257,21 @@ def pool_to_dict(pool: ShapeletPool) -> dict:
 
 
 def pool_from_dict(d: dict) -> ShapeletPool:
-    shapelets = tuple(
-        Shapelet(
-            values=np.asarray(rec["values"], dtype=np.float64),
-            channel=int(rec["channel"]), source_id=str(rec["source_id"]),
-            start=int(rec["start"]), end=int(rec["end"]), label=str(rec["label"]),
-            info_gain=float(rec["info_gain"]),
-            split_threshold=float(rec["split_threshold"]),
-            max_train_psd=(None if rec.get("max_train_psd") is None
-                           else float(rec["max_train_psd"])),
+    with refuse_malformed("pool"):
+        shapelets = tuple(
+            Shapelet(
+                values=np.asarray(rec["values"], dtype=np.float64),
+                channel=int(rec["channel"]), source_id=str(rec["source_id"]),
+                start=int(rec["start"]), end=int(rec["end"]), label=str(rec["label"]),
+                info_gain=float(rec["info_gain"]),
+                split_threshold=float(rec["split_threshold"]),
+                max_train_psd=(None if rec.get("max_train_psd") is None
+                               else float(rec["max_train_psd"])),
+            )
+            for rec in d["shapelets"]
         )
-        for rec in d["shapelets"]
-    )
-    return ShapeletPool(shapelets=shapelets, per_class_quota=int(d["per_class_quota"]),
-                        labels=tuple(d["labels"]), config=dict(d.get("config", {})))
+        return ShapeletPool(shapelets=shapelets, per_class_quota=int(d["per_class_quota"]),
+                            labels=tuple(d["labels"]), config=dict(d.get("config", {})))
 
 
 def pool_digest(pool: ShapeletPool) -> str:
@@ -297,4 +286,7 @@ def save_pool(path, pool: ShapeletPool) -> None:
 
 def load_pool(path) -> ShapeletPool:
     with open(path) as fh:
-        return pool_from_dict(json.load(fh))
+        try:
+            return pool_from_dict(json.load(fh))
+        except ValidationError as err:
+            raise ValidationError(f"{path}: {err}") from err

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .core import LabeledSeries
+from .core import LabeledSeries, ValidationError
 from .parallel import thread_map
 
 # Guards the complexity ratio when one side is constant (zero complexity).
@@ -49,17 +49,6 @@ def _complexity_factor(ce_a, ce_b):
     hi = np.maximum(ce_a, ce_b)
     lo = np.maximum(np.minimum(ce_a, ce_b), EPS_COMPLEXITY)
     return hi / lo
-
-
-def cid(q: np.ndarray, s: np.ndarray) -> float:
-    """Complexity-invariant distance between two equal-length vectors."""
-    q = np.asarray(q, dtype=np.float64)
-    s = np.asarray(s, dtype=np.float64)
-    if q.shape != s.shape:
-        raise ValueError(f"length mismatch: {q.shape} vs {s.shape}")
-    d = q - s
-    ed = float(np.sqrt(np.dot(d, d)))
-    return ed * float(_complexity_factor(complexity_estimate(q), complexity_estimate(s)))
 
 
 def _znorm_rows(a: np.ndarray) -> np.ndarray:
@@ -135,16 +124,21 @@ def match_pool(instances, shapelets, znorm: bool = False,
     Shapelets are grouped by (channel, length) and each group is scored
     against all instances in one ``match`` call. Returns ``(dists,
     offsets)`` of shape (len(instances), len(shapelets)); offset -1 marks a
-    shapelet longer than the instance's unpadded region.
+    shapelet longer than the instance's unpadded region. A shapelet on a
+    channel the instances do not have is refused.
     """
     instances = list(instances)
     dists = np.full((len(instances), len(shapelets)), np.inf)
     offsets = np.full(dists.shape, -1, dtype=np.int64)
     if not instances:
         return dists, offsets
+    n_channels = instances[0].n_channels
     lengths = np.asarray([x.original_length for x in instances], dtype=np.int64)
     groups: dict[tuple[int, int], list[int]] = {}
     for j, s in enumerate(shapelets):
+        if s.channel >= n_channels:
+            raise ValidationError(f"shapelet channel {s.channel} is out of range for "
+                                  f"data with {n_channels} channels")
         groups.setdefault((s.channel, len(s)), []).append(j)
     channels = {v: np.stack([x.values[v] for x in instances]) for v, _ in groups}
 

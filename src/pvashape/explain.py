@@ -12,7 +12,7 @@ import numpy as np
 from .core import Dataset, ShapeletPool, ValidationError, write_ndjson
 from .distance import match_pool
 from .features import feature_matrix
-from .model import ModelCheckpoint, forward
+from .model import ModelCheckpoint, forward_batch
 
 
 def build_explain_report(dataset: Dataset, checkpoint: ModelCheckpoint,
@@ -23,7 +23,8 @@ def build_explain_report(dataset: Dataset, checkpoint: ModelCheckpoint,
     Shapelets longer than an instance's unpadded region cannot match and
     are omitted from that instance's entries. Features and evidence come
     from one pass of the matching engine the feature transform uses, so
-    every reported distance equals its feature exactly. The unpadded
+    every reported distance equals its feature exactly, and one head pass
+    scores every row, as ``evaluate`` scores a file. The unpadded
     waveforms ride along so the report is self-contained for plotting.
     """
     cfg = checkpoint.config
@@ -35,12 +36,10 @@ def build_explain_report(dataset: Dataset, checkpoint: ModelCheckpoint,
     dists, offsets = match_pool(instances, pool.shapelets, cfg.znorm, threads)
     z = feature_matrix(instances, pool if cfg.use_shapelet_features else None,
                        cfg.logsig_depth, (dists, offsets))
-    z = checkpoint.head_input(z)
+    probs = forward_batch(checkpoint.params, checkpoint.head_input(z))
     out = []
     for r, x in enumerate(instances):
-        probs = forward(checkpoint.params, z[r])
-        pred_idx = int(np.argmax(probs))
-        predicted = checkpoint.classes[pred_idx]
+        predicted = checkpoint.classes[int(np.argmax(probs[r]))]
         matches = []
         for j, s in enumerate(pool.shapelets):
             if (not all_classes and s.label != predicted) or offsets[r, j] < 0:
@@ -55,15 +54,15 @@ def build_explain_report(dataset: Dataset, checkpoint: ModelCheckpoint,
                 "channel_name": x.channel_names[s.channel],
                 "offset": offset,
                 "psd": float(dists[r, j]),
-                "shapelet_values": [float(v) for v in s.values],
-                "window_values": [float(v) for v in window],
+                "shapelet_values": s.values.tolist(),
+                "window_values": window.tolist(),
             })
         out.append({
             "id": x.id,
             "label": x.label,
             "predicted": predicted,
-            "probabilities": {lab: float(p) for lab, p in zip(checkpoint.classes, probs)},
-            "series": {name: [float(v) for v in x.channel(i)]
+            "probabilities": dict(zip(checkpoint.classes, probs[r].tolist())),
+            "series": {name: x.channel(i).tolist()
                        for i, name in enumerate(x.channel_names)},
             "matches": matches,
         })

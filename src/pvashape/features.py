@@ -11,13 +11,13 @@ odd) for every real difference.
 from __future__ import annotations
 
 import functools
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Dataset, ShapeletPool, write_ndjson
+from .core import (Dataset, ShapeletPool, ValidationError, read_ndjson, refuse_malformed,
+                   write_ndjson)
 from .distance import ShapeletLengthError, match_pool
 
 EPS_SCALE = 1e-8
@@ -159,8 +159,7 @@ class FeatureScaler:
     std: np.ndarray
 
     def to_dict(self) -> dict:
-        return {"mean": [float(v) for v in self.mean],
-                "std": [float(v) for v in self.std]}
+        return {"mean": self.mean.tolist(), "std": self.std.tolist()}
 
     @classmethod
     def from_dict(cls, d: dict) -> "FeatureScaler":
@@ -186,20 +185,25 @@ def apply_scaler(features: np.ndarray, scaler: FeatureScaler) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def save_features(path, z: np.ndarray, ids: list[str], labels: list[str]) -> None:
-    write_ndjson(path, ({"id": id_, "label": lab, "z": [float(v) for v in row]}
-                        for row, id_, lab in zip(z, ids, labels)))
+    write_ndjson(path, ({"id": id_, "label": lab, "z": row}
+                        for row, id_, lab in zip(np.asarray(z).tolist(), ids, labels)))
 
 
 def load_features(path) -> tuple[np.ndarray, list[str], list[str]]:
+    """Features file as (matrix, ids, labels). A record without its fields,
+    or whose ``z`` is not finite or not the first's width, is refused."""
     rows, ids, labels = [], [], []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            rec = json.loads(line)
-            rows.append(np.asarray(rec["z"], dtype=np.float64))
+    for lineno, rec in read_ndjson(path):
+        where = f"{path}:{lineno}"
+        with refuse_malformed(f"{where}: features record"):
+            z = np.asarray(rec["z"], dtype=np.float64)
             ids.append(str(rec["id"]))
             labels.append(str(rec["label"]))
+        if z.ndim != 1 or not np.all(np.isfinite(z)):
+            raise ValidationError(f"{where}: z is not a list of finite numbers")
+        if rows and len(z) != len(rows[0]):
+            raise ValidationError(
+                f"{where}: {len(z)} features, but the first record has {len(rows[0])}")
+        rows.append(z)
     z = np.stack(rows) if rows else np.zeros((0, 0))
     return z, ids, labels

@@ -70,10 +70,6 @@ class HeadParams:
     def d(self) -> int:
         return self.w1.shape[0]
 
-    @property
-    def n_classes(self) -> int:
-        return self.w3.shape[1]
-
     def to_dict(self) -> dict:
         return {name: _encode_param(getattr(self, name)) for name in PARAM_NAMES}
 
@@ -157,16 +153,6 @@ def forward_batch(params, z: np.ndarray) -> np.ndarray:
         raise ValidationError("non-finite feature input")
     probs, _ = _forward_cache(params, z)
     return probs
-
-
-def forward(params, z: np.ndarray) -> np.ndarray:
-    """Class probabilities for a single feature vector."""
-    return forward_batch(params, np.asarray(z, dtype=np.float64)[None, :])[0]
-
-
-def loss(probs: np.ndarray, label_index: int) -> float:
-    """Cross-entropy of one prediction, probabilities floored at 1e-12."""
-    return float(-np.log(max(float(probs[label_index]), PROB_FLOOR)))
 
 
 def batch_loss(probs: np.ndarray, y: np.ndarray) -> float:
@@ -390,18 +376,6 @@ class EvalReport:
             "macro_f1": self.macro_f1,
             "accuracy": self.accuracy,
         }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "EvalReport":
-        return cls(classes=tuple(d["classes"]),
-                   confusion=np.asarray(d["confusion"], dtype=np.int64),
-                   per_class_precision=dict(d["per_class_precision"]),
-                   per_class_recall=dict(d["per_class_recall"]),
-                   per_class_f1=dict(d["per_class_f1"]),
-                   support={k: int(v) for k, v in d["support"].items()},
-                   precision=float(d["precision"]), recall=float(d["recall"]),
-                   f1=float(d["f1"]), macro_f1=float(d["macro_f1"]),
-                   accuracy=float(d["accuracy"]))
 
 
 def compute_metrics(y_true: np.ndarray, y_pred: np.ndarray,

@@ -49,10 +49,6 @@ class RawRecording:
             name: np.asarray(v, dtype=np.float64) for name, v in self.channels.items()
         })
 
-    @property
-    def n_samples(self) -> int:
-        return len(next(iter(self.channels.values())))
-
 
 def load_recording(path, recording_id: str | None = None) -> RawRecording:
     """CSV with a header row of channel names, one sample per row."""

@@ -8,14 +8,14 @@ import time
 import numpy as np
 
 import oracles
-from pvashape.augment import balance_dataset, build_mask
+from pvashape.augment import balance_dataset
 from pvashape.cli import main
 from pvashape.core import Config, Dataset, STREAM_SPLIT, SeededRng
-from pvashape.discovery import discover, information_gain
-from pvashape.distance import psd
+from pvashape.discovery import _gain_block, discover
+from pvashape.distance import match_pool, psd
 from pvashape.model import (PARAM_NAMES, batch_loss, compute_metrics, forward_batch,
                             gradients, init_params, k_grid, tune_k)
-from pvashape.pips import extract_pips, extract_pips_incremental
+from pvashape.pips import pip_insertions
 from pvashape.pipeline import SynthConfig, generate_synthetic, split
 from pvashape import workflow
 
@@ -76,13 +76,15 @@ def test_criterion_02_pip_selection_matches_oracle():
         else:
             series = gen.normal(size=n)
         steps = oracles.pip_steps(series, k)
-        states = list(extract_pips_incremental(series, k))
-        assert len(states) == len(steps) == k - 2
-        for state, (added, pips_after) in zip(states, steps):
-            assert state.last_added[0] == added
-            assert state.pips == pips_after
+        inserted = pip_insertions(series[None], [n], k)[0].tolist()
+        assert len(inserted) == len(steps) == k - 2
+        pips = [0, n - 1]
+        for got, (added, pips_after) in zip(inserted, steps):
+            pips = sorted(pips + [got])
+            assert got == added
+            assert tuple(pips) == pips_after
             checked += 1
-        assert extract_pips(series, k) == steps[-1][1]
+        assert tuple(pips) == steps[-1][1]
     elapsed = time.perf_counter() - t0
     assert elapsed < 10.0
     _report(2, f"100 series, {checked} insertions exact, {elapsed:.2f}s")
@@ -102,7 +104,8 @@ def test_criterion_03_information_gain_matches_oracle():
             d = gen.uniform(0.0, 2.0, size=n)
         flags = gen.integers(0, 2, size=n).astype(bool)
         pairs = list(zip(d.tolist(), flags.tolist()))
-        got_gain, got_thr = information_gain(pairs)
+        gains, thresholds = _gain_block(d[None], flags[None])
+        got_gain, got_thr = float(gains[0]), float(thresholds[0])
         want_gain, want_thr = oracles.info_gain(pairs)
         worst = max(worst, abs(got_gain - want_gain))
         assert abs(got_gain - want_gain) <= 1e-12
@@ -151,9 +154,9 @@ def test_criterion_04_augmentation_balances_and_preserves():
     for lab in MINORITY:
         (s,) = pool.of_class(lab)
         src = by_id[s.source_id]
-        mask, match = build_mask(src, s)
-        assert match.psd == 0.0
-        lo, hi = match.offset, match.offset + len(s)
+        dists, offsets = match_pool([src], [s])
+        assert dists[0, 0] == 0.0
+        lo, hi = int(offsets[0, 0]), int(offsets[0, 0]) + len(s)
         for x in out:
             if x.id.startswith(f"{src.id}#aug"):
                 assert np.array_equal(x.values[s.channel, lo:hi],

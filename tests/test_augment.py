@@ -1,13 +1,14 @@
 """Shapelet-guided noise masks and minority-class rebalancing."""
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from conftest import make_series
-from pvashape.augment import NoiseSpec, augment_instance, balance_dataset, build_mask
-from pvashape.core import Config, Dataset, SeededRng, Shapelet
-from pvashape.distance import ShapeletLengthError
+from pvashape.augment import NoiseSpec, _mask, balance_dataset
+from pvashape.core import Config, Dataset, Shapelet, ShapeletPool, order_labels
+from pvashape.distance import ShapeletLengthError, match_pool
 
 
 def _shapelet(values, channel=0, label="NP", source="s0", start=0, **kw):
@@ -16,18 +17,26 @@ def _shapelet(values, channel=0, label="NP", source="s0", start=0, **kw):
                     start=start, end=start + len(values) - 1, label=label, **kw)
 
 
+def _match_mask(x, s, clamp=False):
+    """The mask ``balance_dataset`` builds for one (instance, shapelet)
+    pair, from the same ``match_pool`` distance and offset."""
+    dists, offsets = match_pool([x], [s])
+    d, o = dists[0, 0], int(offsets[0, 0])
+    return _mask(x, s, d, o, clamp), d, o
+
+
 def test_mask_zero_on_exact_match_span():
     x = make_series([3, 7, 1, 5], pad_to=6)
     s = _shapelet([7, 1])
-    mask, match = build_mask(x, s)
-    assert match.psd == 0.0 and match.offset == 1
+    mask, dist, offset = _match_mask(x, s)
+    assert dist == 0.0 and offset == 1
     assert np.array_equal(mask[0], [1, 0, 0, 1, 0, 0])
 
 
 def test_mask_carries_match_distance_on_span():
     x = make_series([0, 1, 3])
-    mask, match = build_mask(x, _shapelet([0, 2]))
-    assert match.offset == 1
+    mask, _, offset = _match_mask(x, _shapelet([0, 2]))
+    assert offset == 1
     assert mask[0, 0] == 1.0
     assert mask[0, 1] == pytest.approx(math.sqrt(2), abs=1e-7)
     assert mask[0, 2] == pytest.approx(math.sqrt(2), abs=1e-7)
@@ -35,65 +44,81 @@ def test_mask_carries_match_distance_on_span():
 
 def test_mask_clamped_when_asked():
     x = make_series([0, 1, 3])
-    mask, _ = build_mask(x, _shapelet([0, 2]), clamp=True)
+    mask, _, _ = _match_mask(x, _shapelet([0, 2]), clamp=True)
     assert mask[0, 1] == 1.0 and mask[0, 2] == 1.0
 
 
 def test_mask_zero_on_padded_tail_every_channel():
     x = make_series([[1, 2, 3], [4, 5, 6]], original_length=3, pad_to=8)
-    mask, _ = build_mask(x, _shapelet([9, 9], channel=1))
+    mask, _, _ = _match_mask(x, _shapelet([9, 9], channel=1))
     assert np.all(mask[:, 3:] == 0.0)
     assert np.all(mask[0, :3] == 1.0)  # other channel untouched
 
 
 def test_mask_only_touches_shapelet_channel():
     x = make_series([[1, 2, 3, 4], [1, 2, 3, 4]])
-    mask, match = build_mask(x, _shapelet([2, 3], channel=1))
+    mask, _, _ = _match_mask(x, _shapelet([2, 3], channel=1))
     assert np.all(mask[0] == 1.0)
     assert np.array_equal(mask[1], [1, 0, 0, 1])
 
 
-def _pool_for(x, shapelets):
-    from pvashape.core import ShapeletPool, order_labels
+def _pool_for(shapelets):
     labels = order_labels([s.label for s in shapelets])
     return ShapeletPool(shapelets=tuple(shapelets), per_class_quota=1,
                         labels=labels, config={})
 
 
+def _with_majority(x, n=2):
+    """``x`` after ``n`` majority-class (NP) instances of its shape, so
+    ``balance_dataset`` augments ``x`` alone."""
+    rows = [dataclasses.replace(x, id=f"n{i}", label="NP") for i in range(n)]
+    return Dataset(tuple(rows) + (x,))
+
+
+def _copies(out, x):
+    return [y for y in out if y.id.startswith(f"{x.id}#aug")]
+
+
 def test_augment_zero_sigma_is_identity():
     x = make_series([1, 4, 2, 8], label="AC", id="a0")
-    pool = _pool_for(x, [_shapelet([4, 2], label="AC")])
-    out = augment_instance(x, pool, NoiseSpec(sigma_scale=0.0), SeededRng(0), tag=3)
-    assert out.id == "a0#aug3"
-    assert out.label == "AC"
-    assert np.array_equal(out.values, x.values)
+    pool = _pool_for([_shapelet([4, 2], label="AC")])
+    out = balance_dataset(_with_majority(x), pool, Config(r_sa=4, noise_sigma_scale=0.0))
+    copies = _copies(out, x)
+    assert [y.id for y in copies] == [f"a0#aug{j}" for j in range(4)]
+    for y in copies:
+        assert y.label == "AC"
+        assert np.array_equal(y.values, x.values)
 
 
 def test_augment_preserves_exact_match_span():
     x = make_series([1, 4, 2, 8, 3], label="AC", id="a0", pad_to=8)
-    pool = _pool_for(x, [_shapelet([4, 2, 8], label="AC", start=1)])
-    out = augment_instance(x, pool, NoiseSpec(sigma_scale=0.5), SeededRng(1))
-    assert np.array_equal(out.values[0, 1:4], x.values[0, 1:4])  # bit-unchanged
-    assert np.all(out.values[0, [0, 4]] != x.values[0, [0, 4]])
-    assert np.all(out.values[:, 5:] == 0.0)
-    assert out.original_length == x.original_length
+    pool = _pool_for([_shapelet([4, 2, 8], label="AC", start=1)])
+    out = balance_dataset(_with_majority(x), pool,
+                          Config(r_sa=1, noise_sigma_scale=0.5, seed=1))
+    (y,) = _copies(out, x)
+    assert np.array_equal(y.values[0, 1:4], x.values[0, 1:4])  # bit-unchanged
+    assert np.all(y.values[0, [0, 4]] != x.values[0, [0, 4]])
+    assert np.all(y.values[:, 5:] == 0.0)
+    assert y.original_length == x.original_length
 
 
 def test_augment_fixed_seed_reproduces():
     x = make_series([1, 4, 2, 8, 3], label="DT", id="d0")
-    pool = _pool_for(x, [_shapelet([9, 1], label="DT"), _shapelet([4, 2], label="DT")])
-    a = augment_instance(x, pool, NoiseSpec(), SeededRng(5).derive(2))
-    b = augment_instance(x, pool, NoiseSpec(), SeededRng(5).derive(2))
-    assert np.array_equal(a.values, b.values)
+    pool = _pool_for([_shapelet([9, 1], label="DT"), _shapelet([4, 2], label="DT")])
+    a = balance_dataset(_with_majority(x), pool, Config(r_sa=3, seed=5))
+    b = balance_dataset(_with_majority(x), pool, Config(r_sa=3, seed=5))
+    assert [y.id for y in a] == [y.id for y in b]
+    for ya, yb in zip(a, b):
+        assert np.array_equal(ya.values, yb.values)
 
 
 def test_augment_without_fitting_shapelet_raises():
     x = make_series([1, 2, 3], label="IE", id="i0")
     too_long = _shapelet([1, 2, 3, 4], label="IE")
     wrong_class = _shapelet([1, 2], label="NP")
-    pool = _pool_for(x, [too_long, wrong_class])
+    pool = _pool_for([too_long, wrong_class])
     with pytest.raises(ShapeletLengthError):
-        augment_instance(x, pool, NoiseSpec(), SeededRng(0))
+        balance_dataset(_with_majority(x), pool, Config(r_sa=1))
 
 
 def test_noise_spec_rejects_negative_sigma():
@@ -111,7 +136,7 @@ def _imbalanced(n_np=6, n_ac=2):
 
 
 def _tiny_pool():
-    return _pool_for(None, [_shapelet([3.0, 3.5, 2.5], label="NP", source="n0"),
+    return _pool_for([_shapelet([3.0, 3.5, 2.5], label="NP", source="n0"),
                             _shapelet([-3.0, -2.5, -3.5], label="AC", source="a0")])
 
 
@@ -142,3 +167,43 @@ def test_balance_seeded_runs_identical():
     assert [x.id for x in a] == [x.id for x in b]
     for xa, xb in zip(a, b):
         assert np.array_equal(xa.values, xb.values)
+
+
+def _padded_mix(seed):
+    """Three-channel instances of varying unpadded length in a 30-sample
+    frame: six NP, three AC, two DT."""
+    gen = np.random.default_rng(seed)
+    rows = []
+    for i, lab in enumerate(["NP"] * 6 + ["AC"] * 3 + ["DT"] * 2):
+        n = int(gen.integers(12, 31))
+        rows.append(make_series(gen.normal(size=(3, n)), label=lab, id=f"{lab}{i}",
+                                pad_to=30))
+    return Dataset(tuple(rows))
+
+
+@pytest.mark.parametrize("clamp", [False, True], ids=["raw-mask", "clamped-mask"])
+def test_balance_keeps_exact_spans_and_zero_padding(clamp):
+    # one shapelet per minority class, cut from a source instance: every
+    # copy of that source is guided by an exact match, whose span must
+    # survive bit for bit; every copy keeps a zero tail on every channel
+    ds = _padded_mix(11)
+    sources = {"AC": (ds[6], 1, 2, 9), "DT": (ds[9], 2, 0, 6)}
+    pool = _pool_for([
+        _shapelet(x.values[ch, a:b], channel=ch, label=lab, source=x.id, start=a)
+        for lab, (x, ch, a, b) in sources.items()])
+    out = balance_dataset(ds, pool, Config(r_sa=4, seed=3, clamp_mask=clamp))
+    assert out.class_counts == {"NP": 6, "AC": 3 * 5, "DT": 2 * 5}
+    for x, ch, a, b in sources.values():
+        dists, offsets = match_pool([x], pool.of_class(x.label))
+        assert dists[0, 0] == 0.0 and offsets[0, 0] == a
+        copies = _copies(out, x)
+        assert len(copies) == 4
+        for y in copies:
+            assert np.array_equal(y.values[ch, a:b], x.values[ch, a:b])
+    by_id = {x.id: x for x in ds}
+    augmented = [y for y in out if "#aug" in y.id]
+    for y in augmented:
+        x = by_id[y.id.split("#aug")[0]]
+        assert y.values.shape == x.values.shape
+        assert np.all(y.values[:, x.original_length:] == 0.0)
+        assert np.any(y.values[:, : x.original_length] != x.values[:, : x.original_length])

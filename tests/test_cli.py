@@ -241,6 +241,88 @@ def test_empty_dataset_exits_two(chain, tmp_path, capsys, cmd):
     assert not out.exists()
 
 
+def _write_lines(path, lines):
+    path.write_text("".join(line + "\n" for line in lines))
+
+
+def _break_pool(doc, kind):
+    if kind == "empty-object":
+        return {}
+    if kind == "shapelet-without-values":
+        del doc["shapelets"][0]["values"]
+    else:
+        doc["shapelets"][0]["channel"] = {"channel-minus-one": -1, "channel-nine": 9}[kind]
+    return doc
+
+
+@pytest.mark.parametrize("kind,problem", [
+    ("empty-object", "pool.json: pool missing field 'shapelets'"),
+    ("shapelet-without-values", "pool.json: pool missing field 'values'"),
+    ("channel-minus-one", "pool.json: shapelet channel -1 is negative"),
+    ("channel-nine", "shapelet channel 9 is out of range for data with 4 channels"),
+], ids=["empty-object", "shapelet-without-values", "channel-minus-one", "channel-nine"])
+def test_transform_refuses_a_malformed_pool(chain, tmp_path, capsys, kind, problem):
+    bad = tmp_path / "pool.json"
+    bad.write_text(json.dumps(_break_pool(json.loads((chain / "pool.json").read_text()), kind)))
+    out = tmp_path / "feats.ndjson"
+    assert main(["transform", "--data", str(chain / "data.ndjson"), "--pool", str(bad),
+                 "--out", str(out)] + TINY) == 2
+    assert problem in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_dataset_line_that_is_not_an_object_exits_two(chain, tmp_path, capsys):
+    lines = (chain / "data.ndjson").read_text().splitlines()[:3]
+    lines.insert(1, "[1, 2]")
+    bad = tmp_path / "bad.ndjson"
+    _write_lines(bad, lines)
+    out = tmp_path / "feats.ndjson"
+    assert main(["transform", "--data", str(bad), "--out", str(out)] + TINY) == 2
+    assert f"{bad}:2: dataset record is a JSON list, not an object" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kind,problem", [
+    ("without-z", "features record missing field 'z'"),
+    ("null", "z is not a list of finite numbers"),
+    ("ragged", "features, but the first record has"),
+], ids=["without-z", "null", "ragged"])
+def test_train_refuses_malformed_features(chain, tmp_path, capsys, kind, problem):
+    recs = [json.loads(line) for line in (chain / "ftr.ndjson").read_text().splitlines()]
+    if kind == "without-z":
+        del recs[2]["z"]
+    elif kind == "null":
+        recs[2]["z"][0] = None
+    else:
+        recs[2]["z"] = recs[2]["z"][:-1]
+    bad = tmp_path / "ftr.ndjson"
+    _write_lines(bad, [json.dumps(rec) for rec in recs])
+    out = tmp_path / "ckpt.json"
+    assert main(["train", "--train-features", str(bad), "--val-features",
+                 str(chain / "fva.ndjson"), "--out", str(out)] + TINY) == 2
+    err = capsys.readouterr().err
+    assert f"{bad}:3: " in err and problem in err
+    assert not out.exists()
+
+
+def test_explain_predicts_what_evaluate_scores(chain, tmp_path):
+    # explain over the whole file runs the head pass evaluate runs, so its
+    # (label, predicted) counts are evaluate's confusion matrix
+    report_path = tmp_path / "explain.json"
+    assert main(_scoring_args("explain", chain, chain / "ckpt.json", chain / "pool.json",
+                              report_path)) == 0
+    report = json.loads(report_path.read_text())
+    metrics = json.loads((chain / "metrics.json").read_text())
+    classes = metrics["classes"]
+    counts = np.zeros((len(classes), len(classes)), dtype=int)
+    for inst in report["instances"]:
+        counts[classes.index(inst["label"]), classes.index(inst["predicted"])] += 1
+        probs = inst["probabilities"]
+        assert inst["predicted"] == max(classes, key=lambda c: probs[c])
+    assert counts.tolist() == metrics["confusion"]
+    assert len(report["instances"]) == 30
+
+
 def _scoring_args(cmd, chain, checkpoint, pool, out):
     return [cmd, "--data", str(chain / "data.ndjson"), "--checkpoint", str(checkpoint),
             "--pool", str(pool), "--out", str(out)]

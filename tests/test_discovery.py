@@ -1,39 +1,48 @@
 """Candidate generation, information gain, and pool discovery."""
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracles
 from conftest import make_series
 from pvashape.core import Config, Dataset
-from pvashape.discovery import (discover, generate_candidates,
-                                information_gain, load_pool, pool_from_dict,
-                                pool_to_dict, save_pool)
+from pvashape.discovery import (_gain_block, discover, generate_candidates,
+                                load_pool, pool_from_dict, pool_to_dict, save_pool)
 from pvashape.distance import match_pool, psd
 from pvashape.pipeline import SynthConfig, generate_synthetic
 
 
+def _gain(pairs):
+    """(gain, threshold) of one row of (distance, is-target) pairs through
+    the block search discovery runs."""
+    d = np.array([p[0] for p in pairs], dtype=np.float64)
+    y = np.array([bool(p[1]) for p in pairs])
+    gains, thresholds = _gain_block(d[None, :], y[None, :])
+    return float(gains[0]), float(thresholds[0])
+
+
 def test_gain_pure_split():
-    got = information_gain([(0.1, True), (0.2, True), (0.9, False), (1.0, False)])
+    got = _gain([(0.1, True), (0.2, True), (0.9, False), (1.0, False)])
     assert got[0] == pytest.approx(1.0, abs=1e-12)
     assert got[1] == pytest.approx(0.55, abs=1e-12)
 
 
 def test_gain_single_label_degenerate():
-    assert information_gain([(0.3, True), (0.7, True)]) == (0.0, 0.3)
+    assert _gain([(0.3, True), (0.7, True)]) == (0.0, 0.3)
 
 
 def test_gain_interleaved_best_is_one_vs_three():
     # a 1|3 split at 0.15 still buys 0.311 bits; exhaustive search agrees
     pairs = [(0.1, True), (0.9, True), (0.2, False), (1.0, False)]
     want = oracles.info_gain(pairs)
-    got = information_gain(pairs)
+    got = _gain(pairs)
     assert want[0] == pytest.approx(0.3112781244591328, abs=1e-12)
     assert got[0] == pytest.approx(want[0], abs=1e-12)
     assert got[1] == pytest.approx(want[1], abs=1e-12)
 
 
 def test_gain_all_distances_equal():
-    assert information_gain([(0.5, True), (0.5, False), (0.5, True)]) == (0.0, 0.5)
+    assert _gain([(0.5, True), (0.5, False), (0.5, True)]) == (0.0, 0.5)
 
 
 def test_gain_matches_exhaustive_oracle_random():
@@ -46,9 +55,35 @@ def test_gain_matches_exhaustive_oracle_random():
             dists = gen.random(n).tolist()
         labels = (gen.random(n) < 0.5).tolist()
         want = oracles.info_gain(list(zip(dists, labels)))
-        got = information_gain(list(zip(dists, labels)))
+        got = _gain(list(zip(dists, labels)))
         assert got[0] == pytest.approx(want[0], abs=1e-12)
         assert got[1] == pytest.approx(want[1], abs=1e-12)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.integers(1, 24),
+       st.sampled_from(["integer", "quarter-grid", "constant", "uniform"]),
+       st.sampled_from([0.0, 0.2, 0.6, 1.0]))
+def test_gain_block_matches_oracle_row_by_row(seed, rows, m, kind, inf_share):
+    # multi-row blocks with tied, integer-grid and +inf distances; +inf
+    # marks an instance the candidate does not fit and leaves the split
+    gen = np.random.default_rng(seed)
+    if kind == "integer":
+        d = gen.integers(0, 4, size=(rows, m)).astype(float)
+    elif kind == "quarter-grid":
+        d = gen.integers(0, 9, size=(rows, m)) / 4.0
+    elif kind == "constant":
+        d = np.full((rows, m), 0.75)
+    else:
+        d = gen.uniform(0.0, 2.0, size=(rows, m))
+    d[gen.random((rows, m)) < inf_share] = np.inf
+    targets = gen.random((rows, m)) < gen.uniform(0.0, 1.0, size=(rows, 1))
+    gains, thresholds = _gain_block(d, targets)
+    for r in range(rows):
+        pairs = [(float(v), bool(t)) for v, t in zip(d[r], targets[r]) if np.isfinite(v)]
+        want_gain, want_thr = oracles.info_gain(pairs) if pairs else (0.0, 0.0)
+        assert gains[r] == pytest.approx(want_gain, abs=1e-12)
+        assert thresholds[r] == want_thr
 
 
 def test_candidates_single_spike():
@@ -134,7 +169,7 @@ def test_pool_numbers_come_from_exact_distances():
     for j, s in enumerate(pool.shapelets):
         pairs = [(float(d), x.label == s.label) for d, x in zip(dists[:, j], ds)
                  if np.isfinite(d)]
-        assert (s.info_gain, s.split_threshold) == information_gain(pairs)
+        assert (s.info_gain, s.split_threshold) == _gain(pairs)
         assert s.max_train_psd == max(d for d, _ in pairs)
 
 

@@ -1,4 +1,5 @@
 """Complexity-invariant subsequence distance against naive enumeration."""
+import dataclasses
 import math
 
 import numpy as np
@@ -7,9 +8,9 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from conftest import make_series
-from pvashape.core import LabeledSeries, Shapelet
+from pvashape.core import LabeledSeries, Shapelet, ValidationError
 from pvashape.distance import (INSTANCE_CHUNK, MATCH_CHUNK, MIN_TILE, QUERY_BLOCK,
-                               ShapeletLengthError, cid, complexity_estimate, match,
+                               ShapeletLengthError, complexity_estimate, match,
                                match_pool, prefix_sums, prepare_windows, prepared_min_cid,
                                psd)
 
@@ -27,26 +28,28 @@ def test_complexity_single_step():
     assert complexity_estimate(np.array([1.0, 3.0])) == 2.0
 
 
+def _one_window(q, s):
+    """CID of two equal-length vectors: ``match`` with a query as long as
+    the series, so there is one window."""
+    d, o = match(np.asarray(s, dtype=float)[None, :], [len(s)],
+                 np.asarray(q, dtype=float)[None, :])
+    assert o[0, 0] == 0
+    return d[0, 0]
+
+
 def test_cid_identical_is_zero():
     q = np.array([0.3, -1.2, 4.0])
-    assert cid(q, q.copy()) == 0.0
+    assert _one_window(q, q.copy()) == 0.0
 
 
 def test_cid_equal_complexity():
     # ED = 2, both CE = sqrt(2), factor 1
-    assert cid(np.array([0.0, 1.0, 2.0]), np.array([0.0, 1.0, 0.0])) == pytest.approx(
-        2.0, abs=1e-12)
+    assert _one_window([0.0, 1.0, 2.0], [0.0, 1.0, 0.0]) == pytest.approx(2.0, abs=1e-12)
 
 
 def test_cid_penalizes_complexity_mismatch():
     # ED = 1, CE 2 vs 1, factor 2
-    assert cid(np.array([0.0, 2.0]), np.array([0.0, 1.0])) == pytest.approx(
-        2.0, abs=1e-12)
-
-
-def test_cid_length_mismatch_raises():
-    with pytest.raises(ValueError):
-        cid(np.array([0.0, 1.0]), np.array([0.0, 1.0, 2.0]))
+    assert _one_window([0.0, 2.0], [0.0, 1.0]) == pytest.approx(2.0, abs=1e-12)
 
 
 def test_psd_exact_match():
@@ -347,3 +350,19 @@ def test_kernel_self_match_error_is_bounded(seed, t, use_z):
     d = _kernel(values, [t], q, znorm=use_z)[0, 0]
     scale = np.sqrt(l) if use_z else np.linalg.norm(q)
     assert 0.0 <= d <= 4.0 * np.sqrt(l * np.finfo(float).eps) * scale
+
+
+def test_match_pool_refuses_a_channel_the_data_lacks():
+    x = make_series([[1, 2, 3, 4], [4, 3, 2, 1]])
+    inside = Shapelet(values=np.array([2.0, 3.0]), channel=1, source_id="x0",
+                      start=1, end=2, label="NP")
+    outside = dataclasses.replace(inside, channel=2)
+    assert match_pool([x], [inside])[0][0, 0] == pytest.approx(math.sqrt(2), abs=1e-12)
+    with pytest.raises(ValidationError, match="channel 2 is out of range for data with 2"):
+        match_pool([x], [inside, outside])
+
+
+def test_shapelet_refuses_a_negative_channel():
+    with pytest.raises(ValidationError, match="channel -1 is negative"):
+        Shapelet(values=np.array([2.0, 3.0]), channel=-1, source_id="x0",
+                 start=1, end=2, label="NP")

@@ -4,57 +4,64 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from pvashape.pips import (extract_pips, extract_pips_incremental, pip_insertions,
-                           reconstruction_distance)
+from pvashape.pips import pip_insertions
+
+
+def _inserted(series, k):
+    """Insertion order of one unpadded series."""
+    series = np.asarray(series, dtype=float)
+    return pip_insertions(series[None, :], [len(series)], k)[0].tolist()
+
+
+def _final_set(series, k):
+    return tuple(sorted([0, len(series) - 1] + _inserted(series, k)))
 
 
 def test_chord_distance_collinear_is_zero():
-    assert reconstruction_distance(np.array([0.0, 1, 2, 3]), 0, 3, 1) == 0.0
+    # every interior point lies on its chord, so all distances tie at
+    # exactly 0 and each step takes the smallest free index
+    assert _inserted(np.arange(6.0), 6) == [1, 2, 3, 4]
 
 
 def test_chord_distance_horizontal_chord():
-    s = np.array([0.0, 0, 2, 0, 0])
-    assert reconstruction_distance(s, 0, 4, 2) == pytest.approx(2.0, abs=1e-12)
-    assert reconstruction_distance(s, 0, 4, 1) == 0.0
+    # the spike sits 2 above the chord (0, 0) -> (4, 0), its neighbours 0;
+    # after it joins, indices 1 and 3 tie at sqrt(2)/2 and 1 wins
+    assert _inserted([0.0, 0, 2, 0, 0], 4) == [2, 1]
 
 
 def test_chord_distance_matches_oracle():
+    # one step on the slice [a, b] takes the interior point farthest from
+    # the chord through a and b
     gen = np.random.default_rng(5)
     s = gen.normal(size=12)
-    for a, b, t in [(0, 11, 4), (2, 9, 5), (0, 5, 1)]:
-        assert reconstruction_distance(s, a, b, t) == pytest.approx(
-            oracles.chord_distance(s, a, b, t), abs=1e-12)
+    for a, b in [(0, 11), (2, 9), (0, 5)]:
+        want = max(range(a + 1, b), key=lambda t: oracles.chord_distance(s, a, b, t))
+        assert _inserted(s[a : b + 1], 3)[0] + a == want
 
 
 def test_single_spike():
-    assert extract_pips(np.array([0.0, 0, 4, 0, 0]), 3) == (0, 2, 4)
+    assert _final_set(np.array([0.0, 0, 4, 0, 0]), 3) == (0, 2, 4)
 
 
 def test_linear_series_tie_breaks_to_smallest_index():
-    states = list(extract_pips_incremental(np.arange(8, dtype=float), 4))
-    assert states[0].last_added[0] == 1
+    assert _inserted(np.arange(8, dtype=float), 4)[0] == 1
 
 
 def test_second_insertion_uses_current_brackets():
     # after index 1 joins the pips, index 2 is ranked against the chord
     # (1, s[1]) -> (5, s[5]), not the original endpoints, and wins at 1.8
     s = np.array([0.0, 3, 0, 0, 1, 0])
-    states = list(extract_pips_incremental(s, 4))
-    assert states[0].last_added[0] == 1
-    assert states[1].last_added[0] == 2
-    assert states[1].pips == (0, 1, 2, 5)
+    assert _inserted(s, 4) == [1, 2]
+    assert _final_set(s, 4) == (0, 1, 2, 5)
 
 
 def test_incremental_yields_k_minus_two_sorted_states():
     gen = np.random.default_rng(1)
     s = gen.normal(size=20)
-    states = list(extract_pips_incremental(s, 7))
-    assert len(states) == 5
-    for st in states:
-        assert list(st.pips) == sorted(st.pips)
-        assert st.pips[0] == 0 and st.pips[-1] == 19
-        assert st.pips[st.last_added[1]] == st.last_added[0]
-    assert len(states[-1].pips) == 7
+    added = _inserted(s, 7)
+    assert len(added) == 5 == len(set(added))
+    assert all(0 < t < 19 for t in added)
+    assert len(_final_set(s, 7)) == 7
 
 
 def test_matches_oracle_on_random_series():
@@ -67,22 +74,22 @@ def test_matches_oracle_on_random_series():
             s = gen.normal(size=n)
         k = int(gen.integers(3, min(10, n) + 1))
         want = oracles.pip_steps(s, k)
-        got = list(extract_pips_incremental(s, k))
-        for (w_add, w_pips), st in zip(want, got):
-            assert st.last_added[0] == w_add
-            assert st.pips == w_pips
+        got = _inserted(s, k)
+        for i, (w_add, w_pips) in enumerate(want):
+            assert got[i] == w_add
+            assert tuple(sorted([0, n - 1] + got[: i + 1])) == w_pips
 
 
 def test_extract_pips_full_set():
     s = np.array([0.0, 3, 0, 0, 1, 0])
-    assert extract_pips(s, 4) == (0, 1, 2, 5)
+    assert _final_set(s, 4) == (0, 1, 2, 5)
 
 
 def test_rejects_bad_k():
     with pytest.raises(ValueError):
-        extract_pips(np.zeros(10), 2)
+        _inserted(np.zeros(10), 2)
     with pytest.raises(ValueError):
-        extract_pips(np.zeros(4), 5)
+        _inserted(np.zeros(4), 5)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
