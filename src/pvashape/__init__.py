@@ -13,7 +13,7 @@ from .core import (CANONICAL_LABELS, Config, Dataset, LabeledSeries, SeededRng,
                    save_dataset)
 from .distance import MatchResult, ShapeletLengthError, psd
 from .discovery import discover, load_pool, save_pool
-from .augment import NoiseSpec, balance_dataset
+from .augment import balance_dataset
 from .features import (FeatureScaler, apply_scaler, fit_scaler,
                        logsig_transform, transform_dataset)
 from .model import (EvalReport, HeadParams, ModelCheckpoint,
@@ -28,7 +28,7 @@ __all__ = [
     "CANONICAL_LABELS", "Config", "Dataset", "LabeledSeries", "SeededRng",
     "Shapelet", "ShapeletPool", "ValidationError", "load_dataset",
     "save_dataset", "MatchResult", "ShapeletLengthError", "psd", "discover",
-    "load_pool", "save_pool", "NoiseSpec", "balance_dataset", "FeatureScaler",
+    "load_pool", "save_pool", "balance_dataset", "FeatureScaler",
     "apply_scaler", "fit_scaler", "logsig_transform", "transform_dataset",
     "EvalReport", "HeadParams", "ModelCheckpoint",
     "TrainingDivergedError", "compute_metrics", "evaluate",

@@ -8,25 +8,10 @@ while the rest of the series is jittered.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .core import Config, Dataset, LabeledSeries, SeededRng, Shapelet, ShapeletPool, STREAM_AUGMENT
 from .distance import ShapeletLengthError, match_pool
-
-
-@dataclass(frozen=True)
-class NoiseSpec:
-    """Gaussian noise parameters; sigma is relative to each channel's
-    standard deviation over the unpadded region."""
-
-    mu: float = 0.0
-    sigma_scale: float = 0.1
-
-    def __post_init__(self):
-        if self.sigma_scale < 0:
-            raise ValueError("sigma_scale must be >= 0")
 
 
 def _mask(x: LabeledSeries, s: Shapelet, dist: float, offset: int,
@@ -48,10 +33,12 @@ def _eligible(x: LabeledSeries, shapelets: list[Shapelet]) -> list[int]:
     return eligible
 
 
-def _noisy_copy(x: LabeledSeries, mask: np.ndarray, spec: NoiseSpec,
+def _noisy_copy(x: LabeledSeries, mask: np.ndarray, sigma_scale: float,
                 gen: np.random.Generator, tag: int) -> LabeledSeries:
-    sigma = spec.sigma_scale * x.values[:, : x.original_length].std(axis=1)
-    noise = spec.mu + sigma[:, None] * gen.standard_normal(x.values.shape)
+    """Zero-mean noise whose std is ``sigma_scale`` times each channel's
+    std over the unpadded region."""
+    sigma = sigma_scale * x.values[:, : x.original_length].std(axis=1)
+    noise = sigma[:, None] * gen.standard_normal(x.values.shape)
     return LabeledSeries(
         id=f"{x.id}#aug{tag}",
         values=x.values + noise * mask,
@@ -61,8 +48,7 @@ def _noisy_copy(x: LabeledSeries, mask: np.ndarray, spec: NoiseSpec,
     )
 
 
-def balance_dataset(dataset: Dataset, pool: ShapeletPool, config: Config,
-                    rng: SeededRng | None = None) -> Dataset:
+def balance_dataset(dataset: Dataset, pool: ShapeletPool, config: Config) -> Dataset:
     """Append ``r_sa`` augmented copies of every minority-class instance.
 
     The majority class (most frequent; first in label order on ties) is
@@ -71,13 +57,10 @@ def balance_dataset(dataset: Dataset, pool: ShapeletPool, config: Config,
     come from one matching-engine pass per minority class over that
     class's instances and shapelets.
     """
-    if rng is None:
-        rng = SeededRng(config.seed).derive(STREAM_AUGMENT)
     if config.r_sa <= 0:
         return dataset
     counts = dataset.class_counts
     majority = max(dataset.labels, key=lambda lab: counts[lab])
-    spec = NoiseSpec(sigma_scale=config.noise_sigma_scale)
 
     # instance index -> (dists, offsets) against its class's shapelets
     matches = {}
@@ -85,9 +68,11 @@ def balance_dataset(dataset: Dataset, pool: ShapeletPool, config: Config,
         if lab == majority:
             continue
         idx = [i for i, x in enumerate(dataset) if x.label == lab]
-        dists, offsets = match_pool([dataset[i] for i in idx], pool.of_class(lab), config.znorm)
+        dists, offsets = match_pool([dataset[i] for i in idx], pool.of_class(lab),
+                                    config.znorm, config.threads)
         matches.update({i: (dists[r], offsets[r]) for r, i in enumerate(idx)})
 
+    rng = SeededRng(config.seed).derive(STREAM_AUGMENT)
     augmented = list(dataset.instances)
     for i, x in enumerate(dataset):
         if x.label == majority:
@@ -99,5 +84,5 @@ def balance_dataset(dataset: Dataset, pool: ShapeletPool, config: Config,
             gen = rng.derive(i).derive(j).generator()
             k = eligible[int(gen.integers(len(eligible)))]
             mask = _mask(x, shapelets[k], dists[k], offsets[k], config.clamp_mask)
-            augmented.append(_noisy_copy(x, mask, spec, gen, j))
+            augmented.append(_noisy_copy(x, mask, config.noise_sigma_scale, gen, j))
     return Dataset(tuple(augmented))

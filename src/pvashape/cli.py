@@ -13,6 +13,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 
 from . import __version__
 from .core import (Config, Dataset, STREAM_SPLIT, SeededRng, ValidationError,
@@ -174,7 +175,7 @@ def cmd_transform(args) -> int:
     ds = load_dataset(args.data)
     pool = load_pool(args.pool) if args.pool else None
     with run.stage("transform"):
-        z, ids, labels = workflow.featurize(ds, pool, run.config, run.config.threads)
+        z, ids, labels = workflow.featurize(ds, pool, run.config)
         save_features(args.out, z, ids, labels)
     write_manifest(f"{args.out}.manifest.json", run)
     print(f"wrote {z.shape[0]} x {z.shape[1]} feature matrix to {args.out}")
@@ -198,19 +199,19 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
-def _scoring_config(ckpt: ModelCheckpoint, args) -> Config:
-    """The checkpoint's config with the caller's thread count."""
-    return ckpt.config.with_updates(threads=build_config(args).threads)
+def _scoring_config(ckpt: ModelCheckpoint, args) -> ModelCheckpoint:
+    """The checkpoint, its config given the caller's thread count."""
+    return replace(ckpt, config=ckpt.config.with_updates(threads=build_config(args).threads))
 
 
 def cmd_evaluate(args) -> int:
-    ckpt = load_checkpoint(args.checkpoint)
-    run = Run("evaluate", _scoring_config(ckpt, args),
+    ckpt = _scoring_config(load_checkpoint(args.checkpoint), args)
+    run = Run("evaluate", ckpt.config,
               {"data": args.data, "checkpoint": args.checkpoint}, {"metrics": args.out})
     ds = load_dataset(args.data)
     pool = _load_pool_for(ckpt, args.checkpoint, args.pool)
     with run.stage("evaluate"):
-        report = workflow.evaluate_on(ckpt, ds, pool, threads=run.config.threads)
+        report = workflow.evaluate_on(ckpt, ds, pool)
         _write_json(args.out, report.to_dict())
     write_manifest(f"{args.out}.manifest.json", run)
     print(f"accuracy {report.accuracy:.4f}, macro-F1 {report.macro_f1:.4f}; wrote {args.out}")
@@ -229,8 +230,8 @@ def cmd_tune_k(args) -> int:
 
 
 def cmd_explain(args) -> int:
-    ckpt = load_checkpoint(args.checkpoint)
-    run = Run("explain", _scoring_config(ckpt, args),
+    ckpt = _scoring_config(load_checkpoint(args.checkpoint), args)
+    run = Run("explain", ckpt.config,
               {"data": args.data, "checkpoint": args.checkpoint}, {"report": args.out})
     ds = workflow.align_channels(load_dataset(args.data), ckpt.config)
     pool = _load_pool_for(ckpt, args.checkpoint, args.pool)
@@ -239,7 +240,7 @@ def cmd_explain(args) -> int:
                               "checkpoint with a recorded pool path)")
     with run.stage("explain"):
         report = build_explain_report(ds, ckpt, pool, all_classes=args.all_classes,
-                                      instance_id=args.instance, threads=run.config.threads)
+                                      instance_id=args.instance)
         _write_json(args.out, report)
         if args.plot_data:
             emit_plot_data(report, args.plot_data)

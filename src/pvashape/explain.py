@@ -17,7 +17,7 @@ from .model import ModelCheckpoint, forward_batch
 
 def build_explain_report(dataset: Dataset, checkpoint: ModelCheckpoint,
                          pool: ShapeletPool, all_classes: bool = False,
-                         instance_id: str | None = None, threads: int = 1) -> dict:
+                         instance_id: str | None = None) -> dict:
     """Prediction plus best-match evidence for each requested instance.
 
     Shapelets longer than an instance's unpadded region cannot match and
@@ -33,7 +33,7 @@ def build_explain_report(dataset: Dataset, checkpoint: ModelCheckpoint,
         instances = [x for x in instances if x.id == instance_id]
         if not instances:
             raise ValidationError(f"instance {instance_id!r} not found")
-    dists, offsets = match_pool(instances, pool.shapelets, cfg.znorm, threads)
+    dists, offsets = match_pool(instances, pool.shapelets, cfg.znorm, cfg.threads)
     z = feature_matrix(instances, pool if cfg.use_shapelet_features else None,
                        cfg.logsig_depth, (dists, offsets))
     probs = forward_batch(checkpoint.params, checkpoint.head_input(z))

@@ -484,19 +484,16 @@ def stratified_folds(labels: list[str], folds: int, rng: SeededRng) -> list[np.n
     return [np.array(sorted(a)) for a in assignments]
 
 
-def tune_k(dataset: Dataset, config: Config, folds: int | None = None) -> TuneResult:
+def tune_k(dataset: Dataset, config: Config) -> TuneResult:
     """Cross-validated search over the k grid.
 
-    Stratified K-fold by default; passing folds equal to the dataset size
-    gives true leave-one-out validation. Best k is the smallest grid member
+    Stratified ``config.folds``-fold; folds equal to the dataset size give
+    true leave-one-out validation. Best k is the smallest grid member
     achieving the highest mean validation macro-F1.
     """
     from . import workflow
 
-    folds = config.folds if folds is None else folds
-    n = len(dataset)
-    if not (folds >= 2 or folds == n):
-        raise ValidationError(f"folds must be >= 2 or equal to the dataset size, got {folds}")
+    folds, n = config.folds, len(dataset)
     if folds > n:
         raise ValidationError(f"{folds} folds but only {n} instances")
     labels = [x.label for x in dataset]

@@ -114,8 +114,8 @@ def fit(train_ds: Dataset, val_ds: Dataset, config: Config, *,
             train_full = balance_dataset(train_ds, pool, config)
 
     with stage("transform"):
-        train_features = featurize(train_full, pool, config, config.threads)
-        val_features = featurize(val_ds, pool, config, config.threads)
+        train_features = featurize(train_full, pool, config)
+        val_features = featurize(val_ds, pool, config)
 
     with stage("train"):
         checkpoint = train_head(train_features, val_features, config, classes=classes,
@@ -131,17 +131,18 @@ def fit(train_ds: Dataset, val_ds: Dataset, config: Config, *,
                      val_features=val_features)
 
 
-def featurize(dataset: Dataset, pool: ShapeletPool | None, config: Config,
-              threads: int) -> tuple[np.ndarray, list, list]:
+def featurize(dataset: Dataset, pool: ShapeletPool | None,
+              config: Config) -> tuple[np.ndarray, list, list]:
     """Raw (features, ids, labels) of a dataset as ``config`` defines them:
-    its channel subset, its log-signature depth, and shapelet distances
-    only when shapelet features are enabled, which then needs a pool."""
+    its channel subset, its log-signature depth, its thread count, and
+    shapelet distances only when shapelet features are enabled, which then
+    needs a pool."""
     if config.use_shapelet_features and pool is None:
         raise ValidationError("shapelet features are enabled but no shapelet pool was "
                               "given (pass --pool, or --no-shapelet-features)")
     return transform_dataset(align_channels(dataset, config), pool, config.logsig_depth,
                              include_shapelets=config.use_shapelet_features,
-                             znorm=config.znorm, threads=threads)
+                             znorm=config.znorm, threads=config.threads)
 
 
 def train_head(train_features: tuple, val_features: tuple, config: Config, *,
@@ -167,8 +168,8 @@ def align_channels(dataset: Dataset, config: Config) -> Dataset:
 
 
 def evaluate_on(checkpoint: ModelCheckpoint, dataset: Dataset,
-                pool: ShapeletPool | None, threads: int = 1) -> EvalReport:
+                pool: ShapeletPool | None) -> EvalReport:
     """Score a dataset with a fitted checkpoint (features + scaler + head)."""
-    z_raw, _, labels = featurize(dataset, pool, checkpoint.config, threads)
+    z_raw, _, labels = featurize(dataset, pool, checkpoint.config)
     return evaluate(checkpoint.params, checkpoint.head_input(z_raw), labels,
                     checkpoint.classes)

@@ -291,8 +291,8 @@ def test_criterion_10_k_grid_and_tuning_deterministic():
                         noise=0.05, seed=4, t=30)
     ds = generate_synthetic(synth)
     cfg = Config(g=8, max_epochs=5, seed=4)
-    a = tune_k(ds, cfg, folds=2)
-    b = tune_k(ds, cfg, folds=2)
+    a = tune_k(ds, cfg.with_updates(folds=2))
+    b = tune_k(ds, cfg.with_updates(folds=2))
     assert a.best_k in k_grid(30)
     assert a.best_k == b.best_k
     assert a.scores == b.scores

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import make_series
-from pvashape.augment import NoiseSpec, _mask, balance_dataset
+from pvashape.augment import _mask, balance_dataset
 from pvashape.core import Config, Dataset, Shapelet, ShapeletPool, order_labels
 from pvashape.distance import ShapeletLengthError, match_pool
 
@@ -123,7 +123,7 @@ def test_augment_without_fitting_shapelet_raises():
 
 def test_noise_spec_rejects_negative_sigma():
     with pytest.raises(ValueError):
-        NoiseSpec(sigma_scale=-0.1)
+        Config(noise_sigma_scale=-0.1)
 
 
 def _imbalanced(n_np=6, n_ac=2):
@@ -179,6 +179,20 @@ def _padded_mix(seed):
         rows.append(make_series(gen.normal(size=(3, n)), label=lab, id=f"{lab}{i}",
                                 pad_to=30))
     return Dataset(tuple(rows))
+
+
+def test_balance_thread_count_changes_nothing():
+    # several (channel, length) groups per class, so the engine has groups
+    # to spread over threads
+    ds = _padded_mix(5)
+    pool = _pool_for([
+        _shapelet(x.values[ch, 1 : 1 + n], channel=ch, label=x.label, source=x.id, start=1)
+        for x in (ds[6], ds[7], ds[9], ds[10]) for ch, n in ((0, 4), (1, 6), (2, 9))])
+    one = balance_dataset(ds, pool, Config(r_sa=3, seed=2, threads=1))
+    four = balance_dataset(ds, pool, Config(r_sa=3, seed=2, threads=4))
+    assert [x.id for x in one] == [x.id for x in four]
+    for a, b in zip(one, four):
+        assert a.values.tobytes() == b.values.tobytes()
 
 
 @pytest.mark.parametrize("clamp", [False, True], ids=["raw-mask", "clamped-mask"])
