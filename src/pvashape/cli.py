@@ -17,7 +17,8 @@ from dataclasses import replace
 
 from . import __version__
 from .core import (Config, Dataset, STREAM_SPLIT, SeededRng, ValidationError,
-                   load_dataset, save_dataset, write_json as _write_json)
+                   load_dataset, read_json, refuse_malformed, save_dataset,
+                   write_json as _write_json)
 from .discovery import discover, load_pool, pool_digest, save_pool
 from .augment import balance_dataset
 from .distance import ShapeletLengthError
@@ -68,8 +69,7 @@ def _config_flags(p: argparse.ArgumentParser) -> None:
 def build_config(args) -> Config:
     cfg = Config()
     if getattr(args, "config", None):
-        with open(args.config) as fh:
-            cfg = Config.from_dict(json.load(fh))
+        cfg = read_json(args.config, Config.from_dict)
     updates = {}
     for flag, field in [("seed", "seed"), ("k", "k"), ("g", "g"), ("rsa", "r_sa"),
                         ("sigma_scale", "noise_sigma_scale"),
@@ -114,10 +114,14 @@ def _load_pool_for(checkpoint: ModelCheckpoint, ckpt_path: str, pool_arg):
 def _parse_proportions(raw):
     if raw is None:
         return None
-    props = json.loads(raw)
+    try:
+        props = json.loads(raw)
+    except ValueError as err:
+        raise ValidationError(f"--proportions is not JSON: {err}") from err
     if not isinstance(props, dict):
         raise ValidationError("--proportions must be a JSON object of class -> fraction")
-    return {str(k): float(v) for k, v in props.items()}
+    with refuse_malformed("--proportions"):
+        return {str(k): float(v) for k, v in props.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -392,9 +396,6 @@ def main(argv=None) -> int:
         return EXIT_DATA
     except FileNotFoundError as exc:
         print(f"pvashape: missing file: {exc.filename or exc}", file=sys.stderr)
-        return EXIT_DATA
-    except json.JSONDecodeError as exc:
-        print(f"pvashape: bad JSON input: {exc}", file=sys.stderr)
         return EXIT_DATA
     except (ValueError, OSError) as exc:
         print(f"pvashape: {exc}", file=sys.stderr)

@@ -405,6 +405,22 @@ def refuse_malformed(what: str):
         raise ValidationError(f"{what} is malformed: {err}") from err
 
 
+def read_json(path, parse):
+    """``parse`` of the JSON document at ``path``. Invalid JSON, a missing
+    field, or a value of the wrong type or shape raises ValidationError
+    naming the file."""
+    with open(path) as fh:
+        try:
+            doc = json.load(fh)
+        except ValueError as err:       # not JSON, or not text
+            raise ValidationError(f"{path}: invalid JSON: {err}") from err
+    try:
+        with refuse_malformed("document"):
+            return parse(doc)
+    except ValidationError as err:
+        raise ValidationError(f"{path}: {err}") from err
+
+
 def read_ndjson(path):
     """``(line number, record)`` for each non-blank line of an NDJSON file;
     a line that is not JSON raises ValidationError naming the file and line."""

@@ -15,12 +15,13 @@ import bisect
 import hashlib
 import json
 import logging
+import math
 from dataclasses import replace
 
 import numpy as np
 
 from .core import (Config, Dataset, Shapelet, ShapeletPool, ValidationError,
-                   refuse_malformed, result_config, write_json)
+                   read_json, refuse_malformed, result_config, write_json)
 from .distance import (QUERY_BLOCK, match_pool, prefix_sums, prepare_windows,
                        prepared_min_cid)
 from .parallel import thread_map
@@ -256,20 +257,26 @@ def pool_to_dict(pool: ShapeletPool) -> dict:
     }
 
 
+def _shapelet_from_record(j: int, rec: dict) -> Shapelet:
+    """Pool entry ``j``; its values and numbers must be finite, its values
+    one list."""
+    values = np.asarray(rec["values"], dtype=np.float64)
+    if values.ndim != 1 or not np.all(np.isfinite(values)):
+        raise ValidationError(f"shapelet {j} values are not a list of finite numbers")
+    numbers = {name: float(rec[name]) for name in ("info_gain", "split_threshold")}
+    if rec.get("max_train_psd") is not None:
+        numbers["max_train_psd"] = float(rec["max_train_psd"])
+    for name, value in numbers.items():
+        if not math.isfinite(value):
+            raise ValidationError(f"shapelet {j} {name} is {value}, not a finite number")
+    return Shapelet(values=values, channel=int(rec["channel"]),
+                    source_id=str(rec["source_id"]), start=int(rec["start"]),
+                    end=int(rec["end"]), label=str(rec["label"]), **numbers)
+
+
 def pool_from_dict(d: dict) -> ShapeletPool:
     with refuse_malformed("pool"):
-        shapelets = tuple(
-            Shapelet(
-                values=np.asarray(rec["values"], dtype=np.float64),
-                channel=int(rec["channel"]), source_id=str(rec["source_id"]),
-                start=int(rec["start"]), end=int(rec["end"]), label=str(rec["label"]),
-                info_gain=float(rec["info_gain"]),
-                split_threshold=float(rec["split_threshold"]),
-                max_train_psd=(None if rec.get("max_train_psd") is None
-                               else float(rec["max_train_psd"])),
-            )
-            for rec in d["shapelets"]
-        )
+        shapelets = tuple(_shapelet_from_record(j, rec) for j, rec in enumerate(d["shapelets"]))
         return ShapeletPool(shapelets=shapelets, per_class_quota=int(d["per_class_quota"]),
                             labels=tuple(d["labels"]), config=dict(d.get("config", {})))
 
@@ -285,8 +292,4 @@ def save_pool(path, pool: ShapeletPool) -> None:
 
 
 def load_pool(path) -> ShapeletPool:
-    with open(path) as fh:
-        try:
-            return pool_from_dict(json.load(fh))
-        except ValidationError as err:
-            raise ValidationError(f"{path}: {err}") from err
+    return read_json(path, pool_from_dict)

@@ -163,8 +163,18 @@ class FeatureScaler:
 
     @classmethod
     def from_dict(cls, d: dict) -> "FeatureScaler":
-        return cls(mean=np.asarray(d["mean"], dtype=np.float64),
-                   std=np.asarray(d["std"], dtype=np.float64))
+        """A scaler whose mean and std are finite lists of one length, every
+        std positive; anything else is refused."""
+        with refuse_malformed("scaler"):
+            mean = np.asarray(d["mean"], dtype=np.float64)
+            std = np.asarray(d["std"], dtype=np.float64)
+        if mean.ndim != 1 or std.shape != mean.shape:
+            raise ValidationError("scaler mean and std are not two lists of one length")
+        if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(std))):
+            raise ValidationError("scaler holds NaN or infinite values")
+        if not np.all(std > 0):
+            raise ValidationError("scaler std has entries <= 0")
+        return cls(mean=mean, std=std)
 
 
 def fit_scaler(features: np.ndarray) -> FeatureScaler:

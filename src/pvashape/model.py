@@ -14,14 +14,13 @@ which doubles as a metrics self-test. Macro-F1 is reported alongside.
 from __future__ import annotations
 
 import base64
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import (Config, Dataset, SeededRng, STREAM_TUNE, ValidationError,
-                   config_hash, order_labels, result_config, write_json)
+                   config_hash, order_labels, read_json, result_config, write_json)
 from .features import FeatureScaler, apply_scaler
 
 HIDDEN_1 = 512
@@ -218,14 +217,32 @@ class ModelCheckpoint:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelCheckpoint":
+        """A checkpoint from its JSON object. A field that is missing or
+        wrongly typed, or a scaler or class list that does not fit the
+        head's weights, is refused."""
         missing = [k for k in ("weights", "classes", "config")
                    if not isinstance(d, dict) or k not in d]
         if missing:
             raise ValidationError(f"checkpoint lacks {', '.join(missing)}; {_REWRITE}")
+        params = HeadParams.from_dict(d["weights"])
+        classes, n_out = d["classes"], params.w3.shape[1]
+        if not (isinstance(classes, list) and all(isinstance(c, str) for c in classes)
+                and len(set(classes)) == len(classes) == n_out):
+            raise ValidationError(f"checkpoint classes are not {n_out} distinct strings, "
+                                  f"one per output of the head; {_REWRITE}")
+        scaler = None if d.get("scaler") is None else FeatureScaler.from_dict(d["scaler"])
+        if scaler is not None and len(scaler.mean) != params.d:
+            raise ValidationError(f"checkpoint scaler covers {len(scaler.mean)} features, "
+                                  f"but the head takes {params.d}; {_REWRITE}")
+        for key in ("pool_path", "pool_sha256"):
+            if not isinstance(d.get(key), (str, type(None))):
+                raise ValidationError(f"checkpoint {key} is not a string or null")
+        if not isinstance(d.get("history", []), list):
+            raise ValidationError("checkpoint history is not a list")
         return cls(
-            params=HeadParams.from_dict(d["weights"]),
-            classes=tuple(d["classes"]),
-            scaler=FeatureScaler.from_dict(d["scaler"]) if d.get("scaler") else None,
+            params=params,
+            classes=tuple(classes),
+            scaler=scaler,
             config=Config.from_dict(d["config"]),
             pool_path=d.get("pool_path"),
             pool_sha256=d.get("pool_sha256"),
@@ -252,8 +269,7 @@ def save_checkpoint(path, ckpt: ModelCheckpoint) -> None:
 
 
 def load_checkpoint(path) -> ModelCheckpoint:
-    with open(path) as fh:
-        return ModelCheckpoint.from_dict(json.load(fh))
+    return read_json(path, ModelCheckpoint.from_dict)
 
 
 def _adam_step(params: dict, grads: dict, m: dict, v: dict, t: int, lr: float) -> None:

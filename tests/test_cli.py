@@ -386,6 +386,110 @@ def test_scoring_refuses_a_checkpoint_in_another_format(chain, tmp_path, capsys,
         assert not out.exists()
 
 
+def _break_checkpoint(doc, kind):
+    scaler = doc["scaler"]
+    if kind == "scaler-one-wide":
+        doc["scaler"] = {"mean": [0.0], "std": [1.0]}
+    elif kind == "scaler-without-std":
+        del scaler["std"]
+    elif kind == "scaler-zero-std":
+        scaler["std"] = [0.0] * len(scaler["std"])
+    elif kind == "scaler-nan-mean":
+        scaler["mean"][0] = float("nan")
+    elif kind == "scaler-2d":
+        scaler["mean"], scaler["std"] = [scaler["mean"]], [scaler["std"]]
+    elif kind == "classes-repeated":
+        doc["classes"][1] = doc["classes"][0]
+    elif kind == "classes-short":
+        doc["classes"] = doc["classes"][:-1]
+    elif kind == "classes-not-strings":
+        doc["classes"] = list(range(len(doc["classes"])))
+    elif kind == "history-integer":
+        doc["history"] = 3
+    elif kind == "pool-path-integer":
+        doc["pool_path"] = 7
+    else:
+        doc["best_epoch"] = "best"
+    return doc
+
+
+CHECKPOINT_BREAKS = {
+    "scaler-one-wide": "checkpoint scaler covers 1 features, but the head takes",
+    "scaler-without-std": "scaler missing field 'std'",
+    "scaler-zero-std": "scaler std has entries <= 0",
+    "scaler-nan-mean": "scaler holds NaN or infinite values",
+    "scaler-2d": "scaler mean and std are not two lists of one length",
+    "classes-repeated": "checkpoint classes are not 4 distinct strings",
+    "classes-short": "checkpoint classes are not 4 distinct strings",
+    "classes-not-strings": "checkpoint classes are not 4 distinct strings",
+    "history-integer": "checkpoint history is not a list",
+    "pool-path-integer": "checkpoint pool_path is not a string or null",
+    "best-epoch-text": "is malformed",
+}
+
+
+@pytest.mark.parametrize("cmd", ["evaluate", "explain"])
+@pytest.mark.parametrize("kind", list(CHECKPOINT_BREAKS))
+def test_scoring_refuses_a_malformed_checkpoint(chain, tmp_path, capsys, cmd, kind):
+    bad = tmp_path / "ckpt.json"
+    bad.write_text(json.dumps(_break_checkpoint(
+        json.loads((chain / "ckpt.json").read_text()), kind)))
+    out = tmp_path / "out.json"
+    assert main(_scoring_args(cmd, chain, bad, chain / "pool.json", out)) == 2
+    err = capsys.readouterr().err
+    assert f"{bad}: " in err and CHECKPOINT_BREAKS[kind] in err
+    assert not out.exists()
+
+
+def _break_pool_numbers(doc, kind):
+    first = doc["shapelets"][0]
+    if kind == "nan-value":
+        first["values"][1] = float("nan")
+    elif kind == "2d-values":
+        first["values"] = [first["values"]] * len(first["values"])
+    else:
+        first[kind] = {"info_gain": float("inf"), "split_threshold": float("nan"),
+                       "max_train_psd": float("-inf")}[kind]
+    return doc
+
+
+POOL_NUMBER_BREAKS = {
+    "nan-value": "shapelet 0 values are not a list of finite numbers",
+    "2d-values": "shapelet 0 values are not a list of finite numbers",
+    "info_gain": "shapelet 0 info_gain is inf, not a finite number",
+    "split_threshold": "shapelet 0 split_threshold is nan, not a finite number",
+    "max_train_psd": "shapelet 0 max_train_psd is -inf, not a finite number",
+}
+
+
+@pytest.mark.parametrize("cmd", ["augment", "transform"])
+@pytest.mark.parametrize("kind", list(POOL_NUMBER_BREAKS))
+def test_pool_readers_refuse_non_finite_numbers(chain, tmp_path, capsys, cmd, kind):
+    bad = tmp_path / "pool.json"
+    bad.write_text(json.dumps(_break_pool_numbers(
+        json.loads((chain / "pool.json").read_text()), kind)))
+    out = tmp_path / "out.ndjson"
+    assert main([cmd, "--data", str(chain / "data.ndjson"), "--pool", str(bad),
+                 "--out", str(out)] + TINY) == 2
+    assert f"{bad}: {POOL_NUMBER_BREAKS[kind]}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("cmd", ["evaluate", "explain", "synth"])
+def test_empty_json_document_exits_two_naming_the_file(chain, tmp_path, capsys, cmd):
+    empty = tmp_path / "empty.json"
+    empty.write_text("\n")
+    out = tmp_path / "out.json"
+    if cmd == "synth":
+        argv = ["synth", "--out", str(out), "--n", "8", "--proportions", PROPS,
+                "--config", str(empty)]
+    else:
+        argv = _scoring_args(cmd, chain, empty, chain / "pool.json", out)
+    assert main(argv) == 2
+    assert f"{empty}: invalid JSON: " in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("flags", [["--k", "99"], ["--rsa", "7"], ["--no-shapelet-features"],
                                    ["--logsig-depth", "5"], ["--config", "cfg.json"]],
                          ids=["k", "rsa", "no-shapelet-features", "logsig-depth", "config"])
