@@ -245,7 +245,7 @@ def cmd_explain(args) -> int:
     with run.stage("explain"):
         report = build_explain_report(ds, ckpt, pool, all_classes=args.all_classes,
                                       instance_id=args.instance)
-        _write_json(args.out, report)
+        _write_json(args.out, report, indent=None)
         if args.plot_data:
             emit_plot_data(report, args.plot_data)
             run.outputs["plot_data"] = args.plot_data

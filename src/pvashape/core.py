@@ -244,6 +244,9 @@ class Config:
                 raise ValidationError(f"{name} must be >= {low}, got {getattr(self, name)!r}")
         if self.channel_subset is not None:
             object.__setattr__(self, "channel_subset", tuple(self.channel_subset))
+            if len(set(self.channel_subset)) != len(self.channel_subset):
+                raise ValidationError(
+                    f"channel_subset repeats a channel: {list(self.channel_subset)}")
 
     def with_updates(self, **kwargs) -> "Config":
         return replace(self, **kwargs)
@@ -349,12 +352,15 @@ def atomic_write(path):
         raise
 
 
-def write_json(path, doc) -> None:
-    """One indented, key-sorted JSON document. NaN and infinity are not
-    JSON, so they raise instead of being written."""
+def write_json(path, doc, indent: int | None = 2) -> None:
+    """One key-sorted JSON document, indented unless ``indent`` is None,
+    which writes it on one line. NaN and infinity are not JSON, so they
+    raise instead of being written. The text is built by ``json.dumps``,
+    whose compact form runs the C encoder; ``json.dump`` to a handle never
+    does."""
+    text = json.dumps(doc, indent=indent, sort_keys=True, allow_nan=False)
     with atomic_write(path) as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True, allow_nan=False)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def write_ndjson(path, records) -> None:

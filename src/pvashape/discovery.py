@@ -257,27 +257,37 @@ def pool_to_dict(pool: ShapeletPool) -> dict:
     }
 
 
+def _integer(value, what: str) -> int:
+    """``value`` when it is a JSON integer; a fraction or a bool is refused
+    rather than truncated."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValidationError(f"{what} is {value!r}, not an integer")
+    return value
+
+
 def _shapelet_from_record(j: int, rec: dict) -> Shapelet:
     """Pool entry ``j``; its values and numbers must be finite, its values
-    one list."""
+    one list, its channel and span integers."""
     values = np.asarray(rec["values"], dtype=np.float64)
     if values.ndim != 1 or not np.all(np.isfinite(values)):
         raise ValidationError(f"shapelet {j} values are not a list of finite numbers")
+    channel, start, end = (_integer(rec[name], f"shapelet {j} {name}")
+                           for name in ("channel", "start", "end"))
     numbers = {name: float(rec[name]) for name in ("info_gain", "split_threshold")}
     if rec.get("max_train_psd") is not None:
         numbers["max_train_psd"] = float(rec["max_train_psd"])
     for name, value in numbers.items():
         if not math.isfinite(value):
             raise ValidationError(f"shapelet {j} {name} is {value}, not a finite number")
-    return Shapelet(values=values, channel=int(rec["channel"]),
-                    source_id=str(rec["source_id"]), start=int(rec["start"]),
-                    end=int(rec["end"]), label=str(rec["label"]), **numbers)
+    return Shapelet(values=values, channel=channel, source_id=str(rec["source_id"]),
+                    start=start, end=end, label=str(rec["label"]), **numbers)
 
 
 def pool_from_dict(d: dict) -> ShapeletPool:
     with refuse_malformed("pool"):
         shapelets = tuple(_shapelet_from_record(j, rec) for j, rec in enumerate(d["shapelets"]))
-        return ShapeletPool(shapelets=shapelets, per_class_quota=int(d["per_class_quota"]),
+        quota = _integer(d["per_class_quota"], "per_class_quota")
+        return ShapeletPool(shapelets=shapelets, per_class_quota=quota,
                             labels=tuple(d["labels"]), config=dict(d.get("config", {})))
 
 

@@ -1,15 +1,18 @@
 """Interpretability: per-instance shapelet match evidence.
 
 For each instance the report lists, per shapelet of the predicted class
-(or of every class on request), where the shapelet matched best, how far
-the match is, and both the shapelet and the matched window values, so the
-evidence behind a prediction can be plotted or audited directly.
+(or of every class on request), where the shapelet matched best and how
+far the match is. Each shapelet's values appear once, in the report's
+``shapelets`` table, and each instance's unpadded series once, so a
+matched window is ``series[channel_name][offset : offset + length]`` and
+the evidence behind a prediction can be plotted or audited directly.
 """
 from __future__ import annotations
 
 import numpy as np
 
 from .core import Dataset, ShapeletPool, ValidationError, write_ndjson
+from .discovery import pool_digest
 from .distance import match_pool
 from .features import feature_matrix
 from .model import ModelCheckpoint, forward_batch
@@ -24,8 +27,9 @@ def build_explain_report(dataset: Dataset, checkpoint: ModelCheckpoint,
     are omitted from that instance's entries. Features and evidence come
     from one pass of the matching engine the feature transform uses, so
     every reported distance equals its feature exactly, and one head pass
-    scores every row, as ``evaluate`` scores a file. The unpadded
-    waveforms ride along so the report is self-contained for plotting.
+    scores every row, as ``evaluate`` scores a file. The pool's values and
+    the unpadded waveforms ride along so the report is self-contained for
+    plotting; ``pool_sha256`` names the pool they came from.
     """
     cfg = checkpoint.config
     instances = list(dataset)
@@ -44,18 +48,14 @@ def build_explain_report(dataset: Dataset, checkpoint: ModelCheckpoint,
         for j, s in enumerate(pool.shapelets):
             if (not all_classes and s.label != predicted) or offsets[r, j] < 0:
                 continue
-            offset = int(offsets[r, j])
-            window = x.values[s.channel, offset : offset + len(s)]
             matches.append({
                 "shapelet": f"S{j:03d}",
                 "pool_index": j,
                 "label": s.label,
                 "channel": int(s.channel),
                 "channel_name": x.channel_names[s.channel],
-                "offset": offset,
+                "offset": int(offsets[r, j]),
                 "psd": float(dists[r, j]),
-                "shapelet_values": s.values.tolist(),
-                "window_values": window.tolist(),
             })
         out.append({
             "id": x.id,
@@ -66,16 +66,20 @@ def build_explain_report(dataset: Dataset, checkpoint: ModelCheckpoint,
                        for i, name in enumerate(x.channel_names)},
             "matches": matches,
         })
+    shapelets = [{"label": s.label, "channel": int(s.channel), "length": len(s),
+                  "values": s.values.tolist()} for s in pool.shapelets]
     return {"classes": list(checkpoint.classes), "all_classes": bool(all_classes),
-            "instances": out}
+            "pool_sha256": pool_digest(pool), "shapelets": shapelets, "instances": out}
 
 
 def emit_plot_data(report: dict, out_path) -> None:
     """Write one JSON document per instance with aligned series/overlays.
 
     Overlay index 0 sits at the match offset on the overlay's channel;
+    each overlay carries its shapelet's values from the report's table, so
     every document is directly consumable by a plotting tool.
     """
+    shapelets = report["shapelets"]
     docs = (
         {
             "id": entry["id"],
@@ -91,7 +95,7 @@ def emit_plot_data(report: dict, out_path) -> None:
                     "channel_name": m["channel_name"],
                     "offset": m["offset"],
                     "psd": m["psd"],
-                    "values": m["shapelet_values"],
+                    "values": shapelets[m["pool_index"]]["values"],
                 }
                 for m in entry["matches"]
             ],

@@ -8,7 +8,9 @@ import pytest
 from pvashape.cli import main
 from pvashape.core import load_dataset, write_json
 from pvashape.discovery import load_pool, pool_digest
+from pvashape.explain import build_explain_report
 from pvashape.features import load_features, save_features
+from pvashape.model import load_checkpoint
 
 RUN_ALL_STAGES = {"synth", "split", "discover", "augment", "transform", "train", "evaluate"}
 TINY = ["--seed", "3", "--k", "5", "--g", "8", "--rsa", "2", "--threads", "1"]
@@ -173,7 +175,9 @@ def test_explain_exact_match_has_zero_psd(chain, tmp_path):
     zero = [m for m in inst["matches"] if m["psd"] == 0.0]
     assert zero, "instance containing a pool shapelet must report a 0 distance"
     m = zero[0]
-    assert m["window_values"] == m["shapelet_values"]
+    shapelet = report["shapelets"][m["pool_index"]]
+    window = inst["series"][m["channel_name"]][m["offset"] : m["offset"] + shapelet["length"]]
+    assert window == shapelet["values"]
 
 
 @pytest.mark.parametrize("args", [["--all-classes"], ["--instance", "syn-00004"]])
@@ -190,15 +194,50 @@ def test_explain_evidence_equals_transform_features(chain, tmp_path, args):
     for inst in report["instances"]:
         for m in inst["matches"]:
             assert m["psd"] == z[row[inst["id"]], m["pool_index"]]
+            shapelet = report["shapelets"][m["pool_index"]]
+            assert (m["label"], m["channel"]) == (shapelet["label"], shapelet["channel"])
             series = inst["series"][m["channel_name"]]
-            window = series[m["offset"] : m["offset"] + len(m["shapelet_values"])]
-            assert m["window_values"] == window
+            window = series[m["offset"] : m["offset"] + shapelet["length"]]
+            assert len(window) == len(shapelet["values"]) == shapelet["length"]
             checked += 1
     assert checked > 0
     if "--instance" in args:
         assert [inst["id"] for inst in report["instances"]] == ["syn-00004"]
         assert {m["label"] for m in report["instances"][0]["matches"]} == {
             report["instances"][0]["predicted"]}
+
+
+def test_explain_report_states_the_pool_once_on_one_line(chain, tmp_path):
+    report_path = tmp_path / "explain.json"
+    assert main(_scoring_args("explain", chain, chain / "ckpt.json", chain / "pool.json",
+                              report_path) + ["--all-classes"]) == 0
+    text = report_path.read_text()
+    assert text.count("\n") == 1 and text.endswith("\n")
+    report = json.loads(text)
+    pool = load_pool(chain / "pool.json")
+    ckpt = load_checkpoint(chain / "ckpt.json")
+    assert report == build_explain_report(load_dataset(chain / "data.ndjson"), ckpt, pool,
+                                          all_classes=True)
+    assert report["pool_sha256"] == ckpt.pool_sha256 == pool_digest(pool)
+    assert report["shapelets"] == [
+        {"label": s.label, "channel": s.channel, "length": len(s), "values": s.values.tolist()}
+        for s in pool.shapelets]
+    for inst in report["instances"]:
+        for m in inst["matches"]:
+            assert "shapelet_values" not in m and "window_values" not in m
+
+
+def test_plot_overlays_carry_the_pool_values(chain, tmp_path):
+    plot_path = tmp_path / "plot.ndjson"
+    assert main(_scoring_args("explain", chain, chain / "ckpt.json", chain / "pool.json",
+                              tmp_path / "explain.json")
+                + ["--all-classes", "--plot-data", str(plot_path)]) == 0
+    pool = load_pool(chain / "pool.json")
+    overlays = [ov for line in plot_path.read_text().splitlines()
+                for ov in json.loads(line)["overlays"]]
+    assert overlays
+    for ov in overlays:
+        assert ov["values"] == pool.shapelets[int(ov["shapelet"][1:])].values.tolist()
 
 
 def _mutate_first(rec, kind):
@@ -250,8 +289,14 @@ def _break_pool(doc, kind):
         return {}
     if kind == "shapelet-without-values":
         del doc["shapelets"][0]["values"]
+    elif kind == "fractional-span":
+        doc["shapelets"][1]["start"] += 0.5
+        doc["shapelets"][1]["end"] += 0.5
+    elif kind == "fractional-quota":
+        doc["per_class_quota"] = 2.5
     else:
-        doc["shapelets"][0]["channel"] = {"channel-minus-one": -1, "channel-nine": 9}[kind]
+        doc["shapelets"][0]["channel"] = {"channel-minus-one": -1, "channel-nine": 9,
+                                          "fractional-channel": 0.9, "bool-channel": True}[kind]
     return doc
 
 
@@ -260,7 +305,12 @@ def _break_pool(doc, kind):
     ("shapelet-without-values", "pool.json: pool missing field 'values'"),
     ("channel-minus-one", "pool.json: shapelet channel -1 is negative"),
     ("channel-nine", "shapelet channel 9 is out of range for data with 4 channels"),
-], ids=["empty-object", "shapelet-without-values", "channel-minus-one", "channel-nine"])
+    ("fractional-channel", "pool.json: shapelet 0 channel is 0.9, not an integer"),
+    ("fractional-span", "pool.json: shapelet 1 start is"),
+    ("bool-channel", "pool.json: shapelet 0 channel is True, not an integer"),
+    ("fractional-quota", "pool.json: per_class_quota is 2.5, not an integer"),
+], ids=["empty-object", "shapelet-without-values", "channel-minus-one", "channel-nine",
+        "fractional-channel", "fractional-span", "bool-channel", "fractional-quota"])
 def test_transform_refuses_a_malformed_pool(chain, tmp_path, capsys, kind, problem):
     bad = tmp_path / "pool.json"
     bad.write_text(json.dumps(_break_pool(json.loads((chain / "pool.json").read_text()), kind)))
@@ -269,6 +319,21 @@ def test_transform_refuses_a_malformed_pool(chain, tmp_path, capsys, kind, probl
                  "--out", str(out)] + TINY) == 2
     assert problem in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("source", ["flag", "config-file"])
+def test_repeated_channel_indices_exit_two(chain, tmp_path, capsys, source):
+    out = tmp_path / "pool.json"
+    args = ["discover", "--data", str(chain / "data.ndjson"), "--out", str(out)] + TINY
+    if source == "flag":
+        args += ["--channels", "0,0"]
+    else:
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({"channel_subset": [1, 2, 1]}))
+        args += ["--config", str(cfg_file)]
+    assert main(args) == 2
+    assert "channel_subset repeats a channel" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == ([] if source == "flag" else [tmp_path / "cfg.json"])
 
 
 def test_dataset_line_that_is_not_an_object_exits_two(chain, tmp_path, capsys):
