@@ -17,7 +17,7 @@ from .augment import balance_dataset
 from .features import (FeatureScaler, apply_scaler, fit_scaler,
                        logsig_transform, transform_dataset)
 from .model import (EvalReport, HeadParams, ModelCheckpoint,
-                    TrainingDivergedError, compute_metrics, evaluate, k_grid,
+                    TrainingDivergedError, compute_metrics, k_grid,
                     load_checkpoint, save_checkpoint, train, tune_k)
 from .pipeline import (RawRecording, SynthConfig, generate_synthetic,
                        load_recording, segment, split, subset_channels)
@@ -31,8 +31,8 @@ __all__ = [
     "load_pool", "save_pool", "balance_dataset", "FeatureScaler",
     "apply_scaler", "fit_scaler", "logsig_transform", "transform_dataset",
     "EvalReport", "HeadParams", "ModelCheckpoint",
-    "TrainingDivergedError", "compute_metrics", "evaluate",
-    "k_grid", "load_checkpoint", "save_checkpoint", "train", "tune_k",
+    "TrainingDivergedError", "compute_metrics", "k_grid",
+    "load_checkpoint", "save_checkpoint", "train", "tune_k",
     "RawRecording", "SynthConfig", "generate_synthetic", "load_recording",
     "segment", "split", "subset_channels", "fit", "build_explain_report",
     "emit_plot_data",

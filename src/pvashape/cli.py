@@ -19,7 +19,7 @@ from . import __version__
 from .core import (Config, Dataset, STREAM_SPLIT, SeededRng, ValidationError,
                    load_dataset, read_json, refuse_malformed, save_dataset,
                    write_json as _write_json)
-from .discovery import discover, load_pool, pool_digest, save_pool
+from .discovery import discover, load_pool, save_pool
 from .augment import balance_dataset
 from .distance import ShapeletLengthError
 from .explain import build_explain_report, emit_plot_data
@@ -89,26 +89,6 @@ def build_config(args) -> Config:
     if getattr(args, "no_shapelet_features", False):
         updates["use_shapelet_features"] = False
     return cfg.with_updates(**updates) if updates else cfg
-
-
-def _load_pool_for(checkpoint: ModelCheckpoint, ckpt_path: str, pool_arg):
-    """Pool from --pool, else from the checkpoint's recorded path (tried
-    as-is, then relative to the checkpoint's directory). A pool whose
-    content differs from the one the checkpoint was fitted with is refused."""
-    path = pool_arg
-    if not path and checkpoint.pool_path:
-        sibling = os.path.join(os.path.dirname(os.path.abspath(ckpt_path)),
-                               os.path.basename(checkpoint.pool_path))
-        path = next((p for p in (checkpoint.pool_path, sibling) if os.path.exists(p)), None)
-    if not path:
-        return None
-    pool = load_pool(path)
-    digest = pool_digest(pool)
-    if checkpoint.pool_sha256 is not None and digest != checkpoint.pool_sha256:
-        raise ValidationError(
-            f"pool {path} (sha256 {digest[:12]}) is not the pool the checkpoint was "
-            f"fitted with (sha256 {checkpoint.pool_sha256[:12]})")
-    return pool
 
 
 def _parse_proportions(raw):
@@ -194,8 +174,7 @@ def cmd_train(args) -> int:
     val_features = load_features(args.val_features)
     with run.stage("train"):
         ckpt = workflow.train_head(train_features, val_features, run.config,
-                                   pool=load_pool(args.pool) if args.pool else None,
-                                   pool_path=args.pool)
+                                   pool=load_pool(args.pool) if args.pool else None)
         save_checkpoint(args.out, ckpt)
     write_manifest(f"{args.out}.manifest.json", run)
     print(f"best epoch {ckpt.best_epoch}, validation macro-F1 "
@@ -213,9 +192,8 @@ def cmd_evaluate(args) -> int:
     run = Run("evaluate", ckpt.config,
               {"data": args.data, "checkpoint": args.checkpoint}, {"metrics": args.out})
     ds = load_dataset(args.data)
-    pool = _load_pool_for(ckpt, args.checkpoint, args.pool)
     with run.stage("evaluate"):
-        report = workflow.evaluate_on(ckpt, ds, pool)
+        report = workflow.evaluate_on(ckpt, ds)
         _write_json(args.out, report.to_dict())
     write_manifest(f"{args.out}.manifest.json", run)
     print(f"accuracy {report.accuracy:.4f}, macro-F1 {report.macro_f1:.4f}; wrote {args.out}")
@@ -238,12 +216,8 @@ def cmd_explain(args) -> int:
     run = Run("explain", ckpt.config,
               {"data": args.data, "checkpoint": args.checkpoint}, {"report": args.out})
     ds = workflow.align_channels(load_dataset(args.data), ckpt.config)
-    pool = _load_pool_for(ckpt, args.checkpoint, args.pool)
-    if pool is None:
-        raise ValidationError("explain requires a shapelet pool (--pool or a "
-                              "checkpoint with a recorded pool path)")
     with run.stage("explain"):
-        report = build_explain_report(ds, ckpt, pool, all_classes=args.all_classes,
+        report = build_explain_report(ds, ckpt, all_classes=args.all_classes,
                                       instance_id=args.instance)
         _write_json(args.out, report, indent=None)
         if args.plot_data:
@@ -274,16 +248,12 @@ def cmd_run_all(args) -> int:
         save_dataset(paths["train"], train_ds)
         save_dataset(paths["val"], val_ds)
 
-    # Record the pool as a sibling name so the checkpoint bytes do not
-    # depend on the output directory; evaluate resolves it next to the
-    # checkpoint file.
-    result = workflow.fit(train_ds, val_ds, cfg,
-                          pool_path=os.path.basename(paths["pool"]), run=run)
+    result = workflow.fit(train_ds, val_ds, cfg, run=run)
 
     run.outputs = {k: paths[k] for k in ("data", "train", "val", "features_train",
                                          "features_val", "checkpoint", "metrics")}
-    if result.pool is not None:
-        save_pool(paths["pool"], result.pool)
+    if result.checkpoint.pool is not None:
+        save_pool(paths["pool"], result.checkpoint.pool)
         run.outputs["pool"] = paths["pool"]
     if cfg.use_augment and len(result.train_full) != len(train_ds):
         save_dataset(paths["train_aug"], result.train_full)
@@ -345,15 +315,14 @@ def build_parser() -> _Parser:
     p = add("train", cmd_train, "train the classification head on features")
     p.add_argument("--train-features", required=True)
     p.add_argument("--val-features", required=True)
-    p.add_argument("--pool", default=None, help="pool path recorded in the checkpoint")
+    p.add_argument("--pool", default=None, help="shapelet pool the checkpoint carries")
     p.add_argument("--out", required=True)
 
-    # Scoring takes its settings from the checkpoint; only the thread
-    # count, which never changes a result, is the caller's.
+    # Scoring takes its settings and its pool from the checkpoint; only the
+    # thread count, which never changes a result, is the caller's.
     p = add("evaluate", cmd_evaluate, "score a dataset with a checkpoint", _threads_flag)
     p.add_argument("--data", required=True)
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--pool", default=None)
     p.add_argument("--out", required=True)
 
     p = add("tune-k", cmd_tune_k, "cross-validated search over the k grid")
@@ -363,7 +332,6 @@ def build_parser() -> _Parser:
     p = add("explain", cmd_explain, "per-instance shapelet match evidence", _threads_flag)
     p.add_argument("--data", required=True)
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--pool", default=None)
     p.add_argument("--out", required=True)
     p.add_argument("--instance", default=None, help="explain a single instance id")
     p.add_argument("--all-classes", action="store_true",

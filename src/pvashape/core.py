@@ -244,9 +244,15 @@ class Config:
                 raise ValidationError(f"{name} must be >= {low}, got {getattr(self, name)!r}")
         if self.channel_subset is not None:
             object.__setattr__(self, "channel_subset", tuple(self.channel_subset))
-            if len(set(self.channel_subset)) != len(self.channel_subset):
+            subset = list(self.channel_subset)
+            if len(set(subset)) != len(subset):
+                raise ValidationError(f"channel_subset repeats a channel: {subset}")
+            # Data already holding len(subset) channels counts as subset, so
+            # a reordering would be applied by synth and ignored by scoring.
+            if not subset or subset != sorted(subset):
                 raise ValidationError(
-                    f"channel_subset repeats a channel: {list(self.channel_subset)}")
+                    f"channel_subset must list at least one channel in increasing "
+                    f"order, got {subset}")
 
     def with_updates(self, **kwargs) -> "Config":
         return replace(self, **kwargs)

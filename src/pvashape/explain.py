@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import Dataset, ShapeletPool, ValidationError, write_ndjson
+from .core import Dataset, ValidationError, write_ndjson
 from .discovery import pool_digest
 from .distance import match_pool
 from .features import feature_matrix
@@ -19,7 +19,7 @@ from .model import ModelCheckpoint, forward_batch
 
 
 def build_explain_report(dataset: Dataset, checkpoint: ModelCheckpoint,
-                         pool: ShapeletPool, all_classes: bool = False,
+                         all_classes: bool = False,
                          instance_id: str | None = None) -> dict:
     """Prediction plus best-match evidence for each requested instance.
 
@@ -29,9 +29,12 @@ def build_explain_report(dataset: Dataset, checkpoint: ModelCheckpoint,
     every reported distance equals its feature exactly, and one head pass
     scores every row, as ``evaluate`` scores a file. The pool's values and
     the unpadded waveforms ride along so the report is self-contained for
-    plotting; ``pool_sha256`` names the pool they came from.
+    plotting; ``pool_sha256`` names the checkpoint's pool they came from.
     """
-    cfg = checkpoint.config
+    cfg, pool = checkpoint.config, checkpoint.pool
+    if pool is None:
+        raise ValidationError("explain needs a shapelet pool, and the checkpoint was "
+                              "trained without one")
     instances = list(dataset)
     if instance_id is not None:
         instances = [x for x in instances if x.id == instance_id]

@@ -19,8 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (Config, Dataset, SeededRng, STREAM_TUNE, ValidationError,
+from .core import (Config, Dataset, SeededRng, STREAM_TUNE, ShapeletPool, ValidationError,
                    config_hash, order_labels, read_json, result_config, write_json)
+from .discovery import pool_from_dict, pool_to_dict
 from .features import FeatureScaler, apply_scaler
 
 HIDDEN_1 = 512
@@ -189,14 +190,15 @@ def gradients(params, z: np.ndarray, y: np.ndarray) -> dict:
 
 @dataclass(frozen=True)
 class ModelCheckpoint:
-    """Everything needed to score new data and reproduce the training run."""
+    """Everything needed to score new data and reproduce the training run:
+    the head, its scaler, and the shapelet pool it was fitted with (None
+    only for a head trained without one)."""
 
     params: HeadParams
     classes: tuple[str, ...]
     scaler: FeatureScaler | None
     config: Config
-    pool_path: str | None
-    pool_sha256: str | None         # content hash of the pool it was fitted with
+    pool: ShapeletPool | None
     history: tuple[dict, ...]
     best_epoch: int
     best_val_macro_f1: float
@@ -208,8 +210,7 @@ class ModelCheckpoint:
             "scaler": self.scaler.to_dict() if self.scaler is not None else None,
             "config": result_config(self.config),
             "config_hash": config_hash(self.config),
-            "pool_path": self.pool_path,
-            "pool_sha256": self.pool_sha256,
+            "pool": pool_to_dict(self.pool) if self.pool is not None else None,
             "history": list(self.history),
             "best_epoch": self.best_epoch,
             "best_val_macro_f1": self.best_val_macro_f1,
@@ -218,8 +219,9 @@ class ModelCheckpoint:
     @classmethod
     def from_dict(cls, d: dict) -> "ModelCheckpoint":
         """A checkpoint from its JSON object. A field that is missing or
-        wrongly typed, or a scaler or class list that does not fit the
-        head's weights, is refused."""
+        wrongly typed, a scaler or class list that does not fit the
+        head's weights, and a malformed pool or a missing one that the
+        config's shapelet features need, are refused."""
         missing = [k for k in ("weights", "classes", "config")
                    if not isinstance(d, dict) or k not in d]
         if missing:
@@ -234,18 +236,19 @@ class ModelCheckpoint:
         if scaler is not None and len(scaler.mean) != params.d:
             raise ValidationError(f"checkpoint scaler covers {len(scaler.mean)} features, "
                                   f"but the head takes {params.d}; {_REWRITE}")
-        for key in ("pool_path", "pool_sha256"):
-            if not isinstance(d.get(key), (str, type(None))):
-                raise ValidationError(f"checkpoint {key} is not a string or null")
+        pool = None if d.get("pool") is None else pool_from_dict(d["pool"])
+        config = Config.from_dict(d["config"])
+        if pool is None and config.use_shapelet_features:
+            raise ValidationError(f"checkpoint uses shapelet features but holds no pool; "
+                                  f"{_REWRITE}")
         if not isinstance(d.get("history", []), list):
             raise ValidationError("checkpoint history is not a list")
         return cls(
             params=params,
             classes=tuple(classes),
             scaler=scaler,
-            config=Config.from_dict(d["config"]),
-            pool_path=d.get("pool_path"),
-            pool_sha256=d.get("pool_sha256"),
+            config=config,
+            pool=pool,
             history=tuple(d.get("history", [])),
             best_epoch=int(d.get("best_epoch", 0)),
             best_val_macro_f1=float(d.get("best_val_macro_f1", 0.0)),
@@ -287,8 +290,7 @@ def train(train_z: np.ndarray, train_labels: list[str],
           config: Config, rng: SeededRng, *,
           classes: tuple[str, ...] | None = None,
           scaler: FeatureScaler | None = None,
-          pool_path: str | None = None,
-          pool_sha256: str | None = None) -> ModelCheckpoint:
+          pool: ShapeletPool | None = None) -> ModelCheckpoint:
     """Fit the head on (already standardized) features.
 
     Stops early when validation macro-F1 has not improved for
@@ -355,7 +357,7 @@ def train(train_z: np.ndarray, train_labels: list[str],
 
     final = HeadParams(**{name: best[name] for name in PARAM_NAMES})
     return ModelCheckpoint(params=final, classes=classes, scaler=scaler,
-                           config=config, pool_path=pool_path, pool_sha256=pool_sha256,
+                           config=config, pool=pool,
                            history=tuple(history), best_epoch=best_epoch,
                            best_val_macro_f1=max(best_f1, 0.0))
 
@@ -438,18 +440,6 @@ def confusion_metrics(confusion: np.ndarray, classes: tuple[str, ...]) -> EvalRe
         macro_f1=float(f1.mean()) if c else 0.0,
         accuracy=accuracy,
     )
-
-
-def evaluate(params: HeadParams, z: np.ndarray, labels: list[str],
-             classes: tuple[str, ...]) -> EvalReport:
-    """Argmax predictions on standardized features, scored per class."""
-    index = {lab: i for i, lab in enumerate(classes)}
-    try:
-        y_true = np.array([index[lab] for lab in labels])
-    except KeyError as exc:
-        raise ValidationError(f"label outside the class set: {exc}") from exc
-    y_pred = np.argmax(forward_batch(params, z), axis=1)
-    return compute_metrics(y_true, y_pred, classes)
 
 
 # ---------------------------------------------------------------------------

@@ -22,10 +22,9 @@ from . import __version__
 from .augment import balance_dataset
 from .core import (Config, Dataset, STREAM_TRAIN, SeededRng, ShapeletPool,
                    ValidationError, config_hash, order_labels, write_json)
-from .discovery import discover, pool_digest
+from .discovery import discover
 from .features import apply_scaler, fit_scaler, transform_dataset
-from .model import (EvalReport, ModelCheckpoint, compute_metrics, evaluate,
-                    forward_batch, train)
+from .model import EvalReport, ModelCheckpoint, compute_metrics, forward_batch, train
 from .pipeline import subset_channels
 
 
@@ -79,8 +78,7 @@ def write_manifest(path, run: Run) -> None:
 
 @dataclass(frozen=True)
 class FitResult:
-    checkpoint: ModelCheckpoint
-    pool: ShapeletPool | None
+    checkpoint: ModelCheckpoint     # carries the pool, if the fit had one
     train_full: Dataset             # the training split after augmentation
     report: EvalReport              # validation metrics
     train_features: tuple           # raw (z, ids, labels) of train_full
@@ -90,7 +88,6 @@ class FitResult:
 def fit(train_ds: Dataset, val_ds: Dataset, config: Config, *,
         classes: tuple[str, ...] | None = None,
         pool: ShapeletPool | None = None,
-        pool_path: str | None = None,
         run: Run | None = None) -> FitResult:
     """Fit every enabled stage on the training split, score the validation
     split, and return what the CLI saves. ``run`` (if given) records the
@@ -119,14 +116,10 @@ def fit(train_ds: Dataset, val_ds: Dataset, config: Config, *,
 
     with stage("train"):
         checkpoint = train_head(train_features, val_features, config, classes=classes,
-                                pool=pool, pool_path=pool_path)
-    index = {lab: i for i, lab in enumerate(classes)}
-    val_true = np.array([index[lab] for lab in val_features[2]])
+                                pool=pool)
     with stage("evaluate"):
-        z_va = checkpoint.head_input(val_features[0])
-        val_pred = np.argmax(forward_batch(checkpoint.params, z_va), axis=1)
-        report = compute_metrics(val_true, val_pred, classes)
-    return FitResult(checkpoint=checkpoint, pool=pool, train_full=train_full,
+        report = score_features(checkpoint, val_features[0], val_features[2])
+    return FitResult(checkpoint=checkpoint, train_full=train_full,
                      report=report, train_features=train_features,
                      val_features=val_features)
 
@@ -137,9 +130,7 @@ def featurize(dataset: Dataset, pool: ShapeletPool | None,
     its channel subset, its log-signature depth, its thread count, and
     shapelet distances only when shapelet features are enabled, which then
     needs a pool."""
-    if config.use_shapelet_features and pool is None:
-        raise ValidationError("shapelet features are enabled but no shapelet pool was "
-                              "given (pass --pool, or --no-shapelet-features)")
+    _require_pool(pool, config)
     return transform_dataset(align_channels(dataset, config), pool, config.logsig_depth,
                              include_shapelets=config.use_shapelet_features,
                              znorm=config.znorm, threads=config.threads)
@@ -147,16 +138,21 @@ def featurize(dataset: Dataset, pool: ShapeletPool | None,
 
 def train_head(train_features: tuple, val_features: tuple, config: Config, *,
                classes: tuple[str, ...] | None = None,
-               pool: ShapeletPool | None = None,
-               pool_path: str | None = None) -> ModelCheckpoint:
+               pool: ShapeletPool | None = None) -> ModelCheckpoint:
     """Standardize on the training features and train the head; the
-    checkpoint keeps the scaler and the pool's path and content hash."""
+    checkpoint keeps the scaler and the pool, which shapelet features need."""
+    _require_pool(pool, config)
     (z_tr, _, labels_tr), (z_va, _, labels_va) = train_features, val_features
     scaler = fit_scaler(z_tr)
     return train(apply_scaler(z_tr, scaler), labels_tr, apply_scaler(z_va, scaler),
                  labels_va, config, SeededRng(config.seed).derive(STREAM_TRAIN),
-                 classes=classes, scaler=scaler, pool_path=pool_path,
-                 pool_sha256=None if pool is None else pool_digest(pool))
+                 classes=classes, scaler=scaler, pool=pool)
+
+
+def _require_pool(pool: ShapeletPool | None, config: Config) -> None:
+    if config.use_shapelet_features and pool is None:
+        raise ValidationError("shapelet features are enabled but no shapelet pool was "
+                              "given (pass --pool, or --no-shapelet-features)")
 
 
 def align_channels(dataset: Dataset, config: Config) -> Dataset:
@@ -167,9 +163,21 @@ def align_channels(dataset: Dataset, config: Config) -> Dataset:
     return subset_channels(dataset, subset)
 
 
-def evaluate_on(checkpoint: ModelCheckpoint, dataset: Dataset,
-                pool: ShapeletPool | None) -> EvalReport:
-    """Score a dataset with a fitted checkpoint (features + scaler + head)."""
-    z_raw, _, labels = featurize(dataset, pool, checkpoint.config)
-    return evaluate(checkpoint.params, checkpoint.head_input(z_raw), labels,
-                    checkpoint.classes)
+def evaluate_on(checkpoint: ModelCheckpoint, dataset: Dataset) -> EvalReport:
+    """Score a dataset with a fitted checkpoint (its pool's features, its
+    scaler and its head)."""
+    z_raw, _, labels = featurize(dataset, checkpoint.pool, checkpoint.config)
+    return score_features(checkpoint, z_raw, labels)
+
+
+def score_features(checkpoint: ModelCheckpoint, z_raw: np.ndarray,
+                   labels: list[str]) -> EvalReport:
+    """Argmax predictions of the checkpoint's head on raw features, scored
+    per class; a label outside the checkpoint's classes is refused."""
+    index = {lab: i for i, lab in enumerate(checkpoint.classes)}
+    try:
+        y_true = np.array([index[lab] for lab in labels])
+    except KeyError as exc:
+        raise ValidationError(f"label outside the class set: {exc}") from exc
+    probs = forward_batch(checkpoint.params, checkpoint.head_input(z_raw))
+    return compute_metrics(y_true, np.argmax(probs, axis=1), checkpoint.classes)

@@ -1,10 +1,14 @@
 """Command-line surface: exit codes, artifacts, manifests, chaining."""
 import base64
 import json
+import re
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from pvashape import cli, discovery, explain, model, workflow
 from pvashape.cli import main
 from pvashape.core import load_dataset, write_json
 from pvashape.discovery import load_pool, pool_digest
@@ -165,7 +169,6 @@ def test_explain_exact_match_has_zero_psd(chain, tmp_path):
     report_path = tmp_path / "explain.json"
     rc = main(["explain", "--data", str(chain / "data.ndjson"),
                "--checkpoint", str(chain / "ckpt.json"),
-               "--pool", str(chain / "pool.json"),
                "--out", str(report_path), "--instance", target, "--all-classes"])
     assert rc == 0
     report = json.loads(report_path.read_text())
@@ -184,8 +187,7 @@ def test_explain_exact_match_has_zero_psd(chain, tmp_path):
 def test_explain_evidence_equals_transform_features(chain, tmp_path, args):
     report_path = tmp_path / "explain.json"
     rc = main(["explain", "--data", str(chain / "data.ndjson"),
-               "--checkpoint", str(chain / "ckpt.json"),
-               "--pool", str(chain / "pool.json"), "--out", str(report_path)] + args)
+               "--checkpoint", str(chain / "ckpt.json"), "--out", str(report_path)] + args)
     assert rc == 0
     report = json.loads(report_path.read_text())
     z, ids, _ = load_features(chain / "fva.ndjson")
@@ -209,16 +211,16 @@ def test_explain_evidence_equals_transform_features(chain, tmp_path, args):
 
 def test_explain_report_states_the_pool_once_on_one_line(chain, tmp_path):
     report_path = tmp_path / "explain.json"
-    assert main(_scoring_args("explain", chain, chain / "ckpt.json", chain / "pool.json",
-                              report_path) + ["--all-classes"]) == 0
+    assert main(_scoring_args("explain", chain, chain / "ckpt.json", report_path)
+                + ["--all-classes"]) == 0
     text = report_path.read_text()
     assert text.count("\n") == 1 and text.endswith("\n")
     report = json.loads(text)
     pool = load_pool(chain / "pool.json")
     ckpt = load_checkpoint(chain / "ckpt.json")
-    assert report == build_explain_report(load_dataset(chain / "data.ndjson"), ckpt, pool,
+    assert report == build_explain_report(load_dataset(chain / "data.ndjson"), ckpt,
                                           all_classes=True)
-    assert report["pool_sha256"] == ckpt.pool_sha256 == pool_digest(pool)
+    assert report["pool_sha256"] == pool_digest(ckpt.pool) == pool_digest(pool)
     assert report["shapelets"] == [
         {"label": s.label, "channel": s.channel, "length": len(s), "values": s.values.tolist()}
         for s in pool.shapelets]
@@ -229,8 +231,7 @@ def test_explain_report_states_the_pool_once_on_one_line(chain, tmp_path):
 
 def test_plot_overlays_carry_the_pool_values(chain, tmp_path):
     plot_path = tmp_path / "plot.ndjson"
-    assert main(_scoring_args("explain", chain, chain / "ckpt.json", chain / "pool.json",
-                              tmp_path / "explain.json")
+    assert main(_scoring_args("explain", chain, chain / "ckpt.json", tmp_path / "explain.json")
                 + ["--all-classes", "--plot-data", str(plot_path)]) == 0
     pool = load_pool(chain / "pool.json")
     overlays = [ov for line in plot_path.read_text().splitlines()
@@ -336,6 +337,18 @@ def test_repeated_channel_indices_exit_two(chain, tmp_path, capsys, source):
     assert list(tmp_path.iterdir()) == ([] if source == "flag" else [tmp_path / "cfg.json"])
 
 
+@pytest.mark.parametrize("channels", ["1,0,2,3", ""], ids=["reordered", "empty"])
+def test_reordered_or_empty_channel_subset_exits_two(tmp_path, capsys, channels):
+    # scoring takes data with as many channels as the subset to be subset
+    # already, so a reordering would be applied by synth and lost at scoring
+    out = tmp_path / "run"
+    assert main(["run-all", "--out-dir", str(out), "--n", "24", "--t", "40",
+                 "--proportions", PROPS, "--channels", channels] + TINY) == 2
+    assert ("channel_subset must list at least one channel in increasing order"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
 def test_dataset_line_that_is_not_an_object_exits_two(chain, tmp_path, capsys):
     lines = (chain / "data.ndjson").read_text().splitlines()[:3]
     lines.insert(1, "[1, 2]")
@@ -374,8 +387,7 @@ def test_explain_predicts_what_evaluate_scores(chain, tmp_path):
     # explain over the whole file runs the head pass evaluate runs, so its
     # (label, predicted) counts are evaluate's confusion matrix
     report_path = tmp_path / "explain.json"
-    assert main(_scoring_args("explain", chain, chain / "ckpt.json", chain / "pool.json",
-                              report_path)) == 0
+    assert main(_scoring_args("explain", chain, chain / "ckpt.json", report_path)) == 0
     report = json.loads(report_path.read_text())
     metrics = json.loads((chain / "metrics.json").read_text())
     classes = metrics["classes"]
@@ -388,39 +400,71 @@ def test_explain_predicts_what_evaluate_scores(chain, tmp_path):
     assert len(report["instances"]) == 30
 
 
-def _scoring_args(cmd, chain, checkpoint, pool, out):
+def _scoring_args(cmd, chain, checkpoint, out):
     return [cmd, "--data", str(chain / "data.ndjson"), "--checkpoint", str(checkpoint),
-            "--pool", str(pool), "--out", str(out)]
+            "--out", str(out)]
 
 
-def test_checkpoint_refuses_a_foreign_pool(chain, tmp_path, capsys):
-    ckpt = json.loads((chain / "ckpt.json").read_text())
-    assert ckpt["pool_sha256"] == pool_digest(load_pool(chain / "pool.json"))
-    # same size, one number changed: the features would have the right width
-    doc = json.loads((chain / "pool.json").read_text())
-    doc["shapelets"][0]["values"][0] += 0.5
-    foreign = tmp_path / "foreign.json"
-    foreign.write_text(json.dumps(doc))
+def test_checkpoint_carries_the_pool_it_was_trained_with(chain):
+    assert (pool_digest(load_checkpoint(chain / "ckpt.json").pool)
+            == pool_digest(load_pool(chain / "pool.json")))
+
+
+def test_scoring_reads_no_pool_file(tmp_path):
+    run = tmp_path / "run"
+    assert main(["run-all", "--out-dir", str(run), "--n", "24", "--t", "40",
+                 "--proportions", PROPS, "--train-fraction", "0.75"] + TINY) == 0
+    (run / "pool.json").unlink()
     for cmd in ("evaluate", "explain"):
-        out = tmp_path / f"{cmd}.json"
-        assert main(_scoring_args(cmd, chain, chain / "ckpt.json", foreign, out)) == 2
-        assert "not the pool the checkpoint was fitted with" in capsys.readouterr().err
-        assert not out.exists()
+        assert main([cmd, "--data", str(run / "val.ndjson"), "--checkpoint",
+                     str(run / "checkpoint.json"), "--out", str(tmp_path / f"{cmd}.json")]) == 0
+    # one scoring path: the held-out file scores as run-all scored its split
+    assert (tmp_path / "evaluate.json").read_bytes() == (run / "metrics.json").read_bytes()
+
+
+@pytest.mark.parametrize("cmd", ["evaluate", "explain"])
+def test_scoring_refuses_a_pool_flag(chain, tmp_path, cmd):
+    out = tmp_path / "out.json"
+    assert main(_scoring_args(cmd, chain, chain / "ckpt.json", out)
+                + ["--pool", str(chain / "pool.json")]) == 1
+    assert not out.exists()
+
+
+def test_scoring_hashes_the_pool_only_for_the_report(chain, tmp_path, monkeypatch):
+    calls = []
+
+    def counted(pool):
+        calls.append(pool)
+        return pool_digest(pool)
+
+    for module in (cli, discovery, explain, model, workflow):
+        if hasattr(module, "pool_digest"):
+            monkeypatch.setattr(module, "pool_digest", counted)
+    assert main(_scoring_args("evaluate", chain, chain / "ckpt.json", tmp_path / "m.json")) == 0
+    assert calls == []
+    assert main(_scoring_args("explain", chain, chain / "ckpt.json", tmp_path / "r.json")) == 0
+    assert len(calls) == 1
+
+
+def test_train_without_a_pool_under_shapelet_features_exits_two(chain, tmp_path, capsys):
+    out = tmp_path / "ckpt.json"
+    assert main(["train", "--train-features", str(chain / "ftr.ndjson"),
+                 "--val-features", str(chain / "fva.ndjson"), "--out", str(out)] + TINY) == 2
+    assert "shapelet features are enabled but no shapelet pool was given" in (
+        capsys.readouterr().err)
+    assert not out.exists()
 
 
 def test_checkpoint_refuses_features_of_another_width(chain, tmp_path, capsys):
-    # a checkpoint without the pool binding still checks the head's input width
+    # the embedded pool lacks a shapelet, so its features are one narrower
+    # than the head's input
     ckpt = json.loads((chain / "ckpt.json").read_text())
-    del ckpt["pool_sha256"]
-    unbound = tmp_path / "ckpt.json"
-    unbound.write_text(json.dumps(ckpt))
-    doc = json.loads((chain / "pool.json").read_text())
-    doc["shapelets"] = doc["shapelets"][:-1]
-    smaller = tmp_path / "smaller.json"
-    smaller.write_text(json.dumps(doc))
+    ckpt["pool"]["shapelets"] = ckpt["pool"]["shapelets"][:-1]
+    smaller = tmp_path / "ckpt.json"
+    smaller.write_text(json.dumps(ckpt))
     for cmd in ("evaluate", "explain"):
         out = tmp_path / f"{cmd}.json"
-        assert main(_scoring_args(cmd, chain, unbound, smaller, out)) == 2
+        assert main(_scoring_args(cmd, chain, smaller, out)) == 2
         assert "features per instance, but the checkpoint's head takes" in (
             capsys.readouterr().err)
         assert not out.exists()
@@ -446,7 +490,7 @@ def test_scoring_refuses_a_checkpoint_in_another_format(chain, tmp_path, capsys,
     old.write_text(json.dumps(ckpt))
     for cmd in ("evaluate", "explain"):
         out = tmp_path / f"{cmd}.json"
-        assert main(_scoring_args(cmd, chain, old, chain / "pool.json", out)) == 2
+        assert main(_scoring_args(cmd, chain, old, out)) == 2
         assert "rewrite the checkpoint with `train` or `run-all`" in capsys.readouterr().err
         assert not out.exists()
 
@@ -471,8 +515,8 @@ def _break_checkpoint(doc, kind):
         doc["classes"] = list(range(len(doc["classes"])))
     elif kind == "history-integer":
         doc["history"] = 3
-    elif kind == "pool-path-integer":
-        doc["pool_path"] = 7
+    elif kind == "pool-null":
+        doc["pool"] = None
     else:
         doc["best_epoch"] = "best"
     return doc
@@ -488,7 +532,7 @@ CHECKPOINT_BREAKS = {
     "classes-short": "checkpoint classes are not 4 distinct strings",
     "classes-not-strings": "checkpoint classes are not 4 distinct strings",
     "history-integer": "checkpoint history is not a list",
-    "pool-path-integer": "checkpoint pool_path is not a string or null",
+    "pool-null": "checkpoint uses shapelet features but holds no pool",
     "best-epoch-text": "is malformed",
 }
 
@@ -500,7 +544,7 @@ def test_scoring_refuses_a_malformed_checkpoint(chain, tmp_path, capsys, cmd, ki
     bad.write_text(json.dumps(_break_checkpoint(
         json.loads((chain / "ckpt.json").read_text()), kind)))
     out = tmp_path / "out.json"
-    assert main(_scoring_args(cmd, chain, bad, chain / "pool.json", out)) == 2
+    assert main(_scoring_args(cmd, chain, bad, out)) == 2
     err = capsys.readouterr().err
     assert f"{bad}: " in err and CHECKPOINT_BREAKS[kind] in err
     assert not out.exists()
@@ -540,6 +584,20 @@ def test_pool_readers_refuse_non_finite_numbers(chain, tmp_path, capsys, cmd, ki
     assert not out.exists()
 
 
+@pytest.mark.parametrize("cmd", ["evaluate", "explain"])
+@pytest.mark.parametrize("kind", list(POOL_NUMBER_BREAKS))
+def test_checkpoint_refuses_an_embedded_pool_with_non_finite_numbers(chain, tmp_path, capsys,
+                                                                     cmd, kind):
+    ckpt = json.loads((chain / "ckpt.json").read_text())
+    ckpt["pool"] = _break_pool_numbers(ckpt["pool"], kind)
+    bad = tmp_path / "ckpt.json"
+    bad.write_text(json.dumps(ckpt))
+    out = tmp_path / "out.json"
+    assert main(_scoring_args(cmd, chain, bad, out)) == 2
+    assert f"{bad}: {POOL_NUMBER_BREAKS[kind]}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("cmd", ["evaluate", "explain", "synth"])
 def test_empty_json_document_exits_two_naming_the_file(chain, tmp_path, capsys, cmd):
     empty = tmp_path / "empty.json"
@@ -549,7 +607,7 @@ def test_empty_json_document_exits_two_naming_the_file(chain, tmp_path, capsys, 
         argv = ["synth", "--out", str(out), "--n", "8", "--proportions", PROPS,
                 "--config", str(empty)]
     else:
-        argv = _scoring_args(cmd, chain, empty, chain / "pool.json", out)
+        argv = _scoring_args(cmd, chain, empty, out)
     assert main(argv) == 2
     assert f"{empty}: invalid JSON: " in capsys.readouterr().err
     assert not out.exists()
@@ -561,8 +619,7 @@ def test_empty_json_document_exits_two_naming_the_file(chain, tmp_path, capsys, 
 def test_scoring_refuses_config_flags_it_would_ignore(chain, tmp_path, flags):
     for cmd in ("evaluate", "explain"):
         out = tmp_path / f"{cmd}.json"
-        assert main(_scoring_args(cmd, chain, chain / "ckpt.json", chain / "pool.json",
-                                  out) + flags) == 1
+        assert main(_scoring_args(cmd, chain, chain / "ckpt.json", out) + flags) == 1
         assert not out.exists()
 
 
@@ -570,7 +627,7 @@ def test_scoring_refuses_config_flags_it_would_ignore(chain, tmp_path, flags):
 def test_scoring_threads_change_the_manifest_only(chain, tmp_path, cmd):
     for threads in (1, 2):
         out = tmp_path / f"{threads}.json"
-        assert main(_scoring_args(cmd, chain, chain / "ckpt.json", chain / "pool.json", out)
+        assert main(_scoring_args(cmd, chain, chain / "ckpt.json", out)
                     + ["--threads", str(threads)]) == 0
         man = json.loads((tmp_path / f"{threads}.json.manifest.json").read_text())
         assert man["config"]["threads"] == threads
@@ -580,7 +637,6 @@ def test_scoring_threads_change_the_manifest_only(chain, tmp_path, cmd):
 def test_explain_unknown_instance_exits_two(chain, tmp_path):
     rc = main(["explain", "--data", str(chain / "data.ndjson"),
                "--checkpoint", str(chain / "ckpt.json"),
-               "--pool", str(chain / "pool.json"),
                "--out", str(tmp_path / "r.json"), "--instance", "absent"])
     assert rc == 2
 
@@ -590,7 +646,6 @@ def test_plot_data_overlays_align(chain, tmp_path):
     plot_path = tmp_path / "plot.ndjson"
     rc = main(["explain", "--data", str(chain / "data.ndjson"),
                "--checkpoint", str(chain / "ckpt.json"),
-               "--pool", str(chain / "pool.json"),
                "--out", str(report_path), "--plot-data", str(plot_path)])
     assert rc == 0
     lines = [json.loads(l) for l in plot_path.read_text().splitlines() if l]
@@ -609,6 +664,7 @@ def test_train_divergence_exits_three(chain, tmp_path):
     with np.errstate(over="ignore", invalid="ignore"):
         rc = main(["train", "--train-features", str(chain / "ftr.ndjson"),
                    "--val-features", str(chain / "fva.ndjson"),
+                   "--pool", str(chain / "pool.json"),
                    "--out", str(tmp_path / "c.json"), "--config", str(cfg_file)])
     assert rc == 3
 
@@ -643,7 +699,7 @@ def test_run_all_seeded_twice_identical(tmp_path):
     assert _peak_rss_mib(tmp_path / "a" / "manifest.json") > 0
 
 
-def test_run_all_ablation_flags(tmp_path):
+def test_run_all_ablation_flags(tmp_path, capsys):
     base = ["run-all", "--n", "24", "--t", "40", "--proportions", PROPS,
             "--train-fraction", "0.75"] + TINY
     assert main(base + ["--out-dir", str(tmp_path / "s"), "--no-augment"]) == 0
@@ -657,6 +713,13 @@ def test_run_all_ablation_flags(tmp_path):
     # statistics-only variant has no pool at all
     base_man = json.loads((tmp_path / "base" / "manifest.json").read_text())
     assert "pool" not in base_man["outputs"]
+    # so its checkpoint scores without one, and explain has no evidence to give
+    base = tmp_path / "base"
+    assert json.loads((base / "checkpoint.json").read_text())["pool"] is None
+    score = ["--data", str(base / "val.ndjson"), "--checkpoint", str(base / "checkpoint.json")]
+    assert main(["evaluate", *score, "--out", str(tmp_path / "m.json")]) == 0
+    assert main(["explain", *score, "--out", str(tmp_path / "r.json")]) == 2
+    assert "explain needs a shapelet pool" in capsys.readouterr().err
     # an ablated stage is not timed
     assert _stage_keys(tmp_path / "s" / "manifest.json") == RUN_ALL_STAGES - {"augment"}
     assert _stage_keys(tmp_path / "sa" / "manifest.json") == RUN_ALL_STAGES
@@ -702,6 +765,26 @@ def test_tune_k_cli(tmp_path):
     assert set(doc["scores"]) == {"3"}
     assert _stage_keys(tmp_path / "tuning.json.manifest.json") == {"tune_k"}
     assert _peak_rss_mib(tmp_path / "tuning.json.manifest.json") > 0
+
+
+def _readme_commands():
+    """Every ``pvashape ...`` line of README's ``sh`` blocks, continuation
+    lines joined."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    for block in re.findall(r"```sh\n(.*?)```", readme, re.S):
+        for line in block.replace("\\\n", " ").splitlines():
+            if line.startswith("pvashape "):
+                yield line
+
+
+def test_readme_commands_parse():
+    commands = list(_readme_commands())
+    assert len(commands) >= 9
+    for line in commands:
+        try:
+            cli.build_parser().parse_args(shlex.split(line, comments=True)[1:])
+        except SystemExit:
+            pytest.fail(f"README command does not parse: {line}")
 
 
 def test_version_flag_exits_zero(capsys):

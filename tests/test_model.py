@@ -5,10 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from pvashape.core import Config, SeededRng, ValidationError
+from pvashape.core import Config, SeededRng, Shapelet, ShapeletPool, ValidationError
+from pvashape.discovery import pool_digest
 from pvashape.features import FeatureScaler
 from pvashape.model import (PARAM_NAMES, HeadParams, ModelCheckpoint, TrainingDivergedError,
-                            batch_loss, compute_metrics, evaluate,
+                            batch_loss, compute_metrics,
                             forward_batch, gradients, init_params, k_grid,
                             load_checkpoint, save_checkpoint,
                             stratified_folds, train, tune_k)
@@ -125,7 +126,9 @@ def test_train_separable_toy_converges():
     z_tr, y_tr, z_va, y_va = _toy_split()
     cfg = Config(max_epochs=100, patience=10)
     ckpt = train(z_tr, y_tr, z_va, y_va, cfg, SeededRng(0))
-    rep = evaluate(ckpt.params, z_tr, y_tr, ckpt.classes)
+    y_true = [ckpt.classes.index(lab) for lab in y_tr]
+    rep = compute_metrics(y_true, np.argmax(forward_batch(ckpt.params, z_tr), axis=1),
+                          ckpt.classes)
     assert rep.accuracy == 1.0
     assert ckpt.best_val_macro_f1 == 1.0
 
@@ -154,18 +157,26 @@ def test_train_divergence_raises():
             train(z_tr, y_tr, z_va, y_va, cfg, SeededRng(0))
 
 
+def _one_shapelet_pool():
+    s = Shapelet(values=np.array([0.5, -1.25, 3.0]), channel=1, source_id="x7", start=2,
+                 end=4, label="AC", info_gain=0.4, split_threshold=1.5, max_train_psd=9.0)
+    return ShapeletPool(shapelets=(s,), per_class_quota=1, labels=("AC", "NP"),
+                        config={"k": 5})
+
+
 def test_checkpoint_round_trip(tmp_path):
     z_tr, y_tr, z_va, y_va = _toy_split()
     scaler = FeatureScaler(mean=np.zeros(6), std=np.ones(6))
+    pool = _one_shapelet_pool()
     ckpt = train(z_tr, y_tr, z_va, y_va, Config(max_epochs=3), SeededRng(1),
-                 scaler=scaler, pool_path="pool.json")
+                 scaler=scaler, pool=pool)
     p = tmp_path / "ckpt.json"
     save_checkpoint(p, ckpt)
     again = load_checkpoint(p)
     assert again.to_dict() == ckpt.to_dict()
     assert isinstance(again, ModelCheckpoint)
     assert again.classes == ckpt.classes
-    assert again.pool_path == "pool.json"
+    assert pool_digest(again.pool) == pool_digest(pool)
 
 
 def _extreme_params(d=5, c=4, seed=0):
@@ -186,7 +197,7 @@ def _extreme_params(d=5, c=4, seed=0):
 def test_checkpoint_weights_round_trip_bit_exact(tmp_path):
     params = _extreme_params()
     ckpt = ModelCheckpoint(params=params, classes=("NP", "AC", "DT", "IE"), scaler=None,
-                           config=Config(), pool_path=None, pool_sha256=None,
+                           config=Config(use_shapelet_features=False), pool=None,
                            history=(), best_epoch=0, best_val_macro_f1=0.0)
     p = tmp_path / "ckpt.json"
     save_checkpoint(p, ckpt)
@@ -201,7 +212,8 @@ def test_checkpoint_weights_round_trip_bit_exact(tmp_path):
 
 def test_checkpoint_saves_identical_bytes_twice(tmp_path):
     z_tr, y_tr, z_va, y_va = _toy_split()
-    ckpt = train(z_tr, y_tr, z_va, y_va, Config(max_epochs=3), SeededRng(1))
+    ckpt = train(z_tr, y_tr, z_va, y_va, Config(max_epochs=3), SeededRng(1),
+                 pool=_one_shapelet_pool())
     save_checkpoint(tmp_path / "a.json", ckpt)
     save_checkpoint(tmp_path / "b.json", load_checkpoint(tmp_path / "a.json"))
     save_checkpoint(tmp_path / "c.json", ckpt)
