@@ -10,6 +10,7 @@ divergence.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -133,18 +134,35 @@ def cmd_discover(args) -> int:
     run = Run("discover", build_config(args), {"data": args.data}, {"pool": args.out})
     ds = workflow.align_channels(load_dataset(args.data), run.config)
     with run.stage("discover"):
-        pool = discover(ds, run.config)
+        pool = discover(ds, run.config, counters=run.counters.setdefault("discover", {}))
         save_pool(args.out, pool)
     write_manifest(f"{args.out}.manifest.json", run)
     print(f"wrote pool of {len(pool)} shapelets to {args.out}")
     return EXIT_OK
 
 
+def _pool_channels(cfg: Config, pool, path) -> Config:
+    """``cfg`` on the channel subset ``pool`` was discovered on: its
+    shapelets' channel indices count within that subset. A different
+    subset from the flags or --config is refused."""
+    subset = pool.config.get("channel_subset")
+    try:
+        pool_cfg = cfg.with_updates(channel_subset=None if subset is None else tuple(subset))
+    except (TypeError, ValueError) as err:
+        raise ValidationError(f"pool {path} channel_subset is malformed: {err}") from err
+    if cfg.channel_subset not in (None, pool_cfg.channel_subset):
+        raise ValidationError(
+            f"pool {path} was discovered on channel subset "
+            f"{'all channels' if subset is None else list(subset)}, not "
+            f"{list(cfg.channel_subset)}; drop --channels to use the pool's")
+    return pool_cfg
+
+
 def cmd_augment(args) -> int:
-    run = Run("augment", build_config(args), {"data": args.data, "pool": args.pool},
-              {"data": args.out})
-    ds = workflow.align_channels(load_dataset(args.data), run.config)
     pool = load_pool(args.pool)
+    run = Run("augment", _pool_channels(build_config(args), pool, args.pool),
+              {"data": args.data, "pool": args.pool}, {"data": args.out})
+    ds = workflow.align_channels(load_dataset(args.data), run.config)
     with run.stage("augment"):
         out = balance_dataset(ds, pool, run.config)
         save_dataset(args.out, out)
@@ -154,10 +172,13 @@ def cmd_augment(args) -> int:
 
 
 def cmd_transform(args) -> int:
-    run = Run("transform", build_config(args), {"data": args.data, "pool": args.pool or ""},
+    cfg, pool = build_config(args), None
+    if args.pool:
+        pool = load_pool(args.pool)
+        cfg = _pool_channels(cfg, pool, args.pool)
+    run = Run("transform", cfg, {"data": args.data, "pool": args.pool or ""},
               {"features": args.out})
     ds = load_dataset(args.data)
-    pool = load_pool(args.pool) if args.pool else None
     with run.stage("transform"):
         z, ids, labels = workflow.featurize(ds, pool, run.config)
         save_features(args.out, z, ids, labels)
@@ -285,7 +306,8 @@ def build_parser() -> _Parser:
     def add(name, func, help_, flags=_config_flags):
         p = sub.add_parser(name, help=help_, parents=[], add_help=True)
         flags(p)
-        p.set_defaults(func=func)
+        # By name, so the shared parser calls the module's current binding.
+        p.set_defaults(func=func.__name__)
         return p
 
     def synth_flags(p):
@@ -346,16 +368,21 @@ def build_parser() -> _Parser:
     return parser
 
 
+@functools.cache
+def _shared_parser() -> _Parser:
+    """The parser, built once per process: parsing leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _shared_parser().parse_args(argv)
     except SystemExit as exc:
         if isinstance(exc.code, int):
             return exc.code
         return EXIT_OK if exc.code is None else EXIT_USAGE
     try:
-        return args.func(args)
+        return globals()[args.func](args)
     except TrainingDivergedError as exc:
         print(f"pvashape: training diverged: {exc}", file=sys.stderr)
         return EXIT_DIVERGED

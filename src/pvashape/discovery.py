@@ -22,6 +22,7 @@ import numpy as np
 
 from .core import (Config, Dataset, Shapelet, ShapeletPool, ValidationError,
                    read_json, refuse_malformed, result_config, write_json)
+from . import distance
 from .distance import (QUERY_BLOCK, match_pool, prefix_sums, prepare_windows,
                        prepared_min_cid)
 from .parallel import thread_map
@@ -33,6 +34,11 @@ MIN_CANDIDATE_LENGTH = 3
 # Gains at or below this are treated as "no informative split": genuinely
 # nonzero gains on small sets sit orders of magnitude above float noise.
 GAIN_EPS = 1e-12
+# MIN_TILE tiles scored between two gain-bound checks of a query block.
+BOUND_CHECK_TILES = 8
+# Added to the gain bound: its table form and `_gain_block`'s entropy form
+# of one gain differ by rounding far below this.
+BOUND_SLACK = 1e-9
 
 
 def generate_candidates(instances, k: int) -> list[Shapelet]:
@@ -84,6 +90,14 @@ def _entropy(p: np.ndarray) -> np.ndarray:
     return np.where((p <= 0.0) | (p >= 1.0), 0.0, h)
 
 
+def _parent_entropy(t_total: np.ndarray, n_valid: np.ndarray) -> np.ndarray:
+    """(B, 1) entropy of each row's labels over the instances it fits: the
+    gain of a perfect split, and more than any computed gain of the row."""
+    t_tot = t_total[:, None].astype(np.float64)
+    n_tot = n_valid[:, None].astype(np.float64)
+    return _entropy(t_tot / np.maximum(n_tot, 1.0))
+
+
 def _gain_block(dists: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized gain search over a block of candidates.
 
@@ -118,7 +132,7 @@ def _gain_block(dists: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, np.
     t_right = t_tot - t_left
 
     with np.errstate(invalid="ignore", divide="ignore"):
-        h_parent = _entropy(t_tot / np.maximum(n_tot, 1.0))
+        h_parent = _parent_entropy(t_total, n_valid)
         h_left = _entropy(t_left / np.maximum(n_left, 1.0))
         h_right = _entropy(t_right / np.maximum(n_right, 1.0))
         gains = h_parent - (n_left / n_tot) * h_left - (n_right / n_tot) * h_right
@@ -149,11 +163,15 @@ def _gain_block(dists: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, np.
     return gains_out, thresholds_out
 
 
-def discover(dataset: Dataset, config: Config) -> ShapeletPool:
+def discover(dataset: Dataset, config: Config,
+             counters: dict | None = None) -> ShapeletPool:
     """Run candidate generation, scoring and per-class selection.
 
     Deterministic for a fixed (dataset, config): candidate order, scoring
-    blocks and tie-breaking are all schedule-independent.
+    blocks, pruning and tie-breaking are all schedule-independent.
+    ``counters``, when given, receives the screen's counts (candidates,
+    groups, pruned candidates per class, chunk matmuls run and skipped,
+    bound checks).
     """
     if len(dataset) == 0:
         raise ValueError("cannot discover shapelets on an empty dataset")
@@ -168,7 +186,9 @@ def discover(dataset: Dataset, config: Config) -> ShapeletPool:
     if not candidates:
         raise ValueError("no shapelet candidates could be generated")
 
-    screen = _screen_gains(dataset, candidates, config)
+    counters = {} if counters is None else counters
+    screen = _screen_gains(dataset, candidates, config, quota, counters)
+    log.info("discovery screen: %s", counters)
     chosen: list[Shapelet] = []
     for lab in classes:
         idx = [i for i, c in enumerate(candidates) if c.label == lab]
@@ -193,41 +213,230 @@ def discover(dataset: Dataset, config: Config) -> ShapeletPool:
                         labels=classes, config=result_config(config))
 
 
-def _screen_gains(dataset: Dataset, candidates: list[Shapelet],
-                  config: Config) -> np.ndarray:
+def _gain_bound(dists: np.ndarray, targets: np.ndarray, unseen_targets: np.ndarray,
+                unseen_others: np.ndarray, cap: np.ndarray) -> np.ndarray:
+    """Most gain each row can reach once its unseen instances are scored
+    (Ye & Keogh's optimistic bound, in exact form).
+
+    dists, targets : (B, S) distances and one-vs-rest labels of the seen
+        instances the candidate fits.
+    unseen_targets, unseen_others : (B,) counts of the unseen instances it
+        fits.
+    cap : (B,) `_parent_entropy` of the instances it fits, which no gain
+        `_gain_block` computes exceeds.
+
+    A threshold puts a prefix of the sorted seen distances and some of the
+    unseen instances on its left. Gain is convex in the left side's
+    (target, other) counts, so for each prefix it peaks where all unseen
+    targets sit on one side and all unseen others on one side. The best of
+    those vertices plus BOUND_SLACK, capped at ``cap``, is the bound. Ties
+    among seen distances are ignored, which only loosens it.
+    """
+    b, s = dists.shape
+    # Sort labels with their distances in one key: a distance's bits (after
+    # +0.0 folds -0.0 into 0.0) order like the distance, and the label
+    # takes the freed lowest bit.
+    key = np.add(dists, 0.0).view(np.uint64) << np.uint64(1)
+    key |= targets
+    key.sort(axis=1)
+    y = (key & np.uint64(1)).astype(np.int64)
+    t_seen = np.zeros((b, s + 1), dtype=np.int64)
+    np.cumsum(y, axis=1, out=t_seen[:, 1:])
+    # Along a run of one label the left counts move in a straight line, on
+    # which gain is convex: only the prefixes that end a run can peak.
+    ends = np.ones((b, s + 1), dtype=bool)
+    ends[:, 1:-1] = y[:, 1:] != y[:, :-1]
+    flat = np.flatnonzero(ends)
+    row, i = np.divmod(flat, s + 1)
+    tl0 = t_seen.ravel()[flat]
+    ol0 = i - tl0
+    t_all = t_seen[:, -1] + unseen_targets
+    n_all = s + unseen_targets + unseen_others
+    o_all = n_all - t_all
+    ut, uo = unseen_targets[row], unseen_others[row]
+    tr0, or0 = t_all[row] - tl0, o_all[row] - ol0
+    # n * entropy = xlog[n] - xlog[t] - xlog[n - t] with xlog[x] = x log2 x.
+    xlog = np.arange(n_all.max() + 1, dtype=np.float64)
+    xlog *= np.log2(np.maximum(xlog, 1.0))
+    least = np.inf                              # least n-weighted child entropy
+    for move_t in (0, 1) if unseen_targets.any() else (0,):
+        for move_o in (0, 1) if unseen_others.any() else (0,):
+            tl, ol = tl0 + move_t * ut, ol0 + move_o * uo
+            tr, orr = tr0 - move_t * ut, or0 - move_o * uo
+            least = np.minimum(least, xlog[tl + ol] - xlog[tl] - xlog[ol]
+                               + xlog[tr + orr] - xlog[tr] - xlog[orr])
+    least = np.minimum.reduceat(least, np.flatnonzero(i == 0))
+    gain = (xlog[n_all] - xlog[t_all] - xlog[o_all] - least) / n_all
+    return np.minimum(gain + BOUND_SLACK, cap)
+
+
+def _minority_first(dataset: Dataset) -> np.ndarray:
+    """Instance order with every non-majority instance first, each part in
+    dataset order: once they are scored, every unseen instance has one
+    label, which keeps the gain bound tight."""
+    counts = dataset.class_counts
+    majority = max(counts, key=counts.get)
+    return np.argsort([x.label == majority for x in dataset], kind="stable")
+
+
+class _BlockScreen:
+    """One query block's distances and surviving columns across the instance
+    chunks of one (channel, length) group.
+
+    ``floor`` and ``tie_worse`` describe, per column, the quota-th key of its
+    class among candidates already scored: a column is dropped once its
+    gain bound is below that key's gain, or equal to it with a worse
+    (length, start, source, index) tie-break.
+    """
+
+    def __init__(self, idx, queries, targets, fit, floor, tie_worse):
+        self.idx, self.queries, self.targets = idx, queries, targets
+        self.floor, self.tie_worse = floor, tie_worse
+        self.dists = np.empty((len(fit), len(idx)))    # (M, B), scan order
+        self.prunable = np.isfinite(floor)          # its class has a key yet
+        self.live = np.ones(len(idx), dtype=bool)
+        self.checks = 0
+        self.gains = None
+        if self.prunable.any():                     # what the bound needs, then
+            self.fit_rows = np.flatnonzero(fit)     # a check before any distance
+            self.fit_targets = targets[:, fit]      # (B, instances it fits)
+            n_targets = np.count_nonzero(self.fit_targets, axis=1)
+            self.unseen = np.stack((n_targets, len(self.fit_rows) - n_targets))
+            self.cap = _parent_entropy(n_targets,
+                                       np.full(len(idx), len(self.fit_rows)))[:, 0]
+            self.bound_check(0)
+
+    def bound_check(self, s: int) -> np.ndarray:
+        """Drop every live column whose bound, given its distances to the
+        first ``s`` instances, cannot beat its class's key."""
+        cols = np.flatnonzero(self.live & self.prunable)
+        if cols.size == 0:
+            return self.live
+        n_seen = np.searchsorted(self.fit_rows, s)
+        targets = self.fit_targets[cols, :n_seen]
+        seen_targets = np.count_nonzero(targets, axis=1)
+        unseen_targets, unseen_others = self.unseen[:, cols]
+        bound = _gain_bound(self.dists[self.fit_rows[:n_seen, None], cols].T, targets,
+                            unseen_targets - seen_targets,
+                            unseen_others - (n_seen - seen_targets), self.cap[cols])
+        floor = self.floor[cols]
+        drop = (bound < floor) | ((bound == floor) & self.tie_worse[cols])
+        self.live[cols[drop]] = False
+        self.checks += 1
+        return self.live
+
+    def score(self, prep, i0: int, every: int | None) -> None:
+        """Distances to the chunk of instances ``i0:i0 + prep.m``, with a
+        bound check every ``every`` instances before the last (None: no
+        checks); the gains once the last chunk is in."""
+        m = self.dists.shape[0]
+
+        def check(j1, _):
+            s = i0 + j1
+            return None if s >= m or s % every else self.bound_check(s)
+
+        checked = every is not None and self.prunable.any()
+        prepared_min_cid(prep, self.queries, live=self.live,
+                         check=check if checked else None,
+                         out=self.dists[i0 : i0 + prep.m])
+        if i0 + prep.m == m and self.live.any():
+            self.gains = _gain_block(self.dists[:, self.live].T,
+                                     self.targets[self.live])[0]
+
+
+def _screen_gains(dataset: Dataset, candidates: list[Shapelet], config: Config,
+                  quota: int, counters: dict) -> np.ndarray:
     """Information gain of every candidate on the matrix-product kernel's
-    distances, which agree with the exact engine except close to 0."""
-    lengths = np.asarray([x.original_length for x in dataset], dtype=np.int64)
-    labels = np.asarray([x.label for x in dataset])
-    gains = np.zeros(len(candidates))
+    distances, which agree with the exact engine except close to 0; -inf
+    for a candidate the gain bound ruled out of its class's top ``quota``.
+
+    Instances are scanned non-majority first, one INSTANCE_CHUNK at a time,
+    with windows prepared per (channel, length) group and chunk. When the
+    split spans more than one chunk, before the first distance and then
+    every ``BOUND_CHECK_TILES * MIN_TILE`` instances, each candidate's gain
+    bound is compared with the quota-th (gain, length, start, source,
+    index) key of its class among candidates of earlier groups, and a
+    candidate that cannot beat it is dropped; a chunk's
+    matmul for a block runs only while one of its candidates is live. The
+    keys are refreshed once per group, so what is dropped does not depend
+    on the thread count. A computed distance never depends on the order,
+    the chunk or the other live columns, so every gain that is computed,
+    and the pool, are the ones a full scan gives.
+    """
+    order = _minority_first(dataset)
+    m = len(order)
+    lengths = np.asarray([dataset[i].original_length for i in order], dtype=np.int64)
+    labels = np.asarray([dataset[i].label for i in order])
+    chunk = distance.INSTANCE_CHUNK
+    every = BOUND_CHECK_TILES * distance.MIN_TILE if m > chunk else None
+    gains = np.full(len(candidates), -np.inf)
+    best: dict[str, list[tuple]] = {lab: [] for lab in dataset.labels}
+    pruned = dict.fromkeys(dataset.labels, 0)
+    matmuls = skipped = checks = 0
 
     groups: dict[tuple[int, int], list[int]] = {}
     for i, c in enumerate(candidates):
         groups.setdefault((c.channel, len(c)), []).append(i)
 
-    # One window-matrix preparation per (channel, length) group, then
-    # fixed-size query blocks against it. Fixed block boundaries keep every
-    # matmul shape independent of the thread count, which keeps results
-    # bit-identical across schedules. Groups come sorted by channel, so a
-    # channel's rows and raw-window prefix sums are built once, sliced for
-    # each of its lengths, and dropped before the next channel's.
+    # Groups come sorted by channel, so a channel's rows and raw-window
+    # prefix sums are built once, sliced for each chunk and length, and
+    # dropped before the next channel's. Fixed block boundaries and chunk
+    # offsets keep every matmul shape independent of the thread count and
+    # of pruning.
+    class_targets = {lab: labels == lab for lab in dataset.labels}
     rows_channel = None
     for (channel, l), idx in sorted(groups.items()):
         if channel != rows_channel:
             rows = sums = None                  # free the last channel's first
-            rows = np.stack([x.values[channel] for x in dataset])
+            rows = np.stack([dataset[i].values[channel] for i in order])
             sums = None if config.znorm else prefix_sums(rows)
             rows_channel = channel
-        prep = prepare_windows(rows, lengths, l, znorm=config.znorm, sums=sums)
-        blocks = [idx[j : j + QUERY_BLOCK] for j in range(0, len(idx), QUERY_BLOCK)]
+        fit = lengths >= l
+        screens = []
+        for j in range(0, len(idx), QUERY_BLOCK):
+            block = idx[j : j + QUERY_BLOCK]
+            floor, tie_worse = np.full(len(block), -np.inf), np.zeros(len(block), dtype=bool)
+            for b, i in enumerate(block):
+                c = candidates[i]
+                if len(best[c.label]) == quota:
+                    key = best[c.label][-1]
+                    floor[b] = -key[0]
+                    tie_worse[b] = (l, c.start, c.source_id, i) > key[1:]
+            screens.append(_BlockScreen(
+                block, np.stack([candidates[i].values for i in block]),
+                np.stack([class_targets[candidates[i].label] for i in block]), fit,
+                floor, tie_worse))
 
-        def run_block(block, prep=prep):
-            queries = np.stack([candidates[i].values for i in block])
-            targets = np.stack([labels == candidates[i].label for i in block])
-            return block, _gain_block(prepared_min_cid(prep, queries).T, targets)[0]
+        for i0 in range(0, m, chunk):
+            todo = [sc for sc in screens if sc.live.any()]
+            matmuls += len(todo)
+            skipped += len(screens) - len(todo)
+            if not todo:
+                continue
+            i1 = min(i0 + chunk, m)
+            part_sums = None if sums is None else tuple(a[i0:i1] for a in sums)
+            prep = prepare_windows(rows[i0:i1], lengths[i0:i1], l, znorm=config.znorm,
+                                   sums=part_sums)
+            thread_map(lambda sc, prep=prep, i0=i0: sc.score(prep, i0, every),
+                       todo, config.threads)
 
-        for block, g in thread_map(run_block, blocks, config.threads):
-            gains[block] = g
+        for sc in screens:
+            checks += sc.checks
+            block = np.asarray(sc.idx)
+            for i in block[~sc.live]:
+                pruned[candidates[i].label] += 1
+            if sc.gains is not None:
+                gains[block[sc.live]] = sc.gains
+        if every is not None:
+            for i in idx:
+                c = candidates[i]
+                if np.isfinite(gains[i]):
+                    best[c.label].append((-gains[i], l, c.start, c.source_id, i))
+            for lab in best:
+                best[lab] = sorted(best[lab])[:quota]
+
+    counters.update(candidates=len(candidates), groups=len(groups), pruned=pruned,
+                    matmuls=matmuls, matmuls_skipped=skipped, bound_checks=checks)
     return gains
 
 

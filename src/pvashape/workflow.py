@@ -29,9 +29,10 @@ from .pipeline import subset_channels
 
 
 class Run:
-    """The record of one command: its config, input and output paths, and
-    the wall-clock seconds of each stage it ran. Its manifest is the only
-    place timings are kept, so result artifacts stay byte-reproducible."""
+    """The record of one command: its config, input and output paths, the
+    wall-clock seconds of each stage it ran and the counts some stages
+    report. Its manifest is the only place these are kept, so result
+    artifacts stay byte-reproducible."""
 
     def __init__(self, command: str, config: Config, inputs: dict | None = None,
                  outputs: dict | None = None):
@@ -40,6 +41,7 @@ class Run:
         self.inputs = dict(inputs or {})
         self.outputs = dict(outputs or {})
         self.timings: dict[str, float] = {}
+        self.counters: dict[str, dict] = {}
 
     @contextmanager
     def stage(self, name: str):
@@ -58,9 +60,10 @@ def peak_rss_mib() -> float:
 
 
 def write_manifest(path, run: Run) -> None:
-    """The run's config snapshot and hash, paths, stage timings, peak
-    memory and versions."""
+    """The run's config snapshot and hash, paths, stage timings, stage
+    counters (when a stage reported any), peak memory and versions."""
     cfg = run.config
+    counters = {"counters": run.counters} if run.counters else {}
     write_json(path, {
         "command": run.command,
         "config": cfg.to_dict(),
@@ -69,6 +72,7 @@ def write_manifest(path, run: Run) -> None:
         "inputs": {k: str(v) for k, v in run.inputs.items()},
         "outputs": {k: str(v) for k, v in run.outputs.items()},
         "timings_s": run.timings,
+        **counters,
         "peak_rss_mib": peak_rss_mib(),
         "versions": {"pvashape": __version__,
                      "python": platform.python_version(),
@@ -91,19 +95,20 @@ def fit(train_ds: Dataset, val_ds: Dataset, config: Config, *,
         run: Run | None = None) -> FitResult:
     """Fit every enabled stage on the training split, score the validation
     split, and return what the CLI saves. ``run`` (if given) records the
-    seconds of each stage."""
+    seconds of each stage and the discovery screen's counters."""
     if len(train_ds) == 0 or len(val_ds) == 0:
         raise ValidationError("both splits must be non-empty")
     if classes is None:
         classes = order_labels([x.label for x in train_ds] + [x.label for x in val_ds])
     train_ds, val_ds = align_channels(train_ds, config), align_channels(val_ds, config)
-    stage = (run or Run("fit", config)).stage
+    run = run or Run("fit", config)
+    stage = run.stage
 
     # Augmentation needs a pool even when shapelet features are ablated.
     needs_pool = config.use_shapelet_features or config.use_augment
     if needs_pool and pool is None:
         with stage("discover"):
-            pool = discover(train_ds, config)
+            pool = discover(train_ds, config, counters=run.counters.setdefault("discover", {}))
 
     train_full = train_ds
     if config.use_augment and pool is not None and len(pool) > 0:

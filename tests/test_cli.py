@@ -697,6 +697,7 @@ def test_run_all_seeded_twice_identical(tmp_path):
                                    "metrics", "features_train", "features_val"}
     assert _stage_keys(tmp_path / "a" / "manifest.json") == RUN_ALL_STAGES
     assert _peak_rss_mib(tmp_path / "a" / "manifest.json") > 0
+    assert man["counters"]["discover"]["candidates"] > 0
 
 
 def test_run_all_ablation_flags(tmp_path, capsys):
@@ -750,6 +751,60 @@ def test_transform_and_augment_keep_the_channel_subset(tmp_path):
                  "--out", str(feats)] + subset) == 0
     z, _, _ = load_features(feats)
     assert z.shape[1] == len(load_pool(pool)) + 2 * 2    # depth-2 statistics of 2 channels
+
+
+def _pool_on_channels_2_3(tmp_path):
+    """A 4-channel data file and a pool discovered on its channels 2 and 3."""
+    data, pool = tmp_path / "d.ndjson", tmp_path / "p.json"
+    assert main(["synth", "--out", str(data), "--n", "24", "--t", "40", "--seed", "3"]) == 0
+    assert main(["discover", "--data", str(data), "--out", str(pool),
+                 "--channels", "2,3", "--k", "5", "--g", "8"]) == 0
+    return data, pool
+
+
+def test_transform_and_augment_take_the_channel_subset_from_the_pool(tmp_path):
+    data, pool = _pool_on_channels_2_3(tmp_path)
+
+    def outputs(tag, flags):
+        feats, aug = tmp_path / f"f-{tag}.ndjson", tmp_path / f"a-{tag}.ndjson"
+        assert main(["transform", "--data", str(data), "--pool", str(pool),
+                     "--out", str(feats)] + flags) == 0
+        assert main(["augment", "--data", str(data), "--pool", str(pool),
+                     "--out", str(aug)] + flags) == 0
+        return feats, aug
+
+    taken = outputs("pool", [])
+    for mine, given in zip(taken, outputs("flags", ["--channels", "2,3"])):
+        assert mine.read_bytes() == given.read_bytes()
+    z, _, _ = load_features(taken[0])
+    assert z.shape == (24, len(load_pool(pool)) + 2 * 2)
+    assert load_dataset(taken[1]).n_channels == 2
+
+
+@pytest.mark.parametrize("cmd", ["transform", "augment"])
+def test_a_channel_subset_other_than_the_pool_s_exits_two(tmp_path, capsys, cmd):
+    data, pool = _pool_on_channels_2_3(tmp_path)
+    capsys.readouterr()
+    assert main([cmd, "--data", str(data), "--pool", str(pool),
+                 "--out", str(tmp_path / "out"), "--channels", "0,1"]) == 2
+    assert str(pool) in capsys.readouterr().err
+
+
+def test_discovery_counters_go_to_the_manifest_only(chain, tmp_path):
+    keys = {"candidates", "groups", "pruned", "matmuls", "matmuls_skipped", "bound_checks"}
+    man = json.loads((chain / "pool.json.manifest.json").read_text())
+    assert set(man["counters"]["discover"]) == keys
+    assert set(man["counters"]["discover"]["pruned"]) == {"NP", "AC", "DT", "IE"}
+    assert "counters" not in json.loads((chain / "metrics.json.manifest.json").read_text())
+    for name in ("pool.json", "ckpt.json", "metrics.json"):
+        assert "matmuls" not in (chain / name).read_text()
+
+
+def test_main_builds_the_parser_once_and_dispatches_by_name(tmp_path, monkeypatch):
+    assert main(["--version"]) == 0
+    monkeypatch.setattr(cli, "build_parser", lambda: pytest.fail("parser rebuilt"))
+    monkeypatch.setattr(cli, "cmd_synth", lambda args: 7)
+    assert main(["synth", "--out", str(tmp_path / "d.ndjson")]) == 7
 
 
 def test_tune_k_cli(tmp_path):

@@ -1,13 +1,19 @@
 """Candidate generation, information gain, and pool discovery."""
+import itertools
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
 from conftest import make_series
+from pvashape import discovery, distance
 from pvashape.core import Config, Dataset
-from pvashape.discovery import (_gain_block, discover, generate_candidates,
-                                load_pool, pool_from_dict, pool_to_dict, save_pool)
+from pvashape.discovery import (_gain_block, _gain_bound, _parent_entropy, discover,
+                                generate_candidates, load_pool, pool_from_dict, pool_to_dict,
+                                save_pool)
 from pvashape.distance import match_pool, psd
 from pvashape.pipeline import SynthConfig, generate_synthetic
 
@@ -194,3 +200,110 @@ def test_pool_round_trip(tmp_path):
     again = load_pool(p)
     assert pool_to_dict(again) == pool_to_dict(pool)
     assert pool_from_dict(pool_to_dict(pool)).labels == pool.labels
+
+
+# ---------------------------------------------------------------------------
+# The gain bound and the pruned screen
+# ---------------------------------------------------------------------------
+
+# Unseen distances are placed on this grid: below, on and between the
+# integer seen distances, so every order and every tie is reached.
+COMPLETION_GRID = [v / 2.0 for v in range(-1, 10)]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.tuples(st.integers(0, 4), st.booleans()), max_size=6),
+       st.lists(st.booleans(), max_size=3), st.integers(0, 3))
+def test_gain_bound_covers_every_completion(seen, unseen, not_fitting):
+    """Whatever distances the unseen instances turn out to have,
+    `_gain_block` finds no gain above the bound, and the oracle none above
+    it beyond the oracle's own rounding of the parent entropy; instances
+    the candidate does not fit (+inf) stay out of both."""
+    if not seen and not unseen:
+        seen = [(0, True)]
+    d = np.array([[float(v) for v, _ in seen]]).reshape(1, len(seen))
+    y = np.array([[t for _, t in seen]], dtype=bool).reshape(1, len(seen))
+    u_t = sum(unseen)
+    cap = _parent_entropy(np.array([y.sum() + u_t]), np.array([y.size + len(unseen)]))[0, 0]
+    bound = _gain_bound(d, y, np.array([u_t]), np.array([len(unseen) - u_t]),
+                        np.array([cap]))[0]
+
+    completions = list(itertools.product(COMPLETION_GRID, repeat=len(unseen)))
+    rows = np.array([[v for v, _ in seen] + list(c) + [math.inf] * not_fitting
+                     for c in completions])
+    labels = [t for _, t in seen] + list(unseen) + [True, False, True][:not_fitting]
+    gains, _ = _gain_block(rows, np.tile(np.array(labels, dtype=bool), (len(rows), 1)))
+    assert gains.max() <= bound
+    for c in completions:
+        pairs = [(float(v), t) for v, t in seen] + list(zip(c, unseen))
+        assert oracles.info_gain(pairs)[0] <= bound + 1e-12
+
+
+@pytest.mark.parametrize("targets,others", [(1, 1), (3, 5), (6, 235), (50, 1550)])
+def test_bound_cap_is_the_gain_of_a_perfect_split(targets, others):
+    """The cap is the gain `_gain_block` gives a perfect split, to the bit,
+    so a saturated tie is settled by the tie-break alone; with nothing
+    seen, the bound itself reaches it."""
+    cap = _parent_entropy(np.array([targets]), np.array([targets + others]))[0, 0]
+    row = np.r_[np.zeros(targets), np.ones(others)][None, :]
+    gains, _ = _gain_block(row, row == 0)
+    assert cap == gains[0]
+    assert _gain_bound(np.empty((1, 0)), np.empty((1, 0), dtype=bool), np.array([targets]),
+                       np.array([others]), np.array([cap]))[0] == cap
+
+
+def _imbalanced_padded_dataset():
+    """Mostly NP, with minority classes whose motifs split their class off
+    perfectly, and every fifth instance padded."""
+    ds = generate_synthetic(SynthConfig(
+        n_instances=60, t=40, seed=2,
+        class_proportions={"NP": 0.8, "AC": 0.1, "DT": 0.05, "IE": 0.05}))
+    rows = []
+    for j, x in enumerate(ds):
+        if j % 5 == 0:
+            n = x.original_length - 6
+            values = x.values.copy()
+            values[:, n:] = 0.0
+            x = replace(x, values=values, original_length=n)
+        rows.append(x)
+    return Dataset(tuple(rows))
+
+
+@pytest.fixture
+def small_chunks(monkeypatch):
+    """Scan in chunks of 8 instances, with a bound check every 16."""
+    monkeypatch.setattr(distance, "INSTANCE_CHUNK", 8)
+    monkeypatch.setattr(distance, "MIN_TILE", 2)
+
+
+def test_pruning_leaves_the_pool_unchanged(small_chunks, monkeypatch):
+    ds = _imbalanced_padded_dataset()
+    assert any(x.original_length < x.length for x in ds)
+    cfg = Config(k=6, g=8, seed=0)
+    counters = {}
+    pruned = pool_to_dict(discover(ds, cfg, counters=counters))
+    assert sum(counters["pruned"].values()) > 0
+    assert counters["matmuls_skipped"] > 0 and counters["bound_checks"] > 0
+    # a minority class saturates: its quota splits it off perfectly
+    for s in pruned["shapelets"]:
+        if s["label"] == "AC":
+            fits = [x.label == "AC" for x in ds if x.original_length >= len(s["values"])]
+            p = sum(fits) / len(fits)
+            assert s["info_gain"] == pytest.approx(
+                -p * math.log2(p) - (1 - p) * math.log2(1 - p), abs=1e-12)
+
+    monkeypatch.setattr(discovery, "_gain_bound",
+                        lambda d, y, ut, uo, cap: np.full(len(d), np.inf))
+    unpruned = {}
+    assert pool_to_dict(discover(ds, cfg, counters=unpruned)) == pruned
+    assert sum(unpruned["pruned"].values()) == 0 and unpruned["matmuls_skipped"] == 0
+
+
+def test_pool_and_counters_do_not_depend_on_threads(small_chunks):
+    ds = _imbalanced_padded_dataset()
+    runs = []
+    for threads in (1, 4):
+        counters = {}
+        pool = discover(ds, Config(k=6, g=8, seed=0, threads=threads), counters=counters)
+        runs.append((pool_to_dict(pool), counters))
+    assert runs[0] == runs[1]

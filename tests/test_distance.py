@@ -366,3 +366,71 @@ def test_shapelet_refuses_a_negative_channel():
     with pytest.raises(ValidationError, match="channel -1 is negative"):
         Shapelet(values=np.array([2.0, 3.0]), channel=-1, source_id="x0",
                  start=1, end=2, label="NP")
+
+
+# ---------------------------------------------------------------------------
+# What discovery's pruned scan relies on
+# ---------------------------------------------------------------------------
+
+def _padded_chunk(seed, m=INSTANCE_CHUNK, t=40):
+    gen = np.random.default_rng(seed)
+    lengths = gen.integers(12, t + 1, size=m)
+    values = gen.normal(size=(m, t))
+    for i, n in enumerate(lengths):
+        values[i, n:] = 0.0
+    return values, lengths.astype(np.int64), gen.normal(size=(QUERY_BLOCK, 9))
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_kernel_is_bitwise_stable_under_row_permutation(seed):
+    """The same matmul shape with instances in another order gives each
+    instance the same distances, to the bit."""
+    values, lengths, queries = _padded_chunk(seed)
+    perm = np.random.default_rng(seed + 10).permutation(len(values))
+    d = prepared_min_cid(prepare_windows(values, lengths, 9), queries)
+    d_perm = prepared_min_cid(prepare_windows(values[perm], lengths[perm], 9), queries)
+    assert np.array_equal(d[perm], d_perm)
+
+
+@pytest.mark.parametrize("znorm", [False, True])
+def test_windows_prepared_per_chunk_are_slices_of_the_whole(znorm):
+    values, lengths, _ = _padded_chunk(2, m=2 * INSTANCE_CHUNK + 5)
+    sums = None if znorm else prefix_sums(values)
+    whole = prepare_windows(values, lengths, 9, znorm=znorm, sums=sums)
+    for i0 in range(0, len(values), INSTANCE_CHUNK):
+        i1 = min(i0 + INSTANCE_CHUNK, len(values))
+        part = prepare_windows(values[i0:i1], lengths[i0:i1], 9, znorm=znorm,
+                               sums=None if sums is None else tuple(a[i0:i1] for a in sums))
+        w = whole.w
+        assert np.array_equal(part.flat, whole.flat[i0 * w : i1 * w])
+        for field in ("invalid", "ce2", "inv_ce2"):
+            assert np.array_equal(getattr(part, field), getattr(whole, field)[i0:i1]), field
+
+
+def test_live_columns_and_checks_leave_scored_distances_unchanged():
+    values, lengths, queries = _padded_chunk(3)
+    prep = prepare_windows(values, lengths, 9)
+    full = prepared_min_cid(prep, queries)
+    live = np.arange(QUERY_BLOCK) % 3 != 0
+    sub = prepared_min_cid(prep, queries, live=live)
+    assert np.array_equal(sub[:, live], full[:, live])
+    assert np.isnan(sub[:, ~live]).all()
+
+    # a check after the second tile drops half the columns; one after the
+    # fourth drops the rest, which ends the pass
+    seen = []
+
+    def check(j1, dists):
+        seen.append(j1)
+        assert np.array_equal(dists[:j1, keep_first], full[:j1, keep_first])
+        if j1 == 2 * MIN_TILE:
+            return keep_first
+        return np.zeros(QUERY_BLOCK, dtype=bool) if j1 == 4 * MIN_TILE else None
+
+    keep_first = np.arange(QUERY_BLOCK) < QUERY_BLOCK // 2
+    d = prepared_min_cid(prep, queries, check=check)
+    assert seen == [MIN_TILE, 2 * MIN_TILE, 3 * MIN_TILE, 4 * MIN_TILE]
+    assert np.array_equal(d[: 2 * MIN_TILE], full[: 2 * MIN_TILE])
+    assert np.array_equal(d[: 4 * MIN_TILE, keep_first], full[: 4 * MIN_TILE, keep_first])
+    assert np.isnan(d[2 * MIN_TILE :, ~keep_first]).all()
+    assert np.isnan(d[4 * MIN_TILE :]).all()
