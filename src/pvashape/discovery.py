@@ -233,6 +233,8 @@ def _gain_bound(dists: np.ndarray, targets: np.ndarray, unseen_targets: np.ndarr
     among seen distances are ignored, which only loosens it.
     """
     b, s = dists.shape
+    if s == 0:                      # nothing seen: a perfect split is still open
+        return cap.copy()
     # Sort labels with their distances in one key: a distance's bits (after
     # +0.0 folds -0.0 into 0.0) order like the distance, and the label
     # takes the freed lowest bit.
@@ -277,6 +279,19 @@ def _minority_first(dataset: Dataset) -> np.ndarray:
     counts = dataset.class_counts
     majority = max(counts, key=counts.get)
     return np.argsort([x.label == majority for x in dataset], kind="stable")
+
+
+def _check_offsets(m: int, n_minority: int) -> range:
+    """Instance offsets, after the first distance, at which a scan of ``m``
+    instances whose first ``n_minority`` are non-majority checks the bound.
+
+    Until every non-majority instance is seen, the unseen ones mix labels
+    and the bound rarely prunes. A check re-sorts the distances seen so far
+    and can save work only on the instances still unseen, so none runs
+    past the halfway point.
+    """
+    step = BOUND_CHECK_TILES * distance.MIN_TILE
+    return range(max(-(-n_minority // step), 1) * step, m // 2 + 1, step)
 
 
 class _BlockScreen:
@@ -325,20 +340,18 @@ class _BlockScreen:
         self.checks += 1
         return self.live
 
-    def score(self, prep, i0: int, every: int | None) -> None:
+    def score(self, prep, i0: int, offsets) -> None:
         """Distances to the chunk of instances ``i0:i0 + prep.m``, with a
-        bound check every ``every`` instances before the last (None: no
-        checks); the gains once the last chunk is in."""
+        bound check at each of the ``offsets`` it reaches; the gains once
+        the last chunk is in."""
         m = self.dists.shape[0]
 
-        def check(j1, _):
-            s = i0 + j1
-            return None if s >= m or s % every else self.bound_check(s)
+        def check(j):
+            if j == 0:
+                return self.live
+            return self.bound_check(i0 + j) if i0 + j in offsets else None
 
-        checked = every is not None and self.prunable.any()
-        prepared_min_cid(prep, self.queries, live=self.live,
-                         check=check if checked else None,
-                         out=self.dists[i0 : i0 + prep.m])
+        prepared_min_cid(prep, self.queries, check=check, out=self.dists[i0 : i0 + prep.m])
         if i0 + prep.m == m and self.live.any():
             self.gains = _gain_block(self.dists[:, self.live].T,
                                      self.targets[self.live])[0]
@@ -352,26 +365,29 @@ def _screen_gains(dataset: Dataset, candidates: list[Shapelet], config: Config,
 
     Instances are scanned non-majority first, one INSTANCE_CHUNK at a time,
     with windows prepared per (channel, length) group and chunk. When the
-    split spans more than one chunk, before the first distance and then
-    every ``BOUND_CHECK_TILES * MIN_TILE`` instances, each candidate's gain
-    bound is compared with the quota-th (gain, length, start, source,
-    index) key of its class among candidates of earlier groups, and a
-    candidate that cannot beat it is dropped; a chunk's
-    matmul for a block runs only while one of its candidates is live. The
-    keys are refreshed once per group, so what is dropped does not depend
-    on the thread count. A computed distance never depends on the order,
-    the chunk or the other live columns, so every gain that is computed,
-    and the pool, are the ones a full scan gives.
+    split spans more than one chunk, each candidate's gain bound is
+    compared, before its first distance and at the `_check_offsets`, with
+    the quota-th (gain, length, start, source, index) key of its class
+    among candidates of earlier groups, and a candidate that cannot beat it
+    is dropped; a chunk's matmul for a block runs only while one of its
+    candidates is live. The keys are refreshed once per group, so what is
+    dropped does not depend on the thread count. Pruning is exact in this
+    scan order: a distance does not depend on the other live columns, so
+    every gain that is computed, and the pool, are the ones an unpruned
+    scan in the same order gives. Against a scan in dataset order a
+    distance keeps its bits only while its instance's chunk keeps its
+    shape; one moved into or out of a short last chunk may differ in the
+    last bits, which can flip a ranking near-tie.
     """
     order = _minority_first(dataset)
     m = len(order)
     lengths = np.asarray([dataset[i].original_length for i in order], dtype=np.int64)
     labels = np.asarray([dataset[i].label for i in order])
     chunk = distance.INSTANCE_CHUNK
-    every = BOUND_CHECK_TILES * distance.MIN_TILE if m > chunk else None
+    n_minority = int(np.count_nonzero(labels != labels[-1]))   # majority comes last
+    offsets = _check_offsets(m, n_minority) if m > chunk else range(0)
     gains = np.full(len(candidates), -np.inf)
     best: dict[str, list[tuple]] = {lab: [] for lab in dataset.labels}
-    pruned = dict.fromkeys(dataset.labels, 0)
     matmuls = skipped = checks = 0
 
     groups: dict[tuple[int, int], list[int]] = {}
@@ -417,24 +433,22 @@ def _screen_gains(dataset: Dataset, candidates: list[Shapelet], config: Config,
             part_sums = None if sums is None else tuple(a[i0:i1] for a in sums)
             prep = prepare_windows(rows[i0:i1], lengths[i0:i1], l, znorm=config.znorm,
                                    sums=part_sums)
-            thread_map(lambda sc, prep=prep, i0=i0: sc.score(prep, i0, every),
+            thread_map(lambda sc, prep=prep, i0=i0: sc.score(prep, i0, offsets),
                        todo, config.threads)
 
         for sc in screens:
             checks += sc.checks
-            block = np.asarray(sc.idx)
-            for i in block[~sc.live]:
-                pruned[candidates[i].label] += 1
             if sc.gains is not None:
-                gains[block[sc.live]] = sc.gains
-        if every is not None:
-            for i in idx:
+                gains[np.asarray(sc.idx)[sc.live]] = sc.gains
+        if m > chunk:
+            for i in np.asarray(idx)[np.isfinite(gains[idx])].tolist():
                 c = candidates[i]
-                if np.isfinite(gains[i]):
-                    best[c.label].append((-gains[i], l, c.start, c.source_id, i))
+                best[c.label].append((-gains[i], l, c.start, c.source_id, i))
             for lab in best:
                 best[lab] = sorted(best[lab])[:quota]
 
+    dropped = [c.label for c, g in zip(candidates, gains.tolist()) if g == -np.inf]
+    pruned = {lab: dropped.count(lab) for lab in dataset.labels}
     counters.update(candidates=len(candidates), groups=len(groups), pruned=pruned,
                     matmuls=matmuls, matmuls_skipped=skipped, bound_checks=checks)
     return gains

@@ -265,8 +265,7 @@ def prepare_windows(values: np.ndarray, lengths: np.ndarray, l: int,
                            ce2=ce2_eff, inv_ce2=inv_ce2, znorm=znorm)
 
 
-def prepared_min_cid(prep: PreparedWindows, queries: np.ndarray,
-                     live: np.ndarray | None = None, check=None,
+def prepared_min_cid(prep: PreparedWindows, queries: np.ndarray, check=None,
                      out: np.ndarray | None = None) -> np.ndarray:
     """Minimum CID of one query block against prepared windows, shape (M, n).
 
@@ -279,14 +278,16 @@ def prepared_min_cid(prep: PreparedWindows, queries: np.ndarray,
     and the root is taken per tile on the minima. Instances with no valid
     window read +inf.
 
-    ``live`` (n,) limits the elementwise pass and the min to the marked
-    columns; the others read NaN. ``check(j1, dists)``, when given, runs
-    after the tile ending at instance ``j1`` with rows ``:j1`` of the
-    result final, and returns the columns to keep scoring (or None to keep
-    them all); the call ends once none is left. The matmul always covers
-    the whole block and every pass step is elementwise, so a distance does
-    not depend on which other columns were scored. The result goes to
-    ``out`` when one is given.
+    ``check(j)``, when given, is called before the first tile (``j`` = 0)
+    and after each tile ending at instance ``j``, when rows ``:j`` of the
+    result are final. It returns a boolean mask of the columns to keep
+    scoring, or None to keep the current ones; a dropped column reads NaN
+    from row ``j`` on, and the call ends once no column is left. While more
+    than half the columns are live the pass runs on all of them, since
+    gathering the live ones would cost more than it saves. The matmul
+    always covers the whole block and every pass step is elementwise, so a
+    distance does not depend on which other columns were scored. The result
+    goes to ``out`` when one is given.
 
     The complexity ratio is applied squared via
     ``cf^2 = max(ce_w^2 / max(ce_q, eps)^2, ce_q^2 / max(ce_w, eps)^2)``,
@@ -313,52 +314,66 @@ def prepared_min_cid(prep: PreparedWindows, queries: np.ndarray,
     qext[l] = 1.0
     qext[l + 1] = sq_q
 
-    live = np.ones(n, dtype=bool) if live is None else np.array(live, dtype=bool)
     dists = np.empty((m, n)) if out is None else out
-    dists[:, ~live] = np.nan
+    live = np.ones(n, dtype=bool)
+    n_live = n
+
+    def narrow(j: int) -> int:
+        """Apply ``check(j)``; the number of live columns left."""
+        nonlocal n_live
+        keep = None if check is None else check(j)
+        if keep is not None:
+            dropped = live & ~np.asarray(keep, dtype=bool)
+            if dropped.any():
+                live[dropped] = False
+                dists[j:, dropped] = np.nan
+                n_live = int(np.count_nonzero(live))
+        return n_live
+
+    if not narrow(0):
+        return dists
     chunk = min(INSTANCE_CHUNK, m)
     gemm = np.empty((chunk * w, n))
-    scratch = np.empty((2, min(MIN_TILE, chunk), w, n))
+    tile_size = min(MIN_TILE, chunk) * w * n
+    # the two complexity-factor terms, then a tile's gathered live columns
+    scratch = np.empty(3 * tile_size)
+    gathered = scratch[2 * tile_size :]
     for i0 in range(0, m, chunk):
-        if not live.any():
-            break
         i1 = min(i0 + chunk, m)
         buf = np.matmul(prep.flat[i0 * w : i1 * w], qext, out=gemm[: (i1 - i0) * w])
         buf = buf.reshape(i1 - i0, w, n)
         for j0 in range(i0, i1, MIN_TILE):
             j1 = min(j0 + MIN_TILE, i1)
-            cols = None if live.all() else np.flatnonzero(live)
-            if cols is None:
-                tile, sub, cf = buf[j0 - i0 : j1 - i0], slice(None), scratch[:, : j1 - j0]
+            tile = buf[j0 - i0 : j1 - i0]
+            if 2 * n_live > n:
+                cols = slice(None)
             else:
-                tile, sub = buf[j0 - i0 : j1 - i0][:, :, cols], cols
-                cf = np.empty((2,) + tile.shape)
+                cols = np.flatnonzero(live)
+                tile = np.take(tile, cols, axis=2, mode="clip",
+                               out=gathered[: (j1 - j0) * w * n_live].reshape(j1 - j0, w, n_live))
+            cf = scratch[: 2 * tile.size].reshape((2,) + tile.shape)
             # Squared complexity factor, then squared CID. The outer products
             # go through einsum, which is about twice as fast here as a
             # broadcast multiply and gives the same products.
-            t1 = np.einsum("tw,n->twn", prep.ce2[j0:j1], inv_ce2_q[sub], out=cf[0])
-            t2 = np.einsum("tw,n->twn", prep.inv_ce2[j0:j1], ce2_q[sub], out=cf[1])
+            t1 = np.einsum("tw,n->twn", prep.ce2[j0:j1], inv_ce2_q[cols], out=cf[0])
+            t2 = np.einsum("tw,n->twn", prep.inv_ce2[j0:j1], ce2_q[cols], out=cf[1])
             np.maximum(t1, t2, out=t1)
             np.multiply(tile, t1, out=tile)
             invalid = prep.invalid[j0:j1]
             if invalid.any():
                 tile[invalid] = np.inf
-            if cols is None:
-                np.min(tile, axis=1, out=dists[j0:j1])
+            d = dists[j0:j1]
+            if 2 * n_live <= n:
+                d[:, cols] = np.min(tile, axis=1)
             else:
-                dists[j0:j1, cols] = np.min(tile, axis=1)
+                np.min(tile, axis=1, out=d)
+                if n_live < n:
+                    d[:, ~live] = np.nan
             # ed^2 can round slightly negative for near-identical pairs; clip
             # before the root. Rows with no valid window stay +inf.
-            d = dists[j0:j1]
             np.sqrt(np.maximum(d, 0.0, out=d), out=d)
-            keep = None if check is None else check(j1, dists)
-            if keep is not None:
-                dropped = live & ~np.asarray(keep, dtype=bool)
-                if dropped.any():
-                    live &= ~dropped
-                    dists[j1:, dropped] = np.nan
-                    if not live.any():
-                        break
+            if not narrow(j1):
+                return dists
     return dists
 
 

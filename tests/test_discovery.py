@@ -271,7 +271,7 @@ def _imbalanced_padded_dataset():
 
 @pytest.fixture
 def small_chunks(monkeypatch):
-    """Scan in chunks of 8 instances, with a bound check every 16."""
+    """Scan in chunks of 8 instances, with bound checks at multiples of 16."""
     monkeypatch.setattr(distance, "INSTANCE_CHUNK", 8)
     monkeypatch.setattr(distance, "MIN_TILE", 2)
 
@@ -297,6 +297,18 @@ def test_pruning_leaves_the_pool_unchanged(small_chunks, monkeypatch):
     unpruned = {}
     assert pool_to_dict(discover(ds, cfg, counters=unpruned)) == pruned
     assert sum(unpruned["pruned"].values()) == 0 and unpruned["matmuls_skipped"] == 0
+
+
+@pytest.mark.parametrize("m,n_minority,offsets", [
+    (256, 21, [64, 128]),          # fit-imbalanced: checks once the minority is seen
+    (256, 64, [64, 128]),
+    (256, 65, [128]),
+    (256, 192, []),                # balanced: the unseen mix labels until past half
+    (256, 0, [64, 128]),
+    (1600, 128, list(range(128, 801, 64))),
+])
+def test_check_offsets_start_after_the_minority_and_stop_at_half(m, n_minority, offsets):
+    assert list(discovery._check_offsets(m, n_minority)) == offsets
 
 
 def test_pool_and_counters_do_not_depend_on_threads(small_chunks):

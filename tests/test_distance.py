@@ -407,29 +407,39 @@ def test_windows_prepared_per_chunk_are_slices_of_the_whole(znorm):
             assert np.array_equal(getattr(part, field), getattr(whole, field)[i0:i1]), field
 
 
-def test_live_columns_and_checks_leave_scored_distances_unchanged():
+@pytest.mark.parametrize("every", [3, 2])
+def test_checked_columns_leave_scored_distances_unchanged(every):
+    """Dropping columns before the first tile, on either side of the
+    half-live switch to gathered columns, keeps the others' bits."""
     values, lengths, queries = _padded_chunk(3)
     prep = prepare_windows(values, lengths, 9)
     full = prepared_min_cid(prep, queries)
-    live = np.arange(QUERY_BLOCK) % 3 != 0
-    sub = prepared_min_cid(prep, queries, live=live)
+    live = np.arange(QUERY_BLOCK) % every != 0
+    sub = prepared_min_cid(prep, queries, check=lambda j: live if j == 0 else None)
     assert np.array_equal(sub[:, live], full[:, live])
     assert np.isnan(sub[:, ~live]).all()
 
+
+def test_checks_after_tiles_see_final_rows_and_end_the_pass():
+    values, lengths, queries = _padded_chunk(4)
+    prep = prepare_windows(values, lengths, 9)
+    full = prepared_min_cid(prep, queries)
     # a check after the second tile drops half the columns; one after the
     # fourth drops the rest, which ends the pass
+    keep_first = np.arange(QUERY_BLOCK) < QUERY_BLOCK // 2
+    out = np.empty_like(full)
     seen = []
 
-    def check(j1, dists):
-        seen.append(j1)
-        assert np.array_equal(dists[:j1, keep_first], full[:j1, keep_first])
-        if j1 == 2 * MIN_TILE:
+    def check(j):
+        seen.append(j)
+        assert np.array_equal(out[:j, keep_first], full[:j, keep_first])
+        if j == 2 * MIN_TILE:
             return keep_first
-        return np.zeros(QUERY_BLOCK, dtype=bool) if j1 == 4 * MIN_TILE else None
+        return np.zeros(QUERY_BLOCK, dtype=bool) if j == 4 * MIN_TILE else None
 
-    keep_first = np.arange(QUERY_BLOCK) < QUERY_BLOCK // 2
-    d = prepared_min_cid(prep, queries, check=check)
-    assert seen == [MIN_TILE, 2 * MIN_TILE, 3 * MIN_TILE, 4 * MIN_TILE]
+    d = prepared_min_cid(prep, queries, check=check, out=out)
+    assert d is out
+    assert seen == [0, MIN_TILE, 2 * MIN_TILE, 3 * MIN_TILE, 4 * MIN_TILE]
     assert np.array_equal(d[: 2 * MIN_TILE], full[: 2 * MIN_TILE])
     assert np.array_equal(d[: 4 * MIN_TILE, keep_first], full[: 4 * MIN_TILE, keep_first])
     assert np.isnan(d[2 * MIN_TILE :, ~keep_first]).all()
