@@ -18,7 +18,7 @@ from dataclasses import replace
 
 from . import __version__
 from .core import (Config, Dataset, STREAM_SPLIT, SeededRng, ValidationError,
-                   load_dataset, read_json, refuse_malformed, save_dataset,
+                   load_dataset, read_json, save_dataset,
                    write_json as _write_json)
 from .discovery import discover, load_pool, save_pool
 from .augment import balance_dataset
@@ -101,8 +101,10 @@ def _parse_proportions(raw):
         raise ValidationError(f"--proportions is not JSON: {err}") from err
     if not isinstance(props, dict):
         raise ValidationError("--proportions must be a JSON object of class -> fraction")
-    with refuse_malformed("--proportions"):
-        return {str(k): float(v) for k, v in props.items()}
+    for k, v in props.items():
+        if isinstance(v, bool) or not isinstance(v, (int, float)):
+            raise ValidationError(f"--proportions value for {k} is {v!r}, not a number")
+    return {k: float(v) for k, v in props.items()}
 
 
 # ---------------------------------------------------------------------------

@@ -398,9 +398,18 @@ def series_from_record(rec: dict) -> LabeledSeries:
             id=str(rec["id"]),
             values=np.asarray(rec["values"], dtype=np.float64),
             label=str(rec["label"]),
-            original_length=int(rec["original_length"]),
+            original_length=json_integer(rec["original_length"],
+                                         "dataset record original_length"),
             channel_names=tuple(rec["channels"]),
         )
+
+
+def json_integer(value, what: str) -> int:
+    """``value`` when it is a JSON integer; a fraction or a bool is refused
+    rather than truncated."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValidationError(f"{what} is {value!r}, not an integer")
+    return value
 
 
 @contextmanager

@@ -20,11 +20,11 @@ from dataclasses import replace
 
 import numpy as np
 
-from .core import (Config, Dataset, Shapelet, ShapeletPool, ValidationError,
+from .core import (Config, Dataset, Shapelet, ShapeletPool, ValidationError, json_integer,
                    read_json, refuse_malformed, result_config, write_json)
 from . import distance
-from .distance import (QUERY_BLOCK, match_pool, prefix_sums, prepare_windows,
-                       prepared_min_cid)
+from .distance import (QUERY_BLOCK, match_pool, prefix_sums, prepare_queries,
+                       prepare_windows, prepared_min_cid)
 from .parallel import thread_map
 from .pips import pip_insertions
 
@@ -34,8 +34,6 @@ MIN_CANDIDATE_LENGTH = 3
 # Gains at or below this are treated as "no informative split": genuinely
 # nonzero gains on small sets sit orders of magnitude above float noise.
 GAIN_EPS = 1e-12
-# MIN_TILE tiles scored between two gain-bound checks of a query block.
-BOUND_CHECK_TILES = 8
 # Added to the gain bound: its table form and `_gain_block`'s entropy form
 # of one gain differ by rounding far below this.
 BOUND_SLACK = 1e-9
@@ -282,21 +280,21 @@ def _minority_first(dataset: Dataset) -> np.ndarray:
 
 
 def _check_offsets(m: int, n_minority: int) -> range:
-    """Instance offsets, after the first distance, at which a scan of ``m``
-    instances whose first ``n_minority`` are non-majority checks the bound.
+    """Chunk ends at which a scan of ``m`` instances whose first
+    ``n_minority`` are non-majority checks the bound.
 
     Until every non-majority instance is seen, the unseen ones mix labels
     and the bound rarely prunes. A check re-sorts the distances seen so far
     and can save work only on the instances still unseen, so none runs
     past the halfway point.
     """
-    step = BOUND_CHECK_TILES * distance.MIN_TILE
+    step = distance.INSTANCE_CHUNK
     return range(max(-(-n_minority // step), 1) * step, m // 2 + 1, step)
 
 
 class _BlockScreen:
-    """One query block's distances and surviving columns across the instance
-    chunks of one (channel, length) group.
+    """One query block's prepared queries, distances and surviving columns
+    across the instance chunks of one (channel, length) group.
 
     ``floor`` and ``tie_worse`` describe, per column, the quota-th key of its
     class among candidates already scored: a column is dropped once its
@@ -321,12 +319,12 @@ class _BlockScreen:
                                        np.full(len(idx), len(self.fit_rows)))[:, 0]
             self.bound_check(0)
 
-    def bound_check(self, s: int) -> np.ndarray:
+    def bound_check(self, s: int) -> None:
         """Drop every live column whose bound, given its distances to the
         first ``s`` instances, cannot beat its class's key."""
         cols = np.flatnonzero(self.live & self.prunable)
         if cols.size == 0:
-            return self.live
+            return
         n_seen = np.searchsorted(self.fit_rows, s)
         targets = self.fit_targets[cols, :n_seen]
         seen_targets = np.count_nonzero(targets, axis=1)
@@ -338,21 +336,16 @@ class _BlockScreen:
         drop = (bound < floor) | ((bound == floor) & self.tie_worse[cols])
         self.live[cols[drop]] = False
         self.checks += 1
-        return self.live
 
     def score(self, prep, i0: int, offsets) -> None:
-        """Distances to the chunk of instances ``i0:i0 + prep.m``, with a
-        bound check at each of the ``offsets`` it reaches; the gains once
-        the last chunk is in."""
-        m = self.dists.shape[0]
-
-        def check(j):
-            if j == 0:
-                return self.live
-            return self.bound_check(i0 + j) if i0 + j in offsets else None
-
-        prepared_min_cid(prep, self.queries, check=check, out=self.dists[i0 : i0 + prep.m])
-        if i0 + prep.m == m and self.live.any():
+        """Distances of the live columns to the chunk of instances
+        ``i0:i0 + prep.m``; then a bound check if the chunk ends at one of
+        the ``offsets``, or the gains if it is the last."""
+        i1 = i0 + prep.m
+        prepared_min_cid(prep, self.queries, self.live, out=self.dists[i0:i1])
+        if i1 in offsets:
+            self.bound_check(i1)
+        if i1 == len(self.dists) and self.live.any():
             self.gains = _gain_block(self.dists[:, self.live].T,
                                      self.targets[self.live])[0]
 
@@ -363,21 +356,22 @@ def _screen_gains(dataset: Dataset, candidates: list[Shapelet], config: Config,
     distances, which agree with the exact engine except close to 0; -inf
     for a candidate the gain bound ruled out of its class's top ``quota``.
 
-    Instances are scanned non-majority first, one INSTANCE_CHUNK at a time,
-    with windows prepared per (channel, length) group and chunk. When the
-    split spans more than one chunk, each candidate's gain bound is
-    compared, before its first distance and at the `_check_offsets`, with
-    the quota-th (gain, length, start, source, index) key of its class
-    among candidates of earlier groups, and a candidate that cannot beat it
-    is dropped; a chunk's matmul for a block runs only while one of its
-    candidates is live. The keys are refreshed once per group, so what is
-    dropped does not depend on the thread count. Pruning is exact in this
-    scan order: a distance does not depend on the other live columns, so
-    every gain that is computed, and the pool, are the ones an unpruned
-    scan in the same order gives. Against a scan in dataset order a
-    distance keeps its bits only while its instance's chunk keeps its
-    shape; one moved into or out of a short last chunk may differ in the
-    last bits, which can flip a ranking near-tie.
+    Instances are scanned non-majority first, one INSTANCE_CHUNK at a time:
+    windows are prepared per (channel, length) group and chunk, and each
+    query block's prepared queries are scored against each chunk with one
+    kernel call on its live columns. Each candidate's gain bound is
+    compared, before its first distance and after the chunks that end at
+    the `_check_offsets`, with the quota-th (gain, length, start, source,
+    index) key of its class among candidates of earlier groups, and a
+    candidate that cannot beat it is dropped; a block's kernel call runs
+    only while one of its candidates is live. The keys are refreshed once
+    per group, so what is dropped does not depend on the thread count.
+    Pruning is exact in this scan order: a distance does not depend on the
+    other live columns, so every gain that is computed, and the pool, are
+    the ones an unpruned scan in the same order gives. Against another
+    order or chunk size a distance keeps its bits only while its matmul
+    keeps its shape, so it may differ in the last bits, which can flip a
+    ranking near-tie.
     """
     order = _minority_first(dataset)
     m = len(order)
@@ -385,7 +379,7 @@ def _screen_gains(dataset: Dataset, candidates: list[Shapelet], config: Config,
     labels = np.asarray([dataset[i].label for i in order])
     chunk = distance.INSTANCE_CHUNK
     n_minority = int(np.count_nonzero(labels != labels[-1]))   # majority comes last
-    offsets = _check_offsets(m, n_minority) if m > chunk else range(0)
+    offsets = _check_offsets(m, n_minority)
     gains = np.full(len(candidates), -np.inf)
     best: dict[str, list[tuple]] = {lab: [] for lab in dataset.labels}
     matmuls = skipped = checks = 0
@@ -419,7 +413,8 @@ def _screen_gains(dataset: Dataset, candidates: list[Shapelet], config: Config,
                     floor[b] = -key[0]
                     tie_worse[b] = (l, c.start, c.source_id, i) > key[1:]
             screens.append(_BlockScreen(
-                block, np.stack([candidates[i].values for i in block]),
+                block, prepare_queries(np.stack([candidates[i].values for i in block]),
+                                       config.znorm),
                 np.stack([class_targets[candidates[i].label] for i in block]), fit,
                 floor, tie_worse))
 
@@ -440,12 +435,11 @@ def _screen_gains(dataset: Dataset, candidates: list[Shapelet], config: Config,
             checks += sc.checks
             if sc.gains is not None:
                 gains[np.asarray(sc.idx)[sc.live]] = sc.gains
-        if m > chunk:
-            for i in np.asarray(idx)[np.isfinite(gains[idx])].tolist():
-                c = candidates[i]
-                best[c.label].append((-gains[i], l, c.start, c.source_id, i))
-            for lab in best:
-                best[lab] = sorted(best[lab])[:quota]
+        for i in np.asarray(idx)[np.isfinite(gains[idx])].tolist():
+            c = candidates[i]
+            best[c.label].append((-gains[i], l, c.start, c.source_id, i))
+        for lab in best:
+            best[lab] = sorted(best[lab])[:quota]
 
     dropped = [c.label for c, g in zip(candidates, gains.tolist()) if g == -np.inf]
     pruned = {lab: dropped.count(lab) for lab in dataset.labels}
@@ -480,21 +474,13 @@ def pool_to_dict(pool: ShapeletPool) -> dict:
     }
 
 
-def _integer(value, what: str) -> int:
-    """``value`` when it is a JSON integer; a fraction or a bool is refused
-    rather than truncated."""
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ValidationError(f"{what} is {value!r}, not an integer")
-    return value
-
-
 def _shapelet_from_record(j: int, rec: dict) -> Shapelet:
     """Pool entry ``j``; its values and numbers must be finite, its values
     one list, its channel and span integers."""
     values = np.asarray(rec["values"], dtype=np.float64)
     if values.ndim != 1 or not np.all(np.isfinite(values)):
         raise ValidationError(f"shapelet {j} values are not a list of finite numbers")
-    channel, start, end = (_integer(rec[name], f"shapelet {j} {name}")
+    channel, start, end = (json_integer(rec[name], f"shapelet {j} {name}")
                            for name in ("channel", "start", "end"))
     numbers = {name: float(rec[name]) for name in ("info_gain", "split_threshold")}
     if rec.get("max_train_psd") is not None:
@@ -509,7 +495,7 @@ def _shapelet_from_record(j: int, rec: dict) -> Shapelet:
 def pool_from_dict(d: dict) -> ShapeletPool:
     with refuse_malformed("pool"):
         shapelets = tuple(_shapelet_from_record(j, rec) for j, rec in enumerate(d["shapelets"]))
-        quota = _integer(d["per_class_quota"], "per_class_quota")
+        quota = json_integer(d["per_class_quota"], "per_class_quota")
         return ShapeletPool(shapelets=shapelets, per_class_quota=quota,
                             labels=tuple(d["labels"]), config=dict(d.get("config", {})))
 

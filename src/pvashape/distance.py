@@ -182,18 +182,19 @@ def psd(x: LabeledSeries, channel: int, s: np.ndarray, znorm: bool = False) -> M
 # constants: results are bit-identical no matter how work is scheduled.
 
 QUERY_BLOCK = 64
-INSTANCE_CHUNK = 128
+# Instances per prepared window matrix, and so per matmul.
+INSTANCE_CHUNK = 64
 # Instances per step of the elementwise pass over one matmul's output.
 MIN_TILE = 8
 
 
 @dataclass(frozen=True)
 class PreparedWindows:
-    """Per-(channel, length) window statistics shared across query blocks.
+    """Per-(channel, length) window statistics of one instance chunk.
 
     Building the contiguous window matrix dominates the cost of a single
-    batched call, so discovery prepares it once per group and scores many
-    query blocks against it.
+    batched call, so discovery prepares it once per group and chunk and
+    scores every query block against it.
     """
 
     m: int
@@ -265,115 +266,104 @@ def prepare_windows(values: np.ndarray, lengths: np.ndarray, l: int,
                            ce2=ce2_eff, inv_ce2=inv_ce2, znorm=znorm)
 
 
-def prepared_min_cid(prep: PreparedWindows, queries: np.ndarray, check=None,
+@dataclass(frozen=True)
+class PreparedQueries:
+    """One query block's terms, built once and scored against every chunk."""
+
+    l: int
+    ext: np.ndarray           # (l+2, n) extended queries [-2q, 1, ||q||^2]
+    ce2: np.ndarray           # (n,) squared query complexity (z-scored if znorm)
+    inv_ce2: np.ndarray       # (n,) 1 / max(query complexity, eps)^2
+    znorm: bool
+
+    def __len__(self) -> int:
+        return self.ext.shape[1]
+
+
+def prepare_queries(queries: np.ndarray, znorm: bool = False) -> PreparedQueries:
+    """The query-side terms of ``prepared_min_cid`` for a block of
+    equal-length queries, z-scored first when ``znorm`` is set. Dotted with
+    an extended window row (see ``prepare_windows``), an extended query
+    ``[-2q, 1, ||q||^2]`` yields the squared Euclidean distance."""
+    queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
+    n, l = queries.shape
+    qz = _znorm_rows(queries) if znorm else queries
+    dq = np.diff(qz, axis=1)
+    ce_q = np.sqrt(np.einsum("ij,ij->i", dq, dq)) if l >= 2 else np.zeros(n)
+    ext = np.empty((l + 2, n))
+    ext[:l] = -2.0 * qz.T
+    ext[l] = 1.0
+    ext[l + 1] = np.einsum("ij,ij->i", qz, qz)
+    return PreparedQueries(l=l, ext=ext, ce2=np.square(ce_q),
+                           inv_ce2=np.square(1.0 / np.maximum(ce_q, EPS_COMPLEXITY)),
+                           znorm=znorm)
+
+
+def prepared_min_cid(prep: PreparedWindows, queries: PreparedQueries,
+                     live: np.ndarray | None = None,
                      out: np.ndarray | None = None) -> np.ndarray:
-    """Minimum CID of one query block against prepared windows, shape (M, n).
+    """Minimum CID of one query block against one prepared chunk, shape (M, n).
 
-    Callers must chunk queries into fixed QUERY_BLOCK-sized blocks so the
-    matmul shapes (and therefore the accumulation order) never depend on
-    scheduling. Each matmul covers one fixed INSTANCE_CHUNK slice; the
-    elementwise pass and the min reduction then walk its output in
-    MIN_TILE-instance tiles with one small scratch, so the pass stays in
-    cache. Comparisons happen on squared CID (the square root is monotone)
-    and the root is taken per tile on the minima. Instances with no valid
-    window read +inf.
+    Callers must chunk queries into fixed QUERY_BLOCK-sized blocks and
+    instances into fixed INSTANCE_CHUNK slices, so the matmul shape (and
+    therefore the accumulation order) never depends on scheduling. One
+    matmul covers the whole chunk by the whole block; the elementwise pass
+    and the min reduction then walk its output in MIN_TILE-instance tiles
+    with one small scratch, so the pass stays in cache. Comparisons happen
+    on squared CID (the square root is monotone) and the root is taken per
+    tile on the minima. Instances with no valid window read +inf.
 
-    ``check(j)``, when given, is called before the first tile (``j`` = 0)
-    and after each tile ending at instance ``j``, when rows ``:j`` of the
-    result are final. It returns a boolean mask of the columns to keep
-    scoring, or None to keep the current ones; a dropped column reads NaN
-    from row ``j`` on, and the call ends once no column is left. While more
-    than half the columns are live the pass runs on all of them, since
-    gathering the live ones would cost more than it saves. The matmul
-    always covers the whole block and every pass step is elementwise, so a
-    distance does not depend on which other columns were scored. The result
-    goes to ``out`` when one is given.
+    ``live``, when given, masks the columns to score; the others read NaN.
+    While more than half the columns are live the pass runs on all of them,
+    since gathering the live ones would cost more than it saves. Every pass
+    step is elementwise, so a distance does not depend on which other
+    columns were scored. The result goes to ``out`` when one is given.
 
     The complexity ratio is applied squared via
     ``cf^2 = max(ce_w^2 / max(ce_q, eps)^2, ce_q^2 / max(ce_w, eps)^2)``,
     which equals the reference ``(max(ce) / max(min(ce), eps))^2`` for all
     non-negative inputs but needs only precomputed squares and reciprocals.
     """
-    queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
-    n, l = queries.shape
-    if l != prep.l:
-        raise ValueError(f"query length {l} does not match prepared length {prep.l}")
-    m, w = prep.m, prep.w
-
-    qz = _znorm_rows(queries) if prep.znorm else queries
-    sq_q = np.einsum("ij,ij->i", qz, qz)
-    dq = np.diff(qz, axis=1)
-    ce_q = np.sqrt(np.einsum("ij,ij->i", dq, dq)) if l >= 2 else np.zeros(n)
-    ce2_q = np.square(ce_q)
-    inv_ce2_q = np.square(1.0 / np.maximum(ce_q, EPS_COMPLEXITY))
-
-    # Extended query: dotted with an extended window row this produces the
-    # squared Euclidean distance directly (see prepare_windows).
-    qext = np.empty((l + 2, n))
-    qext[:l] = -2.0 * qz.T
-    qext[l] = 1.0
-    qext[l + 1] = sq_q
-
+    if (queries.l, queries.znorm) != (prep.l, prep.znorm):
+        raise ValueError(f"queries of length {queries.l} (znorm={queries.znorm}) do not "
+                         f"match windows of length {prep.l} (znorm={prep.znorm})")
+    m, w, n = prep.m, prep.w, len(queries)
     dists = np.empty((m, n)) if out is None else out
-    live = np.ones(n, dtype=bool)
-    n_live = n
+    live = np.ones(n, dtype=bool) if live is None else np.asarray(live, dtype=bool)
+    n_live = int(np.count_nonzero(live))
+    gather = 2 * n_live <= n
+    cols = np.flatnonzero(live) if gather else slice(None)
 
-    def narrow(j: int) -> int:
-        """Apply ``check(j)``; the number of live columns left."""
-        nonlocal n_live
-        keep = None if check is None else check(j)
-        if keep is not None:
-            dropped = live & ~np.asarray(keep, dtype=bool)
-            if dropped.any():
-                live[dropped] = False
-                dists[j:, dropped] = np.nan
-                n_live = int(np.count_nonzero(live))
-        return n_live
-
-    if not narrow(0):
-        return dists
-    chunk = min(INSTANCE_CHUNK, m)
-    gemm = np.empty((chunk * w, n))
-    tile_size = min(MIN_TILE, chunk) * w * n
+    buf = np.matmul(prep.flat, queries.ext).reshape(m, w, n)
+    tile_size = min(MIN_TILE, m) * w * n
     # the two complexity-factor terms, then a tile's gathered live columns
     scratch = np.empty(3 * tile_size)
     gathered = scratch[2 * tile_size :]
-    for i0 in range(0, m, chunk):
-        i1 = min(i0 + chunk, m)
-        buf = np.matmul(prep.flat[i0 * w : i1 * w], qext, out=gemm[: (i1 - i0) * w])
-        buf = buf.reshape(i1 - i0, w, n)
-        for j0 in range(i0, i1, MIN_TILE):
-            j1 = min(j0 + MIN_TILE, i1)
-            tile = buf[j0 - i0 : j1 - i0]
-            if 2 * n_live > n:
-                cols = slice(None)
-            else:
-                cols = np.flatnonzero(live)
-                tile = np.take(tile, cols, axis=2, mode="clip",
-                               out=gathered[: (j1 - j0) * w * n_live].reshape(j1 - j0, w, n_live))
-            cf = scratch[: 2 * tile.size].reshape((2,) + tile.shape)
-            # Squared complexity factor, then squared CID. The outer products
-            # go through einsum, which is about twice as fast here as a
-            # broadcast multiply and gives the same products.
-            t1 = np.einsum("tw,n->twn", prep.ce2[j0:j1], inv_ce2_q[cols], out=cf[0])
-            t2 = np.einsum("tw,n->twn", prep.inv_ce2[j0:j1], ce2_q[cols], out=cf[1])
-            np.maximum(t1, t2, out=t1)
-            np.multiply(tile, t1, out=tile)
-            invalid = prep.invalid[j0:j1]
-            if invalid.any():
-                tile[invalid] = np.inf
-            d = dists[j0:j1]
-            if 2 * n_live <= n:
-                d[:, cols] = np.min(tile, axis=1)
-            else:
-                np.min(tile, axis=1, out=d)
-                if n_live < n:
-                    d[:, ~live] = np.nan
-            # ed^2 can round slightly negative for near-identical pairs; clip
-            # before the root. Rows with no valid window stay +inf.
-            np.sqrt(np.maximum(d, 0.0, out=d), out=d)
-            if not narrow(j1):
-                return dists
+    for j0 in range(0, m, MIN_TILE):
+        j1 = min(j0 + MIN_TILE, m)
+        tile = buf[j0:j1]
+        if gather:
+            tile = np.take(tile, cols, axis=2, mode="clip",
+                           out=gathered[: (j1 - j0) * w * n_live].reshape(j1 - j0, w, n_live))
+        cf = scratch[: 2 * tile.size].reshape((2,) + tile.shape)
+        # Squared complexity factor, then squared CID. The outer products
+        # go through einsum, which is about twice as fast here as a
+        # broadcast multiply and gives the same products.
+        t1 = np.einsum("tw,n->twn", prep.ce2[j0:j1], queries.inv_ce2[cols], out=cf[0])
+        t2 = np.einsum("tw,n->twn", prep.inv_ce2[j0:j1], queries.ce2[cols], out=cf[1])
+        np.maximum(t1, t2, out=t1)
+        np.multiply(tile, t1, out=tile)
+        invalid = prep.invalid[j0:j1]
+        if invalid.any():
+            tile[invalid] = np.inf
+        d = np.min(tile, axis=1, out=None if gather else dists[j0:j1])
+        # ed^2 can round slightly negative for near-identical pairs; clip
+        # before the root. Rows with no valid window stay +inf.
+        np.sqrt(np.maximum(d, 0.0, out=d), out=d)
+        if gather:
+            dists[j0:j1, cols] = d
+    if n_live < n:
+        dists[:, ~live] = np.nan
     return dists
 
 

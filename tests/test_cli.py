@@ -65,6 +65,16 @@ def test_data_errors_exit_two(tmp_path):
                  "--channels", "0,9"]) == 2
 
 
+@pytest.mark.parametrize("props", ['{"NP": true}', '{"NP": "1"}',
+                                   '{"NP": "0.25", "AC": 0.25, "DT": 0.25, "IE": 0.25}'],
+                         ids=["bool", "string", "string-among-numbers"])
+def test_proportions_that_are_not_json_numbers_exit_two(tmp_path, capsys, props):
+    out = tmp_path / "d.ndjson"
+    assert main(["synth", "--out", str(out), "--n", "20", "--proportions", props]) == 2
+    assert "--proportions value for NP is" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_config_file_with_flag_override(tmp_path):
     cfg_file = tmp_path / "cfg.json"
     cfg_file.write_text(json.dumps({"k": 4, "g": 12}))
@@ -357,6 +367,23 @@ def test_dataset_line_that_is_not_an_object_exits_two(chain, tmp_path, capsys):
     out = tmp_path / "feats.ndjson"
     assert main(["transform", "--data", str(bad), "--out", str(out)] + TINY) == 2
     assert f"{bad}:2: dataset record is a JSON list, not an object" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", [12.9, True, "12"], ids=["fraction", "bool", "string"])
+def test_dataset_original_length_that_is_not_an_integer_exits_two(chain, tmp_path, capsys,
+                                                                   value):
+    """Not truncated: the record is zero from sample 12 on, so reading
+    12.9 as 12 would pass every other check."""
+    recs = [json.loads(line) for line in (chain / "data.ndjson").read_text().splitlines()[:3]]
+    recs[1]["values"] = [row[:12] + [0.0] * (len(row) - 12) for row in recs[1]["values"]]
+    recs[1]["original_length"] = value
+    bad = tmp_path / "bad.ndjson"
+    _write_lines(bad, [json.dumps(rec) for rec in recs])
+    out = tmp_path / "feats.ndjson"
+    assert main(["transform", "--data", str(bad), "--out", str(out)] + TINY) == 2
+    assert (f"{bad}:2: dataset record original_length is {value!r}, not an integer"
+            in capsys.readouterr().err)
     assert not out.exists()
 
 

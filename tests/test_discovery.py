@@ -271,32 +271,38 @@ def _imbalanced_padded_dataset():
 
 @pytest.fixture
 def small_chunks(monkeypatch):
-    """Scan in chunks of 8 instances, with bound checks at multiples of 16."""
+    """Scan in chunks of 8 instances, with bound checks at multiples of 8."""
     monkeypatch.setattr(distance, "INSTANCE_CHUNK", 8)
     monkeypatch.setattr(distance, "MIN_TILE", 2)
 
 
-def test_pruning_leaves_the_pool_unchanged(small_chunks, monkeypatch):
+def test_pruning_leaves_the_pool_unchanged(monkeypatch):
+    """Chunks of 8 instances, then one chunk that holds the whole split,
+    which only the check before the first distance can prune."""
     ds = _imbalanced_padded_dataset()
-    assert any(x.original_length < x.length for x in ds)
+    assert any(x.original_length < x.length for x in ds) and len(ds) <= 64
     cfg = Config(k=6, g=8, seed=0)
-    counters = {}
-    pruned = pool_to_dict(discover(ds, cfg, counters=counters))
-    assert sum(counters["pruned"].values()) > 0
-    assert counters["matmuls_skipped"] > 0 and counters["bound_checks"] > 0
-    # a minority class saturates: its quota splits it off perfectly
-    for s in pruned["shapelets"]:
-        if s["label"] == "AC":
-            fits = [x.label == "AC" for x in ds if x.original_length >= len(s["values"])]
-            p = sum(fits) / len(fits)
-            assert s["info_gain"] == pytest.approx(
-                -p * math.log2(p) - (1 - p) * math.log2(1 - p), abs=1e-12)
+    monkeypatch.setattr(distance, "MIN_TILE", 2)
+    for chunk in (8, 64):
+        monkeypatch.setattr(distance, "INSTANCE_CHUNK", chunk)
+        counters = {}
+        pruned = pool_to_dict(discover(ds, cfg, counters=counters))
+        assert sum(counters["pruned"].values()) > 0 and counters["bound_checks"] > 0, chunk
+        assert counters["matmuls_skipped"] > 0 or chunk == 64
+        # a minority class saturates: its quota splits it off perfectly
+        for s in pruned["shapelets"]:
+            if s["label"] == "AC":
+                fits = [x.label == "AC" for x in ds if x.original_length >= len(s["values"])]
+                p = sum(fits) / len(fits)
+                assert s["info_gain"] == pytest.approx(
+                    -p * math.log2(p) - (1 - p) * math.log2(1 - p), abs=1e-12)
 
-    monkeypatch.setattr(discovery, "_gain_bound",
-                        lambda d, y, ut, uo, cap: np.full(len(d), np.inf))
-    unpruned = {}
-    assert pool_to_dict(discover(ds, cfg, counters=unpruned)) == pruned
-    assert sum(unpruned["pruned"].values()) == 0 and unpruned["matmuls_skipped"] == 0
+        unpruned = {}
+        with monkeypatch.context() as patch:
+            patch.setattr(discovery, "_gain_bound",
+                          lambda d, y, ut, uo, cap: np.full(len(d), np.inf))
+            assert pool_to_dict(discover(ds, cfg, counters=unpruned)) == pruned, chunk
+        assert sum(unpruned["pruned"].values()) == 0 and unpruned["matmuls_skipped"] == 0
 
 
 @pytest.mark.parametrize("m,n_minority,offsets", [

@@ -11,8 +11,8 @@ from conftest import make_series
 from pvashape.core import LabeledSeries, Shapelet, ValidationError
 from pvashape.distance import (INSTANCE_CHUNK, MATCH_CHUNK, MIN_TILE, QUERY_BLOCK,
                                ShapeletLengthError, complexity_estimate, match,
-                               match_pool, prefix_sums, prepare_windows, prepared_min_cid,
-                               psd)
+                               match_pool, prefix_sums, prepare_queries, prepare_windows,
+                               prepared_min_cid, psd)
 
 
 def test_complexity_constant_is_zero():
@@ -128,10 +128,17 @@ def _random_batch(gen, m=12, t=40):
 
 
 def _kernel(values, lengths, queries, znorm=False):
-    """Discovery's kernel: one window preparation, fixed query blocks."""
-    prep = prepare_windows(values, lengths, queries.shape[1], znorm=znorm)
-    return np.concatenate([prepared_min_cid(prep, queries[lo : lo + QUERY_BLOCK])
-                           for lo in range(0, len(queries), QUERY_BLOCK)], axis=1)
+    """Discovery's kernel: windows prepared per instance chunk, queries per
+    fixed block."""
+    values, lengths = np.asarray(values), np.asarray(lengths)
+    blocks = [prepare_queries(queries[lo : lo + QUERY_BLOCK], znorm)
+              for lo in range(0, len(queries), QUERY_BLOCK)]
+    chunks = []
+    for i0 in range(0, len(values), INSTANCE_CHUNK):
+        prep = prepare_windows(values[i0 : i0 + INSTANCE_CHUNK],
+                               lengths[i0 : i0 + INSTANCE_CHUNK], queries.shape[1], znorm=znorm)
+        chunks.append(np.concatenate([prepared_min_cid(prep, q) for q in blocks], axis=1))
+    return np.concatenate(chunks)
 
 
 def test_shared_prefix_sums_prepare_the_same_windows():
@@ -387,6 +394,7 @@ def test_kernel_is_bitwise_stable_under_row_permutation(seed):
     instance the same distances, to the bit."""
     values, lengths, queries = _padded_chunk(seed)
     perm = np.random.default_rng(seed + 10).permutation(len(values))
+    queries = prepare_queries(queries)
     d = prepared_min_cid(prepare_windows(values, lengths, 9), queries)
     d_perm = prepared_min_cid(prepare_windows(values[perm], lengths[perm], 9), queries)
     assert np.array_equal(d[perm], d_perm)
@@ -409,38 +417,24 @@ def test_windows_prepared_per_chunk_are_slices_of_the_whole(znorm):
 
 @pytest.mark.parametrize("every", [3, 2])
 def test_checked_columns_leave_scored_distances_unchanged(every):
-    """Dropping columns before the first tile, on either side of the
-    half-live switch to gathered columns, keeps the others' bits."""
+    """Masking columns out, on either side of the half-live switch to
+    gathered columns, keeps the others' bits."""
     values, lengths, queries = _padded_chunk(3)
     prep = prepare_windows(values, lengths, 9)
+    queries = prepare_queries(queries)
+    assert len(queries) == QUERY_BLOCK
     full = prepared_min_cid(prep, queries)
     live = np.arange(QUERY_BLOCK) % every != 0
-    sub = prepared_min_cid(prep, queries, check=lambda j: live if j == 0 else None)
+    out = np.empty_like(full)
+    sub = prepared_min_cid(prep, queries, live, out=out)
+    assert sub is out
     assert np.array_equal(sub[:, live], full[:, live])
     assert np.isnan(sub[:, ~live]).all()
 
 
-def test_checks_after_tiles_see_final_rows_and_end_the_pass():
+@pytest.mark.parametrize("l,znorm", [(8, False), (9, True)])
+def test_kernel_refuses_queries_prepared_for_other_windows(l, znorm):
     values, lengths, queries = _padded_chunk(4)
     prep = prepare_windows(values, lengths, 9)
-    full = prepared_min_cid(prep, queries)
-    # a check after the second tile drops half the columns; one after the
-    # fourth drops the rest, which ends the pass
-    keep_first = np.arange(QUERY_BLOCK) < QUERY_BLOCK // 2
-    out = np.empty_like(full)
-    seen = []
-
-    def check(j):
-        seen.append(j)
-        assert np.array_equal(out[:j, keep_first], full[:j, keep_first])
-        if j == 2 * MIN_TILE:
-            return keep_first
-        return np.zeros(QUERY_BLOCK, dtype=bool) if j == 4 * MIN_TILE else None
-
-    d = prepared_min_cid(prep, queries, check=check, out=out)
-    assert d is out
-    assert seen == [0, MIN_TILE, 2 * MIN_TILE, 3 * MIN_TILE, 4 * MIN_TILE]
-    assert np.array_equal(d[: 2 * MIN_TILE], full[: 2 * MIN_TILE])
-    assert np.array_equal(d[: 4 * MIN_TILE, keep_first], full[: 4 * MIN_TILE, keep_first])
-    assert np.isnan(d[2 * MIN_TILE :, ~keep_first]).all()
-    assert np.isnan(d[4 * MIN_TILE :]).all()
+    with pytest.raises(ValueError, match="do not match windows of length 9"):
+        prepared_min_cid(prep, prepare_queries(queries[:, :l], znorm))
