@@ -19,8 +19,7 @@ from .features import (FeatureScaler, apply_scaler, fit_scaler,
 from .model import (EvalReport, HeadParams, ModelCheckpoint,
                     TrainingDivergedError, compute_metrics, k_grid,
                     load_checkpoint, save_checkpoint, train, tune_k)
-from .pipeline import (RawRecording, SynthConfig, generate_synthetic,
-                       load_recording, segment, split, subset_channels)
+from .pipeline import SynthConfig, generate_synthetic, split, subset_channels
 from .workflow import fit
 from .explain import build_explain_report, emit_plot_data
 
@@ -33,7 +32,6 @@ __all__ = [
     "EvalReport", "HeadParams", "ModelCheckpoint",
     "TrainingDivergedError", "compute_metrics", "k_grid",
     "load_checkpoint", "save_checkpoint", "train", "tune_k",
-    "RawRecording", "SynthConfig", "generate_synthetic", "load_recording",
-    "segment", "split", "subset_channels", "fit", "build_explain_report",
-    "emit_plot_data",
+    "SynthConfig", "generate_synthetic", "split", "subset_channels", "fit",
+    "build_explain_report", "emit_plot_data",
 ]

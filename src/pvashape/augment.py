@@ -51,21 +51,18 @@ def _noisy_copy(x: LabeledSeries, mask: np.ndarray, sigma_scale: float,
 def balance_dataset(dataset: Dataset, pool: ShapeletPool, config: Config) -> Dataset:
     """Append ``r_sa`` augmented copies of every minority-class instance.
 
-    The majority class (most frequent; first in label order on ties) is
-    left untouched. Each copy draws from its own (instance, replica)
-    stream, so serial and parallel runs produce the same dataset. Masks
-    come from one matching-engine pass per minority class over that
-    class's instances and shapelets.
+    The majority class (`Dataset.majority`) is left untouched. Each copy
+    draws from its own (instance, replica) stream, so serial and parallel
+    runs produce the same dataset. Masks come from one matching-engine
+    pass per minority class over that class's instances and shapelets.
     """
     if config.r_sa <= 0:
         return dataset
-    counts = dataset.class_counts
-    majority = max(dataset.labels, key=lambda lab: counts[lab])
 
     # instance index -> (dists, offsets) against its class's shapelets
     matches = {}
     for lab in dataset.labels:
-        if lab == majority:
+        if lab == dataset.majority:
             continue
         idx = [i for i, x in enumerate(dataset) if x.label == lab]
         dists, offsets = match_pool([dataset[i] for i in idx], pool.of_class(lab),
@@ -75,7 +72,7 @@ def balance_dataset(dataset: Dataset, pool: ShapeletPool, config: Config) -> Dat
     rng = SeededRng(config.seed).derive(STREAM_AUGMENT)
     augmented = list(dataset.instances)
     for i, x in enumerate(dataset):
-        if x.label == majority:
+        if x.label == dataset.majority:
             continue
         shapelets = pool.of_class(x.label)
         eligible = _eligible(x, shapelets)

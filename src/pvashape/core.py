@@ -197,6 +197,13 @@ class Dataset:
             counts[x.label] += 1
         return counts
 
+    @cached_property
+    def majority(self) -> str | None:
+        """The most frequent label, first in label order on ties; None for
+        an empty dataset."""
+        counts = self.class_counts
+        return max(counts, key=counts.get, default=None)
+
     @property
     def length(self) -> int:
         return self.instances[0].length if self.instances else 0

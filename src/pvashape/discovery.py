@@ -185,17 +185,14 @@ def discover(dataset: Dataset, config: Config,
         raise ValueError("no shapelet candidates could be generated")
 
     counters = {} if counters is None else counters
-    screen = _screen_gains(dataset, candidates, config, quota, counters)
+    ranked = _screen_gains(dataset, candidates, config, quota, counters)
     log.info("discovery screen: %s", counters)
     chosen: list[Shapelet] = []
     for lab in classes:
-        idx = [i for i, c in enumerate(candidates) if c.label == lab]
-        idx.sort(key=lambda i: (-screen[i], len(candidates[i]),
-                                candidates[i].start, candidates[i].source_id))
-        if len(idx) < quota:
+        if len(ranked[lab]) < quota:        # then it holds all of the class
             log.warning("class %s supplied %d candidates for a quota of %d",
-                        lab, len(idx), quota)
-        chosen.extend(candidates[i] for i in idx[:quota])
+                        lab, len(ranked[lab]), quota)
+        chosen.extend(candidates[i] for i in ranked[lab])
 
     # The recorded numbers come from the exact engine the transform uses,
     # not from the screen that ranked the candidates.
@@ -274,9 +271,13 @@ def _minority_first(dataset: Dataset) -> np.ndarray:
     """Instance order with every non-majority instance first, each part in
     dataset order: once they are scored, every unseen instance has one
     label, which keeps the gain bound tight."""
-    counts = dataset.class_counts
-    majority = max(counts, key=counts.get)
-    return np.argsort([x.label == majority for x in dataset], kind="stable")
+    return np.argsort([x.label == dataset.majority for x in dataset], kind="stable")
+
+
+def _rank_key(gain: float, c: Shapelet, i: int) -> tuple:
+    """Rank of candidate ``i`` within its class, best first: higher gain,
+    then shorter, earlier start, source id and candidate index."""
+    return (-gain, len(c), c.start, c.source_id, i)
 
 
 def _check_offsets(m: int, n_minority: int) -> range:
@@ -296,10 +297,10 @@ class _BlockScreen:
     """One query block's prepared queries, distances and surviving columns
     across the instance chunks of one (channel, length) group.
 
-    ``floor`` and ``tie_worse`` describe, per column, the quota-th key of its
-    class among candidates already scored: a column is dropped once its
-    gain bound is below that key's gain, or equal to it with a worse
-    (length, start, source, index) tie-break.
+    ``floor`` and ``tie_worse`` describe, per column, the quota-th
+    `_rank_key` of its class among candidates already scored: a column is
+    dropped once its gain bound is below that key's gain, or equal to it
+    with a worse tie-break.
     """
 
     def __init__(self, idx, queries, targets, fit, floor, tie_worse):
@@ -351,21 +352,22 @@ class _BlockScreen:
 
 
 def _screen_gains(dataset: Dataset, candidates: list[Shapelet], config: Config,
-                  quota: int, counters: dict) -> np.ndarray:
-    """Information gain of every candidate on the matrix-product kernel's
-    distances, which agree with the exact engine except close to 0; -inf
-    for a candidate the gain bound ruled out of its class's top ``quota``.
+                  quota: int, counters: dict) -> dict[str, list[int]]:
+    """Indices of each class's top ``quota`` candidates (all of them, if
+    fewer), best first by `_rank_key` of their information gain on the
+    matrix-product kernel's distances, which agree with the exact engine
+    except close to 0.
 
     Instances are scanned non-majority first, one INSTANCE_CHUNK at a time:
     windows are prepared per (channel, length) group and chunk, and each
     query block's prepared queries are scored against each chunk with one
     kernel call on its live columns. Each candidate's gain bound is
     compared, before its first distance and after the chunks that end at
-    the `_check_offsets`, with the quota-th (gain, length, start, source,
-    index) key of its class among candidates of earlier groups, and a
-    candidate that cannot beat it is dropped; a block's kernel call runs
-    only while one of its candidates is live. The keys are refreshed once
-    per group, so what is dropped does not depend on the thread count.
+    the `_check_offsets`, with the quota-th `_rank_key` of its class among
+    candidates of earlier groups, and a candidate that cannot beat it is
+    dropped; a block's kernel call runs only while one of its candidates is
+    live. The keys are refreshed once per group, so what is dropped does
+    not depend on the thread count.
     Pruning is exact in this scan order: a distance does not depend on the
     other live columns, so every gain that is computed, and the pool, are
     the ones an unpruned scan in the same order gives. Against another
@@ -378,8 +380,7 @@ def _screen_gains(dataset: Dataset, candidates: list[Shapelet], config: Config,
     lengths = np.asarray([dataset[i].original_length for i in order], dtype=np.int64)
     labels = np.asarray([dataset[i].label for i in order])
     chunk = distance.INSTANCE_CHUNK
-    n_minority = int(np.count_nonzero(labels != labels[-1]))   # majority comes last
-    offsets = _check_offsets(m, n_minority)
+    offsets = _check_offsets(m, m - dataset.class_counts[dataset.majority])
     gains = np.full(len(candidates), -np.inf)
     best: dict[str, list[tuple]] = {lab: [] for lab in dataset.labels}
     matmuls = skipped = checks = 0
@@ -411,7 +412,7 @@ def _screen_gains(dataset: Dataset, candidates: list[Shapelet], config: Config,
                 if len(best[c.label]) == quota:
                     key = best[c.label][-1]
                     floor[b] = -key[0]
-                    tie_worse[b] = (l, c.start, c.source_id, i) > key[1:]
+                    tie_worse[b] = _rank_key(floor[b], c, i) > key
             screens.append(_BlockScreen(
                 block, prepare_queries(np.stack([candidates[i].values for i in block]),
                                        config.znorm),
@@ -436,8 +437,7 @@ def _screen_gains(dataset: Dataset, candidates: list[Shapelet], config: Config,
             if sc.gains is not None:
                 gains[np.asarray(sc.idx)[sc.live]] = sc.gains
         for i in np.asarray(idx)[np.isfinite(gains[idx])].tolist():
-            c = candidates[i]
-            best[c.label].append((-gains[i], l, c.start, c.source_id, i))
+            best[candidates[i].label].append(_rank_key(gains[i], candidates[i], i))
         for lab in best:
             best[lab] = sorted(best[lab])[:quota]
 
@@ -445,7 +445,7 @@ def _screen_gains(dataset: Dataset, candidates: list[Shapelet], config: Config,
     pruned = {lab: dropped.count(lab) for lab in dataset.labels}
     counters.update(candidates=len(candidates), groups=len(groups), pruned=pruned,
                     matmuls=matmuls, matmuls_skipped=skipped, bound_checks=checks)
-    return gains
+    return {lab: [key[-1] for key in keys] for lab, keys in best.items()}
 
 
 # ---------------------------------------------------------------------------

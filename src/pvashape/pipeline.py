@@ -1,147 +1,29 @@
-"""Data ingestion, breath segmentation, splitting, and synthetic waveforms.
+"""Stratified splitting, channel subsets and synthetic labeled breaths.
 
-The synthetic generator stands in for clinical recordings: each class is
-built from its defining motif (number and spacing of ventilator pulses on
-the airway-pressure channel, presence or absence of a matching muscular
-effort on the chest/abdomen channels) plus jitter and additive noise, so
-the classes are discriminative by construction while remaining honest to
-the event definitions. Ineffective efforts differ from normal breaths only
-on the effort channels, so dropping those channels genuinely hurts that
-class.
+The pipeline starts from breaths that are already segmented and labeled;
+nothing here reads a raw recording. The synthetic generator stands in for
+clinical data: each class is built from its defining motif (number and
+spacing of ventilator pulses on the airway-pressure channel, presence or
+absence of a matching muscular effort on the chest/abdomen channels) plus
+jitter and additive noise, so the classes are discriminative by
+construction while remaining honest to the event definitions. Ineffective
+efforts differ from normal breaths only on the effort channels, so
+dropping those channels genuinely hurts that class.
 """
 from __future__ import annotations
 
-import csv
-import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
-from .core import (Dataset, LabeledSeries, MIN_SEGMENT_LENGTH, STREAM_SYNTH,
-                   SeededRng, ValidationError, order_labels)
-
-log = logging.getLogger(__name__)
+from .core import (Dataset, LabeledSeries, STREAM_SYNTH, SeededRng,
+                   ValidationError, order_labels)
 
 DEFAULT_CHANNELS = ("Pmask", "Flow", "Thor", "Abdo")
-UNLABELED = "UNLABELED"
 
 # Class frequencies of the reference corpus, used as default proportions.
 REFERENCE_COUNTS = {"NP": 280110, "AC": 6385, "DT": 10595, "IE": 8040}
-
-
-@dataclass(frozen=True)
-class RawRecording:
-    """A continuous multichannel recording, one vector per named channel."""
-
-    id: str
-    channels: dict
-    metadata: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if not self.channels:
-            raise ValidationError(f"{self.id}: recording has no channels")
-        lengths = {name: len(v) for name, v in self.channels.items()}
-        if len(set(lengths.values())) > 1:
-            raise ValidationError(f"{self.id}: unequal channel lengths {lengths}")
-        object.__setattr__(self, "channels", {
-            name: np.asarray(v, dtype=np.float64) for name, v in self.channels.items()
-        })
-
-
-def load_recording(path, recording_id: str | None = None) -> RawRecording:
-    """CSV with a header row of channel names, one sample per row."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValidationError(f"{path}: empty file") from None
-        names = [h.strip() for h in header]
-        columns: list[list[float]] = [[] for _ in names]
-        for ln, row in enumerate(reader, start=2):
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            if len(row) != len(names):
-                raise ValidationError(f"{path}:{ln}: expected {len(names)} values, got {len(row)}")
-            try:
-                for col, cell in zip(columns, row):
-                    col.append(float(cell))
-            except ValueError:
-                raise ValidationError(f"{path}:{ln}: non-numeric sample") from None
-    rid = recording_id if recording_id is not None else str(path)
-    return RawRecording(id=rid, channels=dict(zip(names, columns)))
-
-
-# ---------------------------------------------------------------------------
-# Breath segmentation
-# ---------------------------------------------------------------------------
-
-def rolling_median(x: np.ndarray, window: int) -> np.ndarray:
-    """Centered rolling median with edge replication."""
-    if window < 1:
-        raise ValidationError(f"window must be >= 1, got {window}")
-    if window % 2 == 0:
-        window += 1
-    half = window // 2
-    padded = np.concatenate([np.repeat(x[0], half), x, np.repeat(x[-1], half)])
-    return np.median(sliding_window_view(padded, window), axis=1)
-
-
-def detect_onsets(pmask: np.ndarray, h_on: float = 0.5, h_off: float = 0.2,
-                  baseline_window: int = 51) -> list[int]:
-    """Upward hysteresis crossings of the rolling-median baseline.
-
-    An onset fires when the signal rises above baseline + h_on while the
-    detector is released; it re-arms once the signal falls below
-    baseline + h_off.
-    """
-    if h_off >= h_on:
-        raise ValidationError(f"h_off ({h_off}) must be below h_on ({h_on})")
-    baseline = rolling_median(pmask, baseline_window)
-    hi = baseline + h_on
-    lo = baseline + h_off
-    onsets: list[int] = []
-    in_breath = False
-    for t in range(len(pmask)):
-        if not in_breath and pmask[t] >= hi[t]:
-            onsets.append(t)
-            in_breath = True
-        elif in_breath and pmask[t] < lo[t]:
-            in_breath = False
-    return onsets
-
-
-def segment(recording: RawRecording, t: int = 150, h_on: float = 0.5,
-            h_off: float = 0.2, baseline_window: int = 51) -> list[LabeledSeries]:
-    """One unlabeled instance per inter-onset interval of the Pmask channel.
-
-    Intervals longer than ``t`` are truncated, shorter ones zero-padded;
-    the true length is kept in original_length. Intervals shorter than the
-    minimum segment length are dropped.
-    """
-    if "Pmask" not in recording.channels:
-        raise ValidationError(f"{recording.id}: Pmask channel required for segmentation")
-    onsets = detect_onsets(recording.channels["Pmask"], h_on=h_on, h_off=h_off,
-                           baseline_window=baseline_window)
-    if not onsets:
-        log.warning("%s: no breath onsets found", recording.id)
-        return []
-    names = list(recording.channels)
-    stacked = np.stack([recording.channels[n] for n in names])
-    out: list[LabeledSeries] = []
-    for i in range(len(onsets) - 1):
-        start, end = onsets[i], onsets[i + 1]
-        length = min(end - start, t)
-        if length < MIN_SEGMENT_LENGTH:
-            continue
-        values = np.zeros((len(names), t))
-        values[:, :length] = stacked[:, start : start + length]
-        out.append(LabeledSeries(id=f"{recording.id}-seg{i:04d}", values=values,
-                                 label=UNLABELED, original_length=length,
-                                 channel_names=tuple(names)))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -216,6 +98,10 @@ class SynthConfig:
         unknown = set(props) - set(REFERENCE_COUNTS)
         if unknown:
             raise ValidationError(f"unknown classes in proportions: {sorted(unknown)}")
+        for lab, share in props.items():
+            if not math.isfinite(share) or share < 0:
+                raise ValidationError(f"--proportions share for {lab} is {share}, "
+                                      "not a finite number >= 0")
         total = sum(props.values())
         if abs(total - 1.0) > 1e-9:
             raise ValidationError(f"class proportions sum to {total}, expected 1")

@@ -150,16 +150,3 @@ def logsig_loop(x, depth):
     for v in range(x.n_channels):
         out[v * depth : (v + 1) * depth] = channel_terms(x.channel(v), depth)
     return out
-
-
-def rolling_median(x, window):
-    if window % 2 == 0:
-        window += 1
-    half = window // 2
-    n = len(x)
-    out = []
-    for i in range(n):
-        lo, hi = i - half, i + half + 1
-        vals = [x[min(max(j, 0), n - 1)] for j in range(lo, hi)]
-        out.append(float(np.median(vals)))
-    return np.array(out)

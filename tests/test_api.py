@@ -11,8 +11,6 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "pvashape"
 ALLOWED_UNREFERENCED = {
     "cli.main": "entry point of the `pvashape` console script",
     "distance.psd": "one-row match that perfbench/run.py's self-match check calls",
-    "pipeline.load_recording": "documented way to read a CSV recording",
-    "pipeline.segment": "documented way to cut a recording into instances",
     "model.gradients": "the analytic gradients acceptance criterion 5 checks",
 }
 

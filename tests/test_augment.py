@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import make_series
+from pvashape import discovery
 from pvashape.augment import _mask, balance_dataset
 from pvashape.core import Config, Dataset, Shapelet, ShapeletPool, order_labels
 from pvashape.distance import ShapeletLengthError, match_pool
@@ -153,6 +154,19 @@ def test_balance_counts_and_majority_untouched():
         if "#aug" in x.id:
             assert x.label == "AC"
             assert x.id.split("#aug")[0] in originals
+
+
+def test_majority_is_first_in_label_order_on_ties():
+    # AC rows come first, but NP precedes AC in label order, so NP is the
+    # majority for augmentation and for discovery's minority-first scan
+    ds = _imbalanced(n_np=2, n_ac=2)
+    ds = Dataset(ds.instances[2:] + ds.instances[:2])
+    assert ds.majority == "NP"
+    out = balance_dataset(ds, _tiny_pool(), Config(r_sa=1, seed=1))
+    assert out.class_counts == {"NP": 2, "AC": 4}
+    assert [ds[i].label for i in discovery._minority_first(ds)] == ["AC", "AC", "NP", "NP"]
+    assert _imbalanced(n_np=2, n_ac=3).majority == "AC"
+    assert Dataset(()).majority is None
 
 
 def test_balance_zero_ratio_is_identity():

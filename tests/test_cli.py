@@ -19,6 +19,7 @@ from pvashape.model import load_checkpoint
 RUN_ALL_STAGES = {"synth", "split", "discover", "augment", "transform", "train", "evaluate"}
 TINY = ["--seed", "3", "--k", "5", "--g", "8", "--rsa", "2", "--threads", "1"]
 PROPS = '{"NP": 0.4, "AC": 0.2, "DT": 0.2, "IE": 0.2}'
+PROPS_BALANCED = '{"NP": 0.25, "AC": 0.25, "DT": 0.25, "IE": 0.25}'
 
 
 def _stage_keys(manifest_path):
@@ -73,6 +74,26 @@ def test_proportions_that_are_not_json_numbers_exit_two(tmp_path, capsys, props)
     assert main(["synth", "--out", str(out), "--n", "20", "--proportions", props]) == 2
     assert "--proportions value for NP is" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("props,share", [('{"NP": 1.5, "AC": -0.5}', "AC is -0.5"),
+                                         ('{"NP": NaN, "AC": 0.5}', "NP is nan"),
+                                         ('{"NP": Infinity, "AC": -Infinity}', "NP is inf")],
+                         ids=["negative", "nan", "infinite"])
+def test_proportions_with_a_negative_or_non_finite_share_exit_two(tmp_path, capsys,
+                                                                  props, share):
+    out = tmp_path / "d.ndjson"
+    assert main(["synth", "--out", str(out), "--n", "20", "--t", "40",
+                 "--proportions", props]) == 2
+    assert f"--proportions share for {share}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_proportions_allow_a_zero_share(tmp_path):
+    out = tmp_path / "d.ndjson"
+    assert main(["synth", "--out", str(out), "--n", "20", "--t", "40",
+                 "--proportions", '{"NP": 0.5, "AC": 0.5, "DT": 0.0}']) == 0
+    assert load_dataset(out).class_counts == {"NP": 10, "AC": 10}
 
 
 def test_config_file_with_flag_override(tmp_path):
@@ -435,6 +456,34 @@ def _scoring_args(cmd, chain, checkpoint, out):
 def test_checkpoint_carries_the_pool_it_was_trained_with(chain):
     assert (pool_digest(load_checkpoint(chain / "ckpt.json").pool)
             == pool_digest(load_pool(chain / "pool.json")))
+
+
+def test_subcommands_reproduce_run_all(tmp_path):
+    """discover -> augment -> transform -> train -> evaluate on run-all's
+    split writes run-all's artifacts byte for byte."""
+    flags = ["--k", "5", "--g", "8", "--rsa", "2"]
+    run, sub = tmp_path / "run", tmp_path / "sub"
+    sub.mkdir()
+    assert main(["run-all", "--out-dir", str(run), "--n", "40", "--t", "40",
+                 "--proportions", PROPS_BALANCED] + flags) == 0
+    train, val, pool = run / "train.ndjson", run / "val.ndjson", sub / "pool.json"
+    steps = [
+        ["discover", "--data", train, "--out", pool],
+        ["augment", "--data", train, "--pool", pool, "--out", sub / "train_aug.ndjson"],
+        ["transform", "--data", sub / "train_aug.ndjson", "--pool", pool,
+         "--out", sub / "features_train.ndjson"],
+        ["transform", "--data", val, "--pool", pool, "--out", sub / "features_val.ndjson"],
+        ["train", "--train-features", sub / "features_train.ndjson",
+         "--val-features", sub / "features_val.ndjson", "--pool", pool,
+         "--out", sub / "checkpoint.json"],
+    ]
+    for step in steps:
+        assert main([str(a) for a in step] + flags) == 0, step[0]
+    assert main(["evaluate", "--data", str(val), "--checkpoint", str(sub / "checkpoint.json"),
+                 "--out", str(sub / "metrics.json")]) == 0
+    for name in ("pool.json", "train_aug.ndjson", "features_train.ndjson",
+                 "features_val.ndjson", "checkpoint.json", "metrics.json"):
+        assert (sub / name).read_bytes() == (run / name).read_bytes(), name
 
 
 def test_scoring_reads_no_pool_file(tmp_path):

@@ -1,93 +1,10 @@
-"""Recording ingestion, segmentation, splitting, synthetic generation."""
+"""Splitting, channel subsets, synthetic generation."""
 import numpy as np
 import pytest
 
-import oracles
 from pvashape.core import Dataset, SeededRng, ValidationError
-from pvashape.pipeline import (RawRecording, SynthConfig, class_quotas,
-                               default_proportions, detect_onsets,
-                               generate_synthetic, load_recording,
-                               rolling_median, segment, split, subset_channels)
-
-
-def _pulse_train(period, width=20, cycles=8, amp=10.0, lead=30):
-    # width stays under half the 51-sample baseline window so the rolling
-    # median sees quiet signal; the lead-in keeps edge replication clean
-    x = np.zeros(lead + period * cycles + 40)
-    for c in range(cycles):
-        x[lead + c * period : lead + c * period + width] = amp
-    return x
-
-
-def test_rolling_median_matches_oracle():
-    gen = np.random.default_rng(0)
-    x = gen.normal(size=200)
-    for w in (5, 6, 51):
-        assert np.allclose(rolling_median(x, w), oracles.rolling_median(x, w),
-                           atol=1e-12)
-
-
-def test_detect_onsets_pulse_train():
-    x = _pulse_train(100)
-    onsets = detect_onsets(x)
-    assert onsets == [30 + 100 * c for c in range(8)]
-
-
-def test_detect_onsets_flat_is_empty():
-    assert detect_onsets(np.zeros(500)) == []
-
-
-def test_segment_pulse_train():
-    pmask = _pulse_train(100)
-    rec = RawRecording(id="r1", channels={"Pmask": pmask,
-                                          "Flow": np.arange(len(pmask), dtype=float)})
-    segs = segment(rec, t=150)
-    assert len(segs) == 7
-    for i, s in enumerate(segs):
-        assert s.id == f"r1-seg{i:04d}"
-        assert s.original_length == 100
-        assert s.values.shape == (2, 150)
-        assert np.all(s.values[:, 100:] == 0.0)
-        assert s.label == "UNLABELED"
-
-
-def test_segment_truncates_long_intervals():
-    rec = RawRecording(id="r2", channels={"Pmask": _pulse_train(200, cycles=5)})
-    segs = segment(rec, t=150)
-    assert segs and all(s.original_length == 150 for s in segs)
-
-
-def test_segment_flat_recording_empty():
-    rec = RawRecording(id="r3", channels={"Pmask": np.zeros(400)})
-    assert segment(rec, t=150) == []
-
-
-def test_segment_requires_pmask():
-    rec = RawRecording(id="r4", channels={"Flow": np.zeros(400)})
-    with pytest.raises(ValidationError):
-        segment(rec, t=150)
-
-
-def test_recording_rejects_unequal_channels():
-    with pytest.raises(ValidationError):
-        RawRecording(id="bad", channels={"Pmask": np.zeros(5), "Flow": np.zeros(6)})
-
-
-def test_load_recording_csv(tmp_path):
-    p = tmp_path / "rec.csv"
-    p.write_text("Pmask,Flow\n1.0,2.0\n\n3.5,4.5\n")
-    rec = load_recording(p, recording_id="rr")
-    assert rec.id == "rr"
-    assert np.array_equal(rec.channels["Pmask"], [1.0, 3.5])
-    assert np.array_equal(rec.channels["Flow"], [2.0, 4.5])
-
-
-def test_load_recording_bad_row(tmp_path):
-    p = tmp_path / "rec.csv"
-    p.write_text("Pmask,Flow\n1.0,2.0\n3.0\n")
-    with pytest.raises(ValidationError) as err:
-        load_recording(p)
-    assert "3" in str(err.value)  # line number in the message
+from pvashape.pipeline import (SynthConfig, class_quotas, default_proportions,
+                               generate_synthetic, split, subset_channels)
 
 
 def _synth(n=100, seed=0, **kw):
@@ -179,6 +96,9 @@ def test_synth_validation():
         SynthConfig(n_instances=5, class_proportions={"NP": 0.5, "AC": 0.4})
     with pytest.raises(ValidationError):
         SynthConfig(n_instances=5, class_proportions={"XX": 1.0})
+    for share in (-0.5, float("nan")):
+        with pytest.raises(ValidationError, match="--proportions share for AC"):
+            SynthConfig(n_instances=5, class_proportions={"AC": share, "NP": 1.0 - share})
 
 
 def test_subset_channels():
