@@ -268,8 +268,8 @@ def cmd_run_all(args) -> int:
     with run.stage("split"):
         train_ds, val_ds = split(ds, args.train_fraction,
                                  SeededRng(cfg.seed).derive(STREAM_SPLIT))
-        save_dataset(paths["train"], train_ds)
-        save_dataset(paths["val"], val_ds)
+        save_dataset(paths["train"], train_ds, source=(paths["data"], ds))
+        save_dataset(paths["val"], val_ds, source=(paths["data"], ds))
 
     result = workflow.fit(train_ds, val_ds, cfg, run=run)
 
@@ -279,7 +279,7 @@ def cmd_run_all(args) -> int:
         save_pool(paths["pool"], result.checkpoint.pool)
         run.outputs["pool"] = paths["pool"]
     if cfg.use_augment and len(result.train_full) != len(train_ds):
-        save_dataset(paths["train_aug"], result.train_full)
+        save_dataset(paths["train_aug"], result.train_full, source=(paths["train"], train_ds))
         run.outputs["train_aug"] = paths["train_aug"]
     save_features(paths["features_train"], *result.train_features)
     save_features(paths["features_val"], *result.val_features)

@@ -380,7 +380,11 @@ def write_ndjson(path, records) -> None:
     """One compact JSON document per line; NaN and infinity raise."""
     with atomic_write(path) as fh:
         for rec in records:
-            fh.write(json.dumps(rec, allow_nan=False) + "\n")
+            fh.write(_ndjson_line(rec))
+
+
+def _ndjson_line(rec) -> str:
+    return json.dumps(rec, allow_nan=False) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -462,8 +466,18 @@ def read_ndjson(path):
                 raise ValidationError(f"{path}:{lineno}: invalid JSON: {err}") from err
 
 
-def save_dataset(path, dataset: Dataset) -> None:
-    write_ndjson(path, (series_to_record(x) for x in dataset))
+def save_dataset(path, dataset: Dataset, source: tuple | None = None) -> None:
+    """One record per line. ``source`` is a ``(path, dataset)`` pair
+    written by ``save_dataset``: an instance that is one of its dataset's
+    instances (the same object) is copied from its line, not encoded
+    again."""
+    lines = {}
+    if source is not None:
+        with open(source[0]) as fh:
+            lines = {id(x): line for x, line in zip(source[1], fh)}
+    with atomic_write(path) as fh:
+        for x in dataset:
+            fh.write(lines.get(id(x)) or _ndjson_line(series_to_record(x)))
 
 
 def load_dataset(path) -> Dataset:

@@ -169,7 +169,7 @@ def discover(dataset: Dataset, config: Config,
     blocks, pruning and tie-breaking are all schedule-independent.
     ``counters``, when given, receives the screen's counts (candidates,
     groups, pruned candidates per class, chunk matmuls run and skipped,
-    bound checks).
+    bound checks, the probe offset and the candidates rescanned).
     """
     if len(dataset) == 0:
         raise ValueError("cannot discover shapelets on an empty dataset")
@@ -293,62 +293,84 @@ def _check_offsets(m: int, n_minority: int) -> range:
     return range(max(-(-n_minority // step), 1) * step, m // 2 + 1, step)
 
 
+def _probe_offset(m: int, n_minority: int) -> int | None:
+    """The first `_check_offsets` offset at which the scan has seen at
+    least as many majority instances as non-majority ones, or None.
+
+    The probe pass scores every candidate up to it. Earlier, too few
+    majority distances are seen for the bound to rule most candidates out,
+    and the completion pass would rescan nearly all of them.
+    """
+    return next((s for s in _check_offsets(m, n_minority) if s >= 2 * n_minority), None)
+
+
+def _beats(bound: np.ndarray, floor: np.ndarray, tie_worse: np.ndarray) -> np.ndarray:
+    """Whether a candidate whose gain is at most ``bound`` can still rank
+    above its class's quota-th key, whose gain is ``floor``: ``tie_worse``
+    marks candidates that lose a tie at that gain by `_rank_key`."""
+    return (bound > floor) | ((bound == floor) & ~tie_worse)
+
+
 class _BlockScreen:
-    """One query block's prepared queries, distances and surviving columns
-    across the instance chunks of one (channel, length) group.
+    """One query block's prepared queries, distances and live columns
+    across the instance chunks ``[0, stop)`` of one (channel, length) group.
 
     ``floor`` and ``tie_worse`` describe, per column, the quota-th
-    `_rank_key` of its class among candidates already scored: a column is
-    dropped once its gain bound is below that key's gain, or equal to it
-    with a worse tie-break.
+    `_rank_key` of its class among candidates already scored, and a column
+    stays ``live`` while its gain bound `_beats` that key. Bounds are
+    checked after the chunks that end at ``offsets``. When the scan
+    reaches ``stop``, ``result`` holds the gains of the live columns if
+    ``stop`` ends the split, else (a probe) the bound of every column there.
     """
 
-    def __init__(self, idx, queries, targets, fit, floor, tie_worse):
+    def __init__(self, idx, queries, targets, fit, stop, offsets, floor, tie_worse, live):
         self.idx, self.queries, self.targets = idx, queries, targets
-        self.floor, self.tie_worse = floor, tie_worse
-        self.dists = np.empty((len(fit), len(idx)))    # (M, B), scan order
-        self.prunable = np.isfinite(floor)          # its class has a key yet
-        self.live = np.ones(len(idx), dtype=bool)
+        self.offsets, self.floor, self.tie_worse, self.live = offsets, floor, tie_worse, live
+        self.dists = np.empty((stop, len(idx)))     # (stop, B), scan order
+        self.final = stop == len(fit)
         self.checks = 0
-        self.gains = None
-        if self.prunable.any():                     # what the bound needs, then
-            self.fit_rows = np.flatnonzero(fit)     # a check before any distance
-            self.fit_targets = targets[:, fit]      # (B, instances it fits)
-            n_targets = np.count_nonzero(self.fit_targets, axis=1)
-            self.unseen = np.stack((n_targets, len(self.fit_rows) - n_targets))
-            self.cap = _parent_entropy(n_targets,
-                                       np.full(len(idx), len(self.fit_rows)))[:, 0]
-            self.bound_check(0)
+        self.result = None
+        self.fit_rows = np.flatnonzero(fit)
+        self.fit_targets = targets[:, fit]          # (B, instances it fits)
+        n_targets = np.count_nonzero(self.fit_targets, axis=1)
+        self.unseen = np.stack((n_targets, len(self.fit_rows) - n_targets))
+        self.cap = _parent_entropy(n_targets, np.full(len(idx), len(self.fit_rows)))[:, 0]
 
-    def bound_check(self, s: int) -> None:
-        """Drop every live column whose bound, given its distances to the
-        first ``s`` instances, cannot beat its class's key."""
-        cols = np.flatnonzero(self.live & self.prunable)
-        if cols.size == 0:
-            return
+    def bound(self, s: int, cols: np.ndarray) -> np.ndarray:
+        """`_gain_bound` of columns ``cols`` given their distances to the
+        first ``s`` instances."""
         n_seen = np.searchsorted(self.fit_rows, s)
         targets = self.fit_targets[cols, :n_seen]
         seen_targets = np.count_nonzero(targets, axis=1)
         unseen_targets, unseen_others = self.unseen[:, cols]
-        bound = _gain_bound(self.dists[self.fit_rows[:n_seen, None], cols].T, targets,
-                            unseen_targets - seen_targets,
-                            unseen_others - (n_seen - seen_targets), self.cap[cols])
-        floor = self.floor[cols]
-        drop = (bound < floor) | ((bound == floor) & self.tie_worse[cols])
-        self.live[cols[drop]] = False
-        self.checks += 1
+        return _gain_bound(self.dists[self.fit_rows[:n_seen, None], cols].T, targets,
+                           unseen_targets - seen_targets,
+                           unseen_others - (n_seen - seen_targets), self.cap[cols])
 
-    def score(self, prep, i0: int, offsets) -> None:
+    def bound_check(self, s: int) -> None:
+        """Drop every live column whose bound, given its distances to the
+        first ``s`` instances, cannot beat its class's key."""
+        cols = np.flatnonzero(self.live & np.isfinite(self.floor))
+        if cols.size:
+            self.live[cols] = _beats(self.bound(s, cols), self.floor[cols],
+                                     self.tie_worse[cols])
+            self.checks += 1
+
+    def score(self, prep, i0: int) -> None:
         """Distances of the live columns to the chunk of instances
         ``i0:i0 + prep.m``; then a bound check if the chunk ends at one of
-        the ``offsets``, or the gains if it is the last."""
+        the ``offsets``, or the ``result`` if it ends the scan."""
         i1 = i0 + prep.m
         prepared_min_cid(prep, self.queries, self.live, out=self.dists[i0:i1])
-        if i1 in offsets:
+        if i1 in self.offsets:
             self.bound_check(i1)
-        if i1 == len(self.dists) and self.live.any():
-            self.gains = _gain_block(self.dists[:, self.live].T,
-                                     self.targets[self.live])[0]
+        if i1 < len(self.dists) or not self.live.any():
+            return
+        if self.final:
+            self.result = _gain_block(self.dists[:, self.live].T, self.targets[self.live])[0]
+        else:
+            self.result = self.bound(i1, np.arange(len(self.idx)))
+            self.checks += 1
 
 
 def _screen_gains(dataset: Dataset, candidates: list[Shapelet], config: Config,
@@ -361,49 +383,56 @@ def _screen_gains(dataset: Dataset, candidates: list[Shapelet], config: Config,
     Instances are scanned non-majority first, one INSTANCE_CHUNK at a time:
     windows are prepared per (channel, length) group and chunk, and each
     query block's prepared queries are scored against each chunk with one
-    kernel call on its live columns. Each candidate's gain bound is
-    compared, before its first distance and after the chunks that end at
-    the `_check_offsets`, with the quota-th `_rank_key` of its class among
-    candidates of earlier groups, and a candidate that cannot beat it is
-    dropped; a block's kernel call runs only while one of its candidates is
-    live. The keys are refreshed once per group, so what is dropped does
-    not depend on the thread count.
-    Pruning is exact in this scan order: a distance does not depend on the
-    other live columns, so every gain that is computed, and the pool, are
-    the ones an unpruned scan in the same order gives. Against another
-    order or chunk size a distance keeps its bits only while its matmul
-    keeps its shape, so it may differ in the last bits, which can flip a
-    ranking near-tie.
+    kernel call on its live columns. A candidate is dropped once its gain
+    bound cannot beat the quota-th `_rank_key` of its class among the
+    candidates of groups already completed; a block's kernel call runs only
+    while one of its candidates is live. The keys are refreshed once per
+    group, so what is dropped does not depend on the thread count.
+
+    When `_probe_offset` gives an offset, a probe pass first scores every
+    candidate up to it and keeps only its bound there. Groups are then
+    completed in descending order of their best probe bound, so each
+    class's key is high early: a candidate whose probe bound cannot beat it
+    is never rescanned, and the others are scored from instance 0 with
+    checks at the `_check_offsets` past the probe. Without a probe offset
+    groups are completed in (channel, length) order, checked before their
+    first distance and at every check offset.
+
+    Pruning is exact: every key is one a candidate reached, so the top
+    ``quota`` keys do not depend on the completion order; and a distance
+    depends only on its chunk and block, not on the other live columns, so
+    every gain that is computed, and the pool, are the ones an unpruned
+    scan in the same instance order gives. Against another order or chunk
+    size a distance keeps its bits only while its matmul keeps its shape,
+    so it may differ in the last bits, which can flip a ranking near-tie.
     """
     order = _minority_first(dataset)
     m = len(order)
     lengths = np.asarray([dataset[i].original_length for i in order], dtype=np.int64)
     labels = np.asarray([dataset[i].label for i in order])
+    class_targets = {lab: labels == lab for lab in dataset.labels}
+    channel_rows = {}
     chunk = distance.INSTANCE_CHUNK
-    offsets = _check_offsets(m, m - dataset.class_counts[dataset.majority])
+    n_chunks = -(-m // chunk)
+    n_minority = m - dataset.class_counts[dataset.majority]
+    offsets = _check_offsets(m, n_minority)
+    probe = _probe_offset(m, n_minority)
     gains = np.full(len(candidates), -np.inf)
     best: dict[str, list[tuple]] = {lab: [] for lab in dataset.labels}
-    matmuls = skipped = checks = 0
+    tally = dict.fromkeys(("matmuls", "matmuls_skipped", "bound_checks", "rescanned"), 0)
 
     groups: dict[tuple[int, int], list[int]] = {}
     for i, c in enumerate(candidates):
         groups.setdefault((c.channel, len(c)), []).append(i)
+    groups = sorted(groups.items())
 
-    # Groups come sorted by channel, so a channel's rows and raw-window
-    # prefix sums are built once, sliced for each chunk and length, and
-    # dropped before the next channel's. Fixed block boundaries and chunk
-    # offsets keep every matmul shape independent of the thread count and
-    # of pruning.
-    class_targets = {lab: labels == lab for lab in dataset.labels}
-    rows_channel = None
-    for (channel, l), idx in sorted(groups.items()):
-        if channel != rows_channel:
-            rows = sums = None                  # free the last channel's first
-            rows = np.stack([dataset[i].values[channel] for i in order])
-            sums = None if config.znorm else prefix_sums(rows)
-            rows_channel = channel
+    def screens(l, idx, stop, checks_at, bounds=None):
+        """The group's block screens, each column's class key taken from
+        the groups completed so far. With ``bounds`` only the columns whose
+        bound `_beats` it are live, and a block with none is left out, its
+        kernel calls counted as skipped."""
         fit = lengths >= l
-        screens = []
+        out = []
         for j in range(0, len(idx), QUERY_BLOCK):
             block = idx[j : j + QUERY_BLOCK]
             floor, tie_worse = np.full(len(block), -np.inf), np.zeros(len(block), dtype=bool)
@@ -413,29 +442,63 @@ def _screen_gains(dataset: Dataset, candidates: list[Shapelet], config: Config,
                     key = best[c.label][-1]
                     floor[b] = -key[0]
                     tie_worse[b] = _rank_key(floor[b], c, i) > key
-            screens.append(_BlockScreen(
+            live = (np.ones(len(block), dtype=bool) if bounds is None
+                    else _beats(bounds[block], floor, tie_worse))
+            if bounds is not None:
+                tally["rescanned"] += int(np.count_nonzero(live))
+                if not live.any():
+                    tally["matmuls_skipped"] += n_chunks
+                    continue
+            out.append(_BlockScreen(
                 block, prepare_queries(np.stack([candidates[i].values for i in block]),
                                        config.znorm),
                 np.stack([class_targets[candidates[i].label] for i in block]), fit,
-                floor, tie_worse))
+                stop, checks_at, floor, tie_worse, live))
+        return out
 
-        for i0 in range(0, m, chunk):
+    def scan(channel, l, screens, stop):
+        """Score the screens' live columns on the chunks before ``stop``.
+        Fixed block boundaries and chunk offsets keep every matmul shape
+        independent of the thread count and of pruning. A channel's rows
+        in scan order and their raw-window prefix sums are built when a
+        group on it follows one on another channel, and sliced for each
+        chunk and length."""
+        for i0 in range(0, stop, chunk):
             todo = [sc for sc in screens if sc.live.any()]
-            matmuls += len(todo)
-            skipped += len(screens) - len(todo)
+            tally["matmuls"] += len(todo)
+            tally["matmuls_skipped"] += len(screens) - len(todo)
             if not todo:
                 continue
-            i1 = min(i0 + chunk, m)
-            part_sums = None if sums is None else tuple(a[i0:i1] for a in sums)
-            prep = prepare_windows(rows[i0:i1], lengths[i0:i1], l, znorm=config.znorm,
-                                   sums=part_sums)
-            thread_map(lambda sc, prep=prep, i0=i0: sc.score(prep, i0, offsets),
-                       todo, config.threads)
+            if channel not in channel_rows:
+                channel_rows.clear()            # free the last channel's first
+                rows = np.stack([dataset[i].values[channel] for i in order])
+                channel_rows[channel] = rows, None if config.znorm else prefix_sums(rows)
+            (rows, sums), part = channel_rows[channel], slice(i0, i0 + chunk)
+            prep = prepare_windows(rows[part], lengths[part], l, znorm=config.znorm,
+                                   sums=None if sums is None else tuple(a[part] for a in sums))
+            thread_map(lambda sc, prep=prep, i0=i0: sc.score(prep, i0), todo, config.threads)
+        tally["bound_checks"] += sum(sc.checks for sc in screens)
 
-        for sc in screens:
-            checks += sc.checks
-            if sc.gains is not None:
-                gains[np.asarray(sc.idx)[sc.live]] = sc.gains
+    bounds = None
+    if probe is not None:
+        bounds = np.empty(len(candidates))
+        for (channel, l), idx in groups:
+            probed = screens(l, idx, probe, ())        # no keys yet: all live
+            scan(channel, l, probed, probe)
+            for sc in probed:
+                bounds[sc.idx] = sc.result
+        groups.sort(key=lambda group: -bounds[group[1]].max())
+        offsets = offsets[offsets.index(probe) + 1 :]
+
+    for (channel, l), idx in groups:
+        group = screens(l, idx, m, offsets, bounds)
+        if probe is None:
+            for sc in group:
+                sc.bound_check(0)
+        scan(channel, l, group, m)
+        for sc in group:
+            if sc.result is not None:
+                gains[np.asarray(sc.idx)[sc.live]] = sc.result
         for i in np.asarray(idx)[np.isfinite(gains[idx])].tolist():
             best[candidates[i].label].append(_rank_key(gains[i], candidates[i], i))
         for lab in best:
@@ -444,7 +507,7 @@ def _screen_gains(dataset: Dataset, candidates: list[Shapelet], config: Config,
     dropped = [c.label for c, g in zip(candidates, gains.tolist()) if g == -np.inf]
     pruned = {lab: dropped.count(lab) for lab in dataset.labels}
     counters.update(candidates=len(candidates), groups=len(groups), pruned=pruned,
-                    matmuls=matmuls, matmuls_skipped=skipped, bound_checks=checks)
+                    probe_offset=probe, **tally)
     return {lab: [key[-1] for key in keys] for lab, keys in best.items()}
 
 

@@ -9,9 +9,11 @@ the evidence behind a prediction can be plotted or audited directly.
 """
 from __future__ import annotations
 
+import json
+
 import numpy as np
 
-from .core import Dataset, ValidationError, write_ndjson
+from .core import Dataset, ValidationError, atomic_write
 from .discovery import pool_digest
 from .distance import match_pool
 from .features import feature_matrix
@@ -75,37 +77,39 @@ def build_explain_report(dataset: Dataset, checkpoint: ModelCheckpoint,
             "pool_sha256": pool_digest(pool), "shapelets": shapelets, "instances": out}
 
 
+# An overlay's fields in a plot document, before its shapelet's values.
+_OVERLAY_KEYS = ("shapelet", "label", "channel", "channel_name", "offset", "psd")
+
+
+def _encode(part) -> str:
+    """``json.dumps`` text of one part of a plot document."""
+    return json.dumps(part, allow_nan=False)
+
+
 def emit_plot_data(report: dict, out_path) -> None:
     """Write one JSON document per instance with aligned series/overlays.
 
     Overlay index 0 sits at the match offset on the overlay's channel;
     each overlay carries its shapelet's values from the report's table, so
-    every document is directly consumable by a plotting tool.
+    every document is directly consumable by a plotting tool. Each line is
+    the ``json.dumps`` text of its document, assembled from parts encoded
+    once per call: every shapelet's values, and each instance's series.
     """
-    shapelets = report["shapelets"]
-    docs = (
-        {
-            "id": entry["id"],
-            "label": entry["label"],
-            "predicted": entry["predicted"],
-            "time": list(range(len(next(iter(entry["series"].values()))))),
-            "series": entry["series"],
-            "overlays": [
-                {
-                    "shapelet": m["shapelet"],
-                    "label": m["label"],
-                    "channel": m["channel"],
-                    "channel_name": m["channel_name"],
-                    "offset": m["offset"],
-                    "psd": m["psd"],
-                    "values": shapelets[m["pool_index"]]["values"],
-                }
-                for m in entry["matches"]
-            ],
-        }
-        for entry in report["instances"]
-    )
+    values = [_encode(s["values"]) for s in report["shapelets"]]
+
+    def lines():
+        for entry in report["instances"]:
+            time = list(range(len(next(iter(entry["series"].values())))))
+            overlays = ", ".join(
+                _encode({key: m[key] for key in _OVERLAY_KEYS})[:-1]
+                + f', "values": {values[m["pool_index"]]}}}'
+                for m in entry["matches"])
+            head = _encode({key: entry[key] for key in ("id", "label", "predicted")})[:-1]
+            yield (f'{head}, "time": {_encode(time)}, "series": {_encode(entry["series"])}, '
+                   f'"overlays": [{overlays}]}}\n')
+
     try:
-        write_ndjson(out_path, docs)
+        with atomic_write(out_path) as fh:
+            fh.writelines(lines())
     except OSError as exc:
         raise OSError(f"cannot write plot data to {out_path}: {exc}") from exc

@@ -3,6 +3,7 @@ import base64
 import json
 import re
 import shlex
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +11,7 @@ import pytest
 
 from pvashape import cli, discovery, explain, model, workflow
 from pvashape.cli import main
-from pvashape.core import load_dataset, write_json
+from pvashape.core import Dataset, load_dataset, save_dataset, write_json
 from pvashape.discovery import load_pool, pool_digest
 from pvashape.explain import build_explain_report
 from pvashape.features import load_features, save_features
@@ -272,6 +273,26 @@ def test_plot_overlays_carry_the_pool_values(chain, tmp_path):
         assert ov["values"] == pool.shapelets[int(ov["shapelet"][1:])].values.tolist()
 
 
+@pytest.mark.parametrize("all_classes", [False, True])
+def test_plot_data_lines_are_the_json_of_their_documents(chain, tmp_path, all_classes):
+    """Lines are assembled from parts encoded once, and read as the
+    ``json.dumps`` of the whole document would."""
+    report = build_explain_report(load_dataset(chain / "data.ndjson"),
+                                  load_checkpoint(chain / "ckpt.json"), all_classes=all_classes)
+    explain.emit_plot_data(report, tmp_path / "plot.ndjson")
+    docs = [{"id": e["id"], "label": e["label"], "predicted": e["predicted"],
+             "time": list(range(len(next(iter(e["series"].values()))))),
+             "series": e["series"],
+             "overlays": [{key: m[key] for key in ("shapelet", "label", "channel",
+                                                   "channel_name", "offset", "psd")}
+                          | {"values": report["shapelets"][m["pool_index"]]["values"]}
+                          for m in e["matches"]]}
+            for e in report["instances"]]
+    assert any(doc["overlays"] for doc in docs)
+    assert (tmp_path / "plot.ndjson").read_text() == "".join(
+        json.dumps(doc) + "\n" for doc in docs)
+
+
 def _mutate_first(rec, kind):
     if kind == "wider":
         rec["values"] = [row + [0.0] * 10 for row in rec["values"]]
@@ -484,6 +505,31 @@ def test_subcommands_reproduce_run_all(tmp_path):
     for name in ("pool.json", "train_aug.ndjson", "features_train.ndjson",
                  "features_val.ndjson", "checkpoint.json", "metrics.json"):
         assert (sub / name).read_bytes() == (run / name).read_bytes(), name
+
+
+def test_run_all_dataset_files_read_as_fresh_encodings(tmp_path):
+    """run-all copies the lines of instances it has already written (train
+    and val from data, train_aug from train); each file is still what
+    encoding its instances afresh writes."""
+    run = tmp_path / "run"
+    assert main(["run-all", "--out-dir", str(run), "--n", "40", "--t", "40",
+                 "--proportions", PROPS, "--k", "5", "--g", "8", "--rsa", "2"]) == 0
+    for name in ("data", "train", "val", "train_aug"):
+        save_dataset(tmp_path / name, load_dataset(run / f"{name}.ndjson"))
+        assert (tmp_path / name).read_bytes() == (run / f"{name}.ndjson").read_bytes(), name
+
+
+def test_save_dataset_copies_only_the_source_s_own_instances(tmp_path):
+    assert main(_synth_args(tmp_path / "d.ndjson", n=4)) == 0
+    ds = load_dataset(tmp_path / "d.ndjson")
+    save_dataset(tmp_path / "a.ndjson", ds)
+    # the same id on another object is encoded, not copied
+    other = Dataset((replace(ds[0], values=ds[0].values + 1.0), ds[1]))
+    save_dataset(tmp_path / "b.ndjson", other, source=(tmp_path / "a.ndjson", ds))
+    save_dataset(tmp_path / "c.ndjson", other)
+    assert (tmp_path / "b.ndjson").read_bytes() == (tmp_path / "c.ndjson").read_bytes()
+    assert (tmp_path / "b.ndjson").read_text().splitlines()[1] == \
+        (tmp_path / "a.ndjson").read_text().splitlines()[1]
 
 
 def test_scoring_reads_no_pool_file(tmp_path):
@@ -867,7 +913,8 @@ def test_a_channel_subset_other_than_the_pool_s_exits_two(tmp_path, capsys, cmd)
 
 
 def test_discovery_counters_go_to_the_manifest_only(chain, tmp_path):
-    keys = {"candidates", "groups", "pruned", "matmuls", "matmuls_skipped", "bound_checks"}
+    keys = {"candidates", "groups", "pruned", "matmuls", "matmuls_skipped", "bound_checks",
+            "probe_offset", "rescanned"}
     man = json.loads((chain / "pool.json.manifest.json").read_text())
     assert set(man["counters"]["discover"]) == keys
     assert set(man["counters"]["discover"]["pruned"]) == {"NP", "AC", "DT", "IE"}

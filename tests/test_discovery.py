@@ -289,6 +289,9 @@ def test_pruning_leaves_the_pool_unchanged(monkeypatch):
         pruned = pool_to_dict(discover(ds, cfg, counters=counters))
         assert sum(counters["pruned"].values()) > 0 and counters["bound_checks"] > 0, chunk
         assert counters["matmuls_skipped"] > 0 or chunk == 64
+        # with 8-instance chunks the probe pass runs to instance 24
+        assert counters["probe_offset"] == (24 if chunk == 8 else None)
+        assert (0 < counters["rescanned"] < counters["candidates"]) == (chunk == 8)
         # a minority class saturates: its quota splits it off perfectly
         for s in pruned["shapelets"]:
             if s["label"] == "AC":
@@ -317,6 +320,17 @@ def test_check_offsets_start_after_the_minority_and_stop_at_half(m, n_minority, 
     assert list(discovery._check_offsets(m, n_minority)) == offsets
 
 
+@pytest.mark.parametrize("m,n_minority,probe", [
+    (256, 21, 64),                 # fit-imbalanced
+    (640, 53, 128),                # run-all --n 800
+    (1600, 131, 320),              # run-all --n 2000
+    (80, 60, None),                # score: no check offset at all
+    (512, 231, None),              # 55% NP: the one check comes before 2 * 231
+])
+def test_probe_offset_is_the_first_check_past_twice_the_minority(m, n_minority, probe):
+    assert discovery._probe_offset(m, n_minority) == probe
+
+
 def test_pool_and_counters_do_not_depend_on_threads(small_chunks):
     ds = _imbalanced_padded_dataset()
     runs = []
@@ -325,3 +339,21 @@ def test_pool_and_counters_do_not_depend_on_threads(small_chunks):
         pool = discover(ds, Config(k=6, g=8, seed=0, threads=threads), counters=counters)
         runs.append((pool_to_dict(pool), counters))
     assert runs[0] == runs[1]
+    assert runs[0][1]["probe_offset"] == 24 and runs[0][1]["rescanned"] > 0
+
+
+def test_balanced_split_runs_no_probe(small_chunks, monkeypatch):
+    """Three quarters non-majority: no check offset lies past twice the
+    minority count, so groups complete in (channel, length) order."""
+    ds = generate_synthetic(SynthConfig(
+        n_instances=40, t=40, seed=4,
+        class_proportions={"NP": 0.25, "AC": 0.25, "DT": 0.25, "IE": 0.25}))
+    cfg = Config(k=6, g=8, seed=0)
+    counters = {}
+    pool = pool_to_dict(discover(ds, cfg, counters=counters))
+    assert counters["probe_offset"] is None and counters["rescanned"] == 0
+    assert sum(counters["pruned"].values()) > 0
+    with monkeypatch.context() as patch:
+        patch.setattr(discovery, "_gain_bound",
+                      lambda d, y, ut, uo, cap: np.full(len(d), np.inf))
+        assert pool_to_dict(discover(ds, cfg)) == pool
