@@ -143,27 +143,31 @@ def cmd_discover(args) -> int:
     return EXIT_OK
 
 
-def _pool_channels(cfg: Config, pool, path) -> Config:
-    """``cfg`` on the channel subset ``pool`` was discovered on: its
+def _config_and_pool(args):
+    """The command's config and its ``--pool`` (None without one), the
+    config on the channel subset the pool was discovered on: its
     shapelets' channel indices count within that subset. A different
     subset from the flags or --config is refused."""
+    cfg = build_config(args)
+    if not args.pool:
+        return cfg, None
+    pool = load_pool(args.pool)
     subset = pool.config.get("channel_subset")
     try:
         pool_cfg = cfg.with_updates(channel_subset=None if subset is None else tuple(subset))
     except (TypeError, ValueError) as err:
-        raise ValidationError(f"pool {path} channel_subset is malformed: {err}") from err
+        raise ValidationError(f"pool {args.pool} channel_subset is malformed: {err}") from err
     if cfg.channel_subset not in (None, pool_cfg.channel_subset):
         raise ValidationError(
-            f"pool {path} was discovered on channel subset "
+            f"pool {args.pool} was discovered on channel subset "
             f"{'all channels' if subset is None else list(subset)}, not "
             f"{list(cfg.channel_subset)}; drop --channels to use the pool's")
-    return pool_cfg
+    return pool_cfg, pool
 
 
 def cmd_augment(args) -> int:
-    pool = load_pool(args.pool)
-    run = Run("augment", _pool_channels(build_config(args), pool, args.pool),
-              {"data": args.data, "pool": args.pool}, {"data": args.out})
+    cfg, pool = _config_and_pool(args)
+    run = Run("augment", cfg, {"data": args.data, "pool": args.pool}, {"data": args.out})
     ds = workflow.align_channels(load_dataset(args.data), run.config)
     with run.stage("augment"):
         out = balance_dataset(ds, pool, run.config)
@@ -174,10 +178,7 @@ def cmd_augment(args) -> int:
 
 
 def cmd_transform(args) -> int:
-    cfg, pool = build_config(args), None
-    if args.pool:
-        pool = load_pool(args.pool)
-        cfg = _pool_channels(cfg, pool, args.pool)
+    cfg, pool = _config_and_pool(args)
     run = Run("transform", cfg, {"data": args.data, "pool": args.pool or ""},
               {"features": args.out})
     ds = load_dataset(args.data)
@@ -190,14 +191,14 @@ def cmd_transform(args) -> int:
 
 
 def cmd_train(args) -> int:
-    run = Run("train", build_config(args),
+    cfg, pool = _config_and_pool(args)
+    run = Run("train", cfg,
               {"train_features": args.train_features, "val_features": args.val_features},
               {"checkpoint": args.out})
     train_features = load_features(args.train_features)
     val_features = load_features(args.val_features)
     with run.stage("train"):
-        ckpt = workflow.train_head(train_features, val_features, run.config,
-                                   pool=load_pool(args.pool) if args.pool else None)
+        ckpt = workflow.train_head(train_features, val_features, run.config, pool=pool)
         save_checkpoint(args.out, ckpt)
     write_manifest(f"{args.out}.manifest.json", run)
     print(f"best epoch {ckpt.best_epoch}, validation macro-F1 "

@@ -169,7 +169,8 @@ def discover(dataset: Dataset, config: Config,
     blocks, pruning and tie-breaking are all schedule-independent.
     ``counters``, when given, receives the screen's counts (candidates,
     groups, pruned candidates per class, chunk matmuls run and skipped,
-    bound checks, the probe offset and the candidates rescanned).
+    bound checks, the probe offset, 0 when the probe pass scans nothing,
+    and the candidates rescanned from instance 0).
     """
     if len(dataset) == 0:
         raise ValueError("cannot discover shapelets on an empty dataset")
@@ -293,15 +294,16 @@ def _check_offsets(m: int, n_minority: int) -> range:
     return range(max(-(-n_minority // step), 1) * step, m // 2 + 1, step)
 
 
-def _probe_offset(m: int, n_minority: int) -> int | None:
+def _probe_offset(m: int, n_minority: int) -> int:
     """The first `_check_offsets` offset at which the scan has seen at
-    least as many majority instances as non-majority ones, or None.
+    least as many majority instances as non-majority ones, or 0.
 
     The probe pass scores every candidate up to it. Earlier, too few
     majority distances are seen for the bound to rule most candidates out,
-    and the completion pass would rescan nearly all of them.
+    and the completion pass would rescan nearly all of them; at 0 there is
+    no probe pass.
     """
-    return next((s for s in _check_offsets(m, n_minority) if s >= 2 * n_minority), None)
+    return next((s for s in _check_offsets(m, n_minority) if s >= 2 * n_minority), 0)
 
 
 def _beats(bound: np.ndarray, floor: np.ndarray, tie_worse: np.ndarray) -> np.ndarray:
@@ -317,24 +319,19 @@ class _BlockScreen:
 
     ``floor`` and ``tie_worse`` describe, per column, the quota-th
     `_rank_key` of its class among candidates already scored, and a column
-    stays ``live`` while its gain bound `_beats` that key. Bounds are
-    checked after the chunks that end at ``offsets``. When the scan
-    reaches ``stop``, ``result`` holds the gains of the live columns if
-    ``stop`` ends the split, else (a probe) the bound of every column there.
+    stays ``live`` while its gain bound, at most ``cap``, `_beats` that key.
+    Bounds are checked after the chunks that end at ``offsets``.
     """
 
-    def __init__(self, idx, queries, targets, fit, stop, offsets, floor, tie_worse, live):
-        self.idx, self.queries, self.targets = idx, queries, targets
+    def __init__(self, idx, queries, targets, fit, cap, stop, offsets, floor, tie_worse, live):
+        self.idx, self.queries, self.targets, self.cap = np.asarray(idx), queries, targets, cap
         self.offsets, self.floor, self.tie_worse, self.live = offsets, floor, tie_worse, live
         self.dists = np.empty((stop, len(idx)))     # (stop, B), scan order
-        self.final = stop == len(fit)
         self.checks = 0
-        self.result = None
         self.fit_rows = np.flatnonzero(fit)
         self.fit_targets = targets[:, fit]          # (B, instances it fits)
         n_targets = np.count_nonzero(self.fit_targets, axis=1)
         self.unseen = np.stack((n_targets, len(self.fit_rows) - n_targets))
-        self.cap = _parent_entropy(n_targets, np.full(len(idx), len(self.fit_rows)))[:, 0]
 
     def bound(self, s: int, cols: np.ndarray) -> np.ndarray:
         """`_gain_bound` of columns ``cols`` given their distances to the
@@ -347,29 +344,19 @@ class _BlockScreen:
                            unseen_targets - seen_targets,
                            unseen_others - (n_seen - seen_targets), self.cap[cols])
 
-    def bound_check(self, s: int) -> None:
-        """Drop every live column whose bound, given its distances to the
-        first ``s`` instances, cannot beat its class's key."""
-        cols = np.flatnonzero(self.live & np.isfinite(self.floor))
-        if cols.size:
-            self.live[cols] = _beats(self.bound(s, cols), self.floor[cols],
-                                     self.tie_worse[cols])
-            self.checks += 1
-
     def score(self, prep, i0: int) -> None:
         """Distances of the live columns to the chunk of instances
-        ``i0:i0 + prep.m``; then a bound check if the chunk ends at one of
-        the ``offsets``, or the ``result`` if it ends the scan."""
+        ``i0:i0 + prep.m``; then, if the chunk ends at one of the
+        ``offsets``, drop every live column whose bound cannot beat its
+        class's key."""
         i1 = i0 + prep.m
         prepared_min_cid(prep, self.queries, self.live, out=self.dists[i0:i1])
-        if i1 in self.offsets:
-            self.bound_check(i1)
-        if i1 < len(self.dists) or not self.live.any():
+        if i1 not in self.offsets:
             return
-        if self.final:
-            self.result = _gain_block(self.dists[:, self.live].T, self.targets[self.live])[0]
-        else:
-            self.result = self.bound(i1, np.arange(len(self.idx)))
+        cols = np.flatnonzero(self.live & np.isfinite(self.floor))
+        if cols.size:
+            self.live[cols] = _beats(self.bound(i1, cols), self.floor[cols],
+                                     self.tie_worse[cols])
             self.checks += 1
 
 
@@ -389,14 +376,14 @@ def _screen_gains(dataset: Dataset, candidates: list[Shapelet], config: Config,
     while one of its candidates is live. The keys are refreshed once per
     group, so what is dropped does not depend on the thread count.
 
-    When `_probe_offset` gives an offset, a probe pass first scores every
-    candidate up to it and keeps only its bound there. Groups are then
-    completed in descending order of their best probe bound, so each
-    class's key is high early: a candidate whose probe bound cannot beat it
-    is never rescanned, and the others are scored from instance 0 with
-    checks at the `_check_offsets` past the probe. Without a probe offset
-    groups are completed in (channel, length) order, checked before their
-    first distance and at every check offset.
+    A probe pass first scores every candidate up to `_probe_offset` and
+    keeps only its bound there; at offset 0 there is nothing to score, and
+    every bound is the gain of a perfect split. Groups are then completed
+    in descending order of their best probe bound (stable, so (channel,
+    length) order at offset 0), which makes each class's key high early: a
+    candidate whose probe bound cannot beat it is never rescanned, and the
+    others are scored from instance 0 with checks at the `_check_offsets`
+    past the probe.
 
     Pruning is exact: every key is one a candidate reached, so the top
     ``quota`` keys do not depend on the completion order; and a distance
@@ -413,11 +400,11 @@ def _screen_gains(dataset: Dataset, candidates: list[Shapelet], config: Config,
     class_targets = {lab: labels == lab for lab in dataset.labels}
     channel_rows = {}
     chunk = distance.INSTANCE_CHUNK
-    n_chunks = -(-m // chunk)
     n_minority = m - dataset.class_counts[dataset.majority]
-    offsets = _check_offsets(m, n_minority)
     probe = _probe_offset(m, n_minority)
+    offsets = [s for s in _check_offsets(m, n_minority) if s > probe]
     gains = np.full(len(candidates), -np.inf)
+    bounds = np.full(len(candidates), np.inf)          # unknown until probed
     best: dict[str, list[tuple]] = {lab: [] for lab in dataset.labels}
     tally = dict.fromkeys(("matmuls", "matmuls_skipped", "bound_checks", "rescanned"), 0)
 
@@ -426,33 +413,36 @@ def _screen_gains(dataset: Dataset, candidates: list[Shapelet], config: Config,
         groups.setdefault((c.channel, len(c)), []).append(i)
     groups = sorted(groups.items())
 
-    def screens(l, idx, stop, checks_at, bounds=None):
-        """The group's block screens, each column's class key taken from
-        the groups completed so far. With ``bounds`` only the columns whose
-        bound `_beats` it are live, and a block with none is left out, its
-        kernel calls counted as skipped."""
+    def screens(l, idx, stop, checks_at):
+        """The group's block screens for a scan to ``stop``, each column's
+        class key taken from the groups completed so far. A column is live
+        if its probe bound, capped at the gain of a perfect split over the
+        instances it fits, `_beats` that key; a block with none is left
+        out, its kernel calls counted as skipped."""
         fit = lengths >= l
+        caps = dict(zip(class_targets, _parent_entropy(
+            np.array([np.count_nonzero(t & fit) for t in class_targets.values()]),
+            np.full(len(class_targets), np.count_nonzero(fit)))[:, 0]))
         out = []
         for j in range(0, len(idx), QUERY_BLOCK):
             block = idx[j : j + QUERY_BLOCK]
             floor, tie_worse = np.full(len(block), -np.inf), np.zeros(len(block), dtype=bool)
+            cap = np.empty(len(block))
             for b, i in enumerate(block):
                 c = candidates[i]
+                cap[b] = caps[c.label]
                 if len(best[c.label]) == quota:
                     key = best[c.label][-1]
                     floor[b] = -key[0]
                     tie_worse[b] = _rank_key(floor[b], c, i) > key
-            live = (np.ones(len(block), dtype=bool) if bounds is None
-                    else _beats(bounds[block], floor, tie_worse))
-            if bounds is not None:
-                tally["rescanned"] += int(np.count_nonzero(live))
-                if not live.any():
-                    tally["matmuls_skipped"] += n_chunks
-                    continue
+            live = _beats(np.minimum(bounds[block], cap), floor, tie_worse)
+            if not live.any():
+                tally["matmuls_skipped"] += -(-stop // chunk)
+                continue
             out.append(_BlockScreen(
                 block, prepare_queries(np.stack([candidates[i].values for i in block]),
                                        config.znorm),
-                np.stack([class_targets[candidates[i].label] for i in block]), fit,
+                np.stack([class_targets[candidates[i].label] for i in block]), fit, cap,
                 stop, checks_at, floor, tie_worse, live))
         return out
 
@@ -479,26 +469,23 @@ def _screen_gains(dataset: Dataset, candidates: list[Shapelet], config: Config,
             thread_map(lambda sc, prep=prep, i0=i0: sc.score(prep, i0), todo, config.threads)
         tally["bound_checks"] += sum(sc.checks for sc in screens)
 
-    bounds = None
-    if probe is not None:
-        bounds = np.empty(len(candidates))
+    if probe:
         for (channel, l), idx in groups:
             probed = screens(l, idx, probe, ())        # no keys yet: all live
             scan(channel, l, probed, probe)
             for sc in probed:
-                bounds[sc.idx] = sc.result
-        groups.sort(key=lambda group: -bounds[group[1]].max())
-        offsets = offsets[offsets.index(probe) + 1 :]
+                bounds[sc.idx] = sc.bound(probe, np.arange(len(sc.idx)))
+            tally["bound_checks"] += len(probed)
+    groups.sort(key=lambda group: -bounds[group[1]].max())
 
     for (channel, l), idx in groups:
-        group = screens(l, idx, m, offsets, bounds)
-        if probe is None:
-            for sc in group:
-                sc.bound_check(0)
+        group = screens(l, idx, m, offsets)
+        tally["rescanned"] += sum(int(np.count_nonzero(sc.live)) for sc in group)
         scan(channel, l, group, m)
         for sc in group:
-            if sc.result is not None:
-                gains[np.asarray(sc.idx)[sc.live]] = sc.result
+            if sc.live.any():
+                gains[sc.idx[sc.live]] = _gain_block(sc.dists[:, sc.live].T,
+                                                     sc.targets[sc.live])[0]
         for i in np.asarray(idx)[np.isfinite(gains[idx])].tolist():
             best[candidates[i].label].append(_rank_key(gains[i], candidates[i], i))
         for lab in best:

@@ -912,11 +912,29 @@ def test_a_channel_subset_other_than_the_pool_s_exits_two(tmp_path, capsys, cmd)
     assert str(pool) in capsys.readouterr().err
 
 
+def test_train_takes_the_channel_subset_from_the_pool(tmp_path, capsys):
+    """A checkpoint trained on a pool's features scores on the pool's
+    channels, with no --channels given after discover."""
+    data, pool = _pool_on_channels_2_3(tmp_path)
+    feats, ckpt = tmp_path / "f.ndjson", tmp_path / "c.json"
+    assert main(["transform", "--data", str(data), "--pool", str(pool), "--out", str(feats)]) == 0
+    train = ["train", "--train-features", str(feats), "--val-features", str(feats),
+             "--pool", str(pool), "--out", str(ckpt)]
+    assert main(train) == 0
+    assert load_checkpoint(ckpt).config.channel_subset == (2, 3)
+    assert main(["evaluate", "--data", str(data), "--checkpoint", str(ckpt),
+                 "--out", str(tmp_path / "m.json")]) == 0
+    capsys.readouterr()
+    assert main(train + ["--channels", "0,1"]) == 2
+    assert str(pool) in capsys.readouterr().err
+
+
 def test_discovery_counters_go_to_the_manifest_only(chain, tmp_path):
     keys = {"candidates", "groups", "pruned", "matmuls", "matmuls_skipped", "bound_checks",
             "probe_offset", "rescanned"}
     man = json.loads((chain / "pool.json.manifest.json").read_text())
     assert set(man["counters"]["discover"]) == keys
+    assert type(man["counters"]["discover"]["probe_offset"]) is int
     assert set(man["counters"]["discover"]["pruned"]) == {"NP", "AC", "DT", "IE"}
     assert "counters" not in json.loads((chain / "metrics.json.manifest.json").read_text())
     for name in ("pool.json", "ckpt.json", "metrics.json"):

@@ -1,6 +1,7 @@
 """Candidate generation, information gain, and pool discovery."""
 import itertools
 import math
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -269,6 +270,12 @@ def _imbalanced_padded_dataset():
     return Dataset(tuple(rows))
 
 
+def _never_prune(patch):
+    """Keep every candidate live: no bound, cap or check rules one out."""
+    patch.setattr(discovery, "_beats",
+                  lambda bound, floor, tie_worse: np.ones(len(bound), dtype=bool))
+
+
 @pytest.fixture
 def small_chunks(monkeypatch):
     """Scan in chunks of 8 instances, with bound checks at multiples of 8."""
@@ -278,7 +285,8 @@ def small_chunks(monkeypatch):
 
 def test_pruning_leaves_the_pool_unchanged(monkeypatch):
     """Chunks of 8 instances, then one chunk that holds the whole split,
-    which only the check before the first distance can prune."""
+    which has no check offset: only the cap, the bound with nothing seen,
+    can prune it."""
     ds = _imbalanced_padded_dataset()
     assert any(x.original_length < x.length for x in ds) and len(ds) <= 64
     cfg = Config(k=6, g=8, seed=0)
@@ -287,11 +295,13 @@ def test_pruning_leaves_the_pool_unchanged(monkeypatch):
         monkeypatch.setattr(distance, "INSTANCE_CHUNK", chunk)
         counters = {}
         pruned = pool_to_dict(discover(ds, cfg, counters=counters))
-        assert sum(counters["pruned"].values()) > 0 and counters["bound_checks"] > 0, chunk
+        assert sum(counters["pruned"].values()) > 0, chunk
+        # one chunk has no check offset, and the cap computes no bound
+        assert (counters["bound_checks"] > 0) == (chunk == 8)
         assert counters["matmuls_skipped"] > 0 or chunk == 64
         # with 8-instance chunks the probe pass runs to instance 24
-        assert counters["probe_offset"] == (24 if chunk == 8 else None)
-        assert (0 < counters["rescanned"] < counters["candidates"]) == (chunk == 8)
+        assert counters["probe_offset"] == (24 if chunk == 8 else 0)
+        assert 0 < counters["rescanned"] < counters["candidates"]
         # a minority class saturates: its quota splits it off perfectly
         for s in pruned["shapelets"]:
             if s["label"] == "AC":
@@ -302,8 +312,7 @@ def test_pruning_leaves_the_pool_unchanged(monkeypatch):
 
         unpruned = {}
         with monkeypatch.context() as patch:
-            patch.setattr(discovery, "_gain_bound",
-                          lambda d, y, ut, uo, cap: np.full(len(d), np.inf))
+            _never_prune(patch)
             assert pool_to_dict(discover(ds, cfg, counters=unpruned)) == pruned, chunk
         assert sum(unpruned["pruned"].values()) == 0 and unpruned["matmuls_skipped"] == 0
 
@@ -324,8 +333,8 @@ def test_check_offsets_start_after_the_minority_and_stop_at_half(m, n_minority, 
     (256, 21, 64),                 # fit-imbalanced
     (640, 53, 128),                # run-all --n 800
     (1600, 131, 320),              # run-all --n 2000
-    (80, 60, None),                # score: no check offset at all
-    (512, 231, None),              # 55% NP: the one check comes before 2 * 231
+    (80, 60, 0),                   # score: no check offset at all
+    (512, 231, 0),                 # 55% NP: the one check comes before 2 * 231
 ])
 def test_probe_offset_is_the_first_check_past_twice_the_minority(m, n_minority, probe):
     assert discovery._probe_offset(m, n_minority) == probe
@@ -342,18 +351,40 @@ def test_pool_and_counters_do_not_depend_on_threads(small_chunks):
     assert runs[0][1]["probe_offset"] == 24 and runs[0][1]["rescanned"] > 0
 
 
-def test_balanced_split_runs_no_probe(small_chunks, monkeypatch):
-    """Three quarters non-majority: no check offset lies past twice the
-    minority count, so groups complete in (channel, length) order."""
-    ds = generate_synthetic(SynthConfig(
+def _balanced_dataset():
+    return generate_synthetic(SynthConfig(
         n_instances=40, t=40, seed=4,
         class_proportions={"NP": 0.25, "AC": 0.25, "DT": 0.25, "IE": 0.25}))
+
+
+def test_balanced_split_probes_to_zero(small_chunks, monkeypatch):
+    """Three quarters non-majority: no check offset lies past twice the
+    minority count, so the probe is to instance 0 and groups complete in
+    (channel, length) order, each column live while its cap beats its key."""
+    ds = _balanced_dataset()
     cfg = Config(k=6, g=8, seed=0)
     counters = {}
     pool = pool_to_dict(discover(ds, cfg, counters=counters))
-    assert counters["probe_offset"] is None and counters["rescanned"] == 0
+    assert counters["probe_offset"] == 0
+    assert 0 < counters["rescanned"] < counters["candidates"]
     assert sum(counters["pruned"].values()) > 0
     with monkeypatch.context() as patch:
-        patch.setattr(discovery, "_gain_bound",
-                      lambda d, y, ut, uo, cap: np.full(len(d), np.inf))
-        assert pool_to_dict(discover(ds, cfg)) == pool
+        _never_prune(patch)
+        unpruned = {}
+        assert pool_to_dict(discover(ds, cfg, counters=unpruned)) == pool
+    assert sum(unpruned["pruned"].values()) == 0
+
+
+def test_a_probe_to_zero_prepares_each_query_block_at_most_once(small_chunks, monkeypatch):
+    """Only the completion pass builds screens when the probe is to 0."""
+    calls = []
+    prepare = discovery.prepare_queries
+    monkeypatch.setattr(discovery, "prepare_queries",
+                        lambda q, znorm: calls.append(len(q)) or prepare(q, znorm))
+    ds = _balanced_dataset()
+    counters = {}
+    discover(ds, Config(k=6, g=8, seed=0), counters=counters)
+    assert counters["probe_offset"] == 0
+    groups = Counter((c.channel, len(c)) for c in generate_candidates(ds, 6))
+    blocks = sum(-(-n // distance.QUERY_BLOCK) for n in groups.values())
+    assert 0 < len(calls) <= blocks
