@@ -8,10 +8,14 @@ while the rest of the series is jittered.
 """
 from __future__ import annotations
 
+import logging
+
 import numpy as np
 
 from .core import Config, Dataset, LabeledSeries, SeededRng, Shapelet, ShapeletPool, STREAM_AUGMENT
-from .distance import ShapeletLengthError, match_pool
+from .distance import match_pool
+
+log = logging.getLogger(__name__)
 
 
 def _mask(x: LabeledSeries, s: Shapelet, dist: float, offset: int,
@@ -23,14 +27,6 @@ def _mask(x: LabeledSeries, s: Shapelet, dist: float, offset: int,
     mask[s.channel, offset : offset + len(s)] = min(dist, 1.0) if clamp else dist
     mask[:, x.original_length:] = 0.0
     return mask
-
-
-def _eligible(x: LabeledSeries, shapelets: list[Shapelet]) -> list[int]:
-    """Indices of the same-class shapelets that fit ``x``, in pool order."""
-    eligible = [k for k, s in enumerate(shapelets) if len(s) <= x.original_length]
-    if not eligible:
-        raise ShapeletLengthError(f"no shapelet of class {x.label} fits instance {x.id}")
-    return eligible
 
 
 def _noisy_copy(x: LabeledSeries, mask: np.ndarray, sigma_scale: float,
@@ -48,14 +44,20 @@ def _noisy_copy(x: LabeledSeries, mask: np.ndarray, sigma_scale: float,
     )
 
 
-def balance_dataset(dataset: Dataset, pool: ShapeletPool, config: Config) -> Dataset:
+def balance_dataset(dataset: Dataset, pool: ShapeletPool, config: Config,
+                    counters: dict | None = None) -> Dataset:
     """Append ``r_sa`` augmented copies of every minority-class instance.
 
     The majority class (`Dataset.majority`) is left untouched. Each copy
     draws from its own (instance, replica) stream, so serial and parallel
     runs produce the same dataset. Masks come from one matching-engine
     pass per minority class over that class's instances and shapelets.
+    An instance that no shapelet of its class fits gets no copies, with a
+    warning. ``counters``, when given, receives the ``copies`` made and the
+    ``unaugmentable`` instances.
     """
+    counters = {} if counters is None else counters
+    counters.update(copies=0, unaugmentable=0)
     if config.r_sa <= 0:
         return dataset
 
@@ -75,11 +77,17 @@ def balance_dataset(dataset: Dataset, pool: ShapeletPool, config: Config) -> Dat
         if x.label == dataset.majority:
             continue
         shapelets = pool.of_class(x.label)
-        eligible = _eligible(x, shapelets)
+        eligible = [k for k, s in enumerate(shapelets) if len(s) <= x.original_length]
+        if not eligible:
+            log.warning("no shapelet of class %s fits instance %s: it gets no augmented "
+                        "copies", x.label, x.id)
+            counters["unaugmentable"] += 1
+            continue
         dists, offsets = matches[i]
         for j in range(config.r_sa):
             gen = rng.derive(i).derive(j).generator()
             k = eligible[int(gen.integers(len(eligible)))]
             mask = _mask(x, shapelets[k], dists[k], offsets[k], config.clamp_mask)
             augmented.append(_noisy_copy(x, mask, config.noise_sigma_scale, gen, j))
+    counters["copies"] = len(augmented) - len(dataset)
     return Dataset(tuple(augmented))

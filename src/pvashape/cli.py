@@ -170,7 +170,8 @@ def cmd_augment(args) -> int:
     run = Run("augment", cfg, {"data": args.data, "pool": args.pool}, {"data": args.out})
     ds = workflow.align_channels(load_dataset(args.data), run.config)
     with run.stage("augment"):
-        out = balance_dataset(ds, pool, run.config)
+        out = balance_dataset(ds, pool, run.config,
+                              counters=run.counters.setdefault("augment", {}))
         save_dataset(args.out, out)
     write_manifest(f"{args.out}.manifest.json", run)
     print(f"wrote {len(out)} instances ({len(out) - len(ds)} augmented) to {args.out}")
@@ -200,6 +201,7 @@ def cmd_train(args) -> int:
     with run.stage("train"):
         ckpt = workflow.train_head(train_features, val_features, run.config, pool=pool)
         save_checkpoint(args.out, ckpt)
+    run.counters["train"] = {"epochs": len(ckpt.history)}
     write_manifest(f"{args.out}.manifest.json", run)
     print(f"best epoch {ckpt.best_epoch}, validation macro-F1 "
           f"{ckpt.best_val_macro_f1:.4f}; wrote {args.out}")

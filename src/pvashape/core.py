@@ -100,8 +100,8 @@ class Shapelet:
     ``channel`` of the source instance. ``max_train_psd`` is the largest
     finite distance observed against the training set at discovery time,
     used as the "no match possible" sentinel by the feature transform.
-    Discovery's candidates are shapelets whose gain, threshold and
-    ``max_train_psd`` are not yet filled in.
+    Discovery makes shapelets only of the candidates it picks, then fills
+    in their gain, threshold and ``max_train_psd``.
     """
 
     values: np.ndarray

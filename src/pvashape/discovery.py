@@ -11,17 +11,17 @@ from the exact matching engine's distances.
 """
 from __future__ import annotations
 
-import bisect
 import hashlib
 import json
 import logging
 import math
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import (Config, Dataset, Shapelet, ShapeletPool, ValidationError, json_integer,
-                   read_json, refuse_malformed, result_config, write_json)
+from .core import (Config, Dataset, LabeledSeries, Shapelet, ShapeletPool, ValidationError,
+                   json_integer, order_labels, read_json, refuse_malformed, result_config,
+                   write_json)
 from . import distance
 from .distance import (QUERY_BLOCK, match_pool, prefix_sums, prepare_queries,
                        prepare_windows, prepared_min_cid)
@@ -39,44 +39,97 @@ GAIN_EPS = 1e-12
 BOUND_SLACK = 1e-9
 
 
-def generate_candidates(instances, k: int) -> list[Shapelet]:
-    """All unique three-point spans produced while extracting ``k`` points,
-    as shapelets not yet scored.
+@dataclass(frozen=True, eq=False)
+class Candidates:
+    """Discovery's candidates as one table, a row per span.
+
+    ``source`` indexes ``instances`` and ``label`` indexes ``labels``; a
+    row's values are ``instances[source].values[channel, start : end + 1]``.
+    Nothing copies them but `shapelets`, which discovery calls on its pool.
+    """
+
+    instances: tuple[LabeledSeries, ...]
+    labels: tuple[str, ...]
+    source: np.ndarray
+    channel: np.ndarray
+    start: np.ndarray
+    end: np.ndarray
+    label: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.start)
+
+    @property
+    def length(self) -> np.ndarray:
+        return self.end - self.start + 1
+
+    def shapelets(self, idx) -> list[Shapelet]:
+        """Rows ``idx`` as shapelets not yet scored."""
+        out = []
+        for i in idx:
+            x = self.instances[self.source[i]]
+            channel, start, end = int(self.channel[i]), int(self.start[i]), int(self.end[i])
+            out.append(Shapelet(values=x.values[channel, start : end + 1].copy(),
+                                channel=channel, source_id=x.id, start=start, end=end,
+                                label=x.label))
+        return out
+
+
+def generate_candidates(instances, k: int) -> Candidates:
+    """All unique three-point spans produced while extracting ``k`` points
+    from every instance at least ``k`` long, as one table.
 
     ``instances`` share one (channels, time) shape, as in a Dataset; the
     points of every channel of every instance are extracted in one batch.
     After each insertion at sorted position ``idx``, the spans
     ``[P[idx - z], P[idx + 2 - z]]`` for ``z`` in 0..2 (where they exist)
     are emitted; spans shorter than 3 and duplicates within an instance are
-    dropped. Candidates come in instance, channel, insertion, ``z`` order.
+    dropped. Rows come in instance, channel, insertion, ``z`` order.
     """
-    instances = list(instances)
-    if not instances:
-        return []
-    v = instances[0].n_channels
-    lengths = np.repeat([x.original_length for x in instances], v)
-    added = pip_insertions(np.concatenate([x.values for x in instances]), lengths, k)
-    out: list[Shapelet] = []
-    for i, x in enumerate(instances):
-        seen: set[tuple[int, int, int]] = set()
-        for ch in range(v):
-            p = [0, x.original_length - 1]
-            for t in added[i * v + ch].tolist():
-                idx = bisect.bisect_left(p, t)
-                p.insert(idx, t)
-                for z in (0, 1, 2):
-                    i0, i2 = idx - z, idx + 2 - z
-                    if i0 < 0 or i2 > len(p) - 1:
-                        continue
-                    start, end = p[i0], p[i2]
-                    if end - start + 1 < MIN_CANDIDATE_LENGTH or (ch, start, end) in seen:
-                        continue
-                    seen.add((ch, start, end))
-                    out.append(Shapelet(
-                        values=x.values[ch, start : end + 1].copy(), channel=ch,
-                        source_id=x.id, start=start, end=end, label=x.label,
-                    ))
-    return out
+    instances = tuple(instances)
+    labels = order_labels(x.label for x in instances)
+    code = {lab: j for j, lab in enumerate(labels)}
+    label = np.array([code[x.label] for x in instances], dtype=np.int64)
+    sources = np.flatnonzero([x.original_length >= k for x in instances])
+    if not sources.size:
+        none = np.zeros(0, dtype=np.int64)
+        return Candidates(instances, labels, none, none, none, none, none)
+    v, t = instances[0].values.shape
+    lengths = np.repeat([instances[i].original_length for i in sources], v)
+    added = pip_insertions(np.concatenate([instances[i].values for i in sources]), lengths, k)
+    start, end, keep = _pip_spans(added, lengths)
+    keep &= end - start + 1 >= MIN_CANDIDATE_LENGTH
+    flat = np.flatnonzero(keep)
+    row = flat // (3 * (k - 2))                 # the (instance, channel) row of each span
+    start, end = start.ravel()[flat], end.ravel()[flat]
+    # A packed (row, start, end) key names one span of one channel of one instance.
+    first = np.sort(np.unique((row * t + start) * t + end, return_index=True)[1])
+    row, start, end = row[first], start[first], end[first]
+    source = sources[row // v]
+    return Candidates(instances, labels, source=source, channel=row % v, start=start,
+                      end=end, label=label[source])
+
+
+def _pip_spans(added: np.ndarray, lengths: np.ndarray):
+    """``(start, end, exists)`` of shape (rows, insertions, 3): the span
+    ``[P[idx - z], P[idx + 2 - z]]`` of each row after each insertion, for
+    ``z`` in 0..2, and whether it exists."""
+    s, steps = added.shape
+    points = np.full((s, steps + 2), np.iinfo(np.int64).max)     # sorted, filler last
+    points[:, 0], points[:, 1] = 0, lengths - 1
+    start, end = np.empty((2, s, steps, 3), dtype=np.int64)
+    exists = np.empty((s, steps, 3), dtype=bool)
+    z = np.arange(3)
+    for step in range(steps):
+        added_now = added[:, step : step + 1]
+        points[:, step + 2 : step + 3] = added_now
+        points.sort(axis=1)
+        idx = np.count_nonzero(points < added_now, axis=1)[:, None]
+        i0, i2 = idx - z, idx + 2 - z
+        exists[:, step] = (i0 >= 0) & (i2 <= step + 2)
+        start[:, step] = np.take_along_axis(points, np.maximum(i0, 0), axis=1)
+        end[:, step] = np.take_along_axis(points, np.minimum(i2, step + 2), axis=1)
+    return start, end, exists
 
 
 def _entropy(p: np.ndarray) -> np.ndarray:
@@ -170,19 +223,20 @@ def discover(dataset: Dataset, config: Config,
     ``counters``, when given, receives the screen's counts (candidates,
     groups, pruned candidates per class, chunk matmuls run and skipped,
     bound checks, the probe offset, 0 when the probe pass scans nothing,
-    and the candidates rescanned from instance 0).
+    the candidates rescanned from instance 0, and each class's margin: its
+    quota-th screen gain and the best screen gain outside the pool, null
+    where there is none).
     """
     if len(dataset) == 0:
         raise ValueError("cannot discover shapelets on an empty dataset")
     classes = dataset.labels
     quota = max(config.g // len(classes), 1)
 
-    sources = [x for x in dataset if x.original_length >= config.k]
-    if len(sources) < len(dataset):
-        log.warning("skipped %d instances shorter than k=%d during discovery",
-                    len(dataset) - len(sources), config.k)
-    candidates = generate_candidates(sources, config.k)
-    if not candidates:
+    short = sum(x.original_length < config.k for x in dataset)
+    if short:
+        log.warning("skipped %d instances shorter than k=%d during discovery", short, config.k)
+    candidates = generate_candidates(dataset, config.k)
+    if not len(candidates):
         raise ValueError("no shapelet candidates could be generated")
 
     counters = {} if counters is None else counters
@@ -193,7 +247,7 @@ def discover(dataset: Dataset, config: Config,
         if len(ranked[lab]) < quota:        # then it holds all of the class
             log.warning("class %s supplied %d candidates for a quota of %d",
                         lab, len(ranked[lab]), quota)
-        chosen.extend(candidates[i] for i in ranked[lab])
+        chosen.extend(candidates.shapelets(ranked[lab]))
 
     # The recorded numbers come from the exact engine the transform uses,
     # not from the screen that ranked the candidates.
@@ -275,10 +329,21 @@ def _minority_first(dataset: Dataset) -> np.ndarray:
     return np.argsort([x.label == dataset.majority for x in dataset], kind="stable")
 
 
-def _rank_key(gain: float, c: Shapelet, i: int) -> tuple:
-    """Rank of candidate ``i`` within its class, best first: higher gain,
-    then shorter, earlier start, source id and candidate index."""
-    return (-gain, len(c), c.start, c.source_id, i)
+def _tie_ranks(length: np.ndarray, start: np.ndarray, source: np.ndarray,
+               ids: list[str]) -> np.ndarray:
+    """Each candidate's place among candidates of equal gain: shorter
+    first, then earlier start, source id ``ids[source]`` in string order,
+    and candidate index, which the stable sort keeps last."""
+    id_rank = np.empty(len(ids), dtype=np.int64)
+    id_rank[sorted(range(len(ids)), key=ids.__getitem__)] = np.arange(len(ids))
+    ranks = np.empty(len(length), dtype=np.int64)
+    ranks[np.lexsort((id_rank[source], start, length))] = np.arange(len(length))
+    return ranks
+
+
+def _ranked(idx: np.ndarray, gain: np.ndarray, tie_rank: np.ndarray) -> np.ndarray:
+    """Candidates ``idx`` best first: higher gain, then lower `_tie_ranks`."""
+    return idx[np.lexsort((tie_rank[idx], -gain[idx]))]
 
 
 def _check_offsets(m: int, n_minority: int) -> range:
@@ -309,7 +374,7 @@ def _probe_offset(m: int, n_minority: int) -> int:
 def _beats(bound: np.ndarray, floor: np.ndarray, tie_worse: np.ndarray) -> np.ndarray:
     """Whether a candidate whose gain is at most ``bound`` can still rank
     above its class's quota-th key, whose gain is ``floor``: ``tie_worse``
-    marks candidates that lose a tie at that gain by `_rank_key`."""
+    marks candidates that lose a tie at that gain by `_ranked`'s order."""
     return (bound > floor) | ((bound == floor) & ~tie_worse)
 
 
@@ -317,8 +382,8 @@ class _BlockScreen:
     """One query block's prepared queries, distances and live columns
     across the instance chunks ``[0, stop)`` of one (channel, length) group.
 
-    ``floor`` and ``tie_worse`` describe, per column, the quota-th
-    `_rank_key` of its class among candidates already scored, and a column
+    ``floor`` and ``tie_worse`` describe, per column, its class's quota-th
+    candidate by `_ranked` among those already scored, and a column
     stays ``live`` while its gain bound, at most ``cap``, `_beats` that key.
     Bounds are checked after the chunks that end at ``offsets``.
     """
@@ -360,18 +425,18 @@ class _BlockScreen:
             self.checks += 1
 
 
-def _screen_gains(dataset: Dataset, candidates: list[Shapelet], config: Config,
+def _screen_gains(dataset: Dataset, candidates: Candidates, config: Config,
                   quota: int, counters: dict) -> dict[str, list[int]]:
     """Indices of each class's top ``quota`` candidates (all of them, if
-    fewer), best first by `_rank_key` of their information gain on the
+    fewer), best first by `_ranked` on their information gain on the
     matrix-product kernel's distances, which agree with the exact engine
-    except close to 0.
+    except close to 0. ``candidates`` is the table of ``dataset``'s spans.
 
     Instances are scanned non-majority first, one INSTANCE_CHUNK at a time:
     windows are prepared per (channel, length) group and chunk, and each
     query block's prepared queries are scored against each chunk with one
     kernel call on its live columns. A candidate is dropped once its gain
-    bound cannot beat the quota-th `_rank_key` of its class among the
+    bound cannot beat the quota-th candidate of its class among the
     candidates of groups already completed; a block's kernel call runs only
     while one of its candidates is live. The keys are refreshed once per
     group, so what is dropped does not depend on the thread count.
@@ -395,75 +460,84 @@ def _screen_gains(dataset: Dataset, candidates: list[Shapelet], config: Config,
     """
     order = _minority_first(dataset)
     m = len(order)
+    scan_row = np.empty(m, dtype=np.int64)
+    scan_row[order] = np.arange(m)                     # dataset index -> scan position
     lengths = np.asarray([dataset[i].original_length for i in order], dtype=np.int64)
-    labels = np.asarray([dataset[i].label for i in order])
-    class_targets = {lab: labels == lab for lab in dataset.labels}
-    channel_rows = {}
+    n_labels = len(candidates.labels)
+    class_targets = (np.asarray([dataset[i].label for i in order])
+                     == np.asarray(candidates.labels)[:, None])    # (labels, m)
     chunk = distance.INSTANCE_CHUNK
     n_minority = m - dataset.class_counts[dataset.majority]
     probe = _probe_offset(m, n_minority)
     offsets = [s for s in _check_offsets(m, n_minority) if s > probe]
+
+    label, start, length = candidates.label, candidates.start, candidates.length
+    row = scan_row[candidates.source]
+    tie_rank = _tie_ranks(length, start, candidates.source, [x.id for x in dataset])
     gains = np.full(len(candidates), -np.inf)
     bounds = np.full(len(candidates), np.inf)          # unknown until probed
-    best: dict[str, list[tuple]] = {lab: [] for lab in dataset.labels}
+    best = [np.zeros(0, dtype=np.int64) for _ in range(n_labels)]
+    kth = np.full(n_labels, -1)                        # each full class's quota-th
     tally = dict.fromkeys(("matmuls", "matmuls_skipped", "bound_checks", "rescanned"), 0)
 
-    groups: dict[tuple[int, int], list[int]] = {}
-    for i, c in enumerate(candidates):
-        groups.setdefault((c.channel, len(c)), []).append(i)
-    groups = sorted(groups.items())
+    by_group = np.lexsort((length, candidates.channel))     # stable: candidate order
+    cuts = 1 + np.flatnonzero(np.diff(candidates.channel[by_group])
+                              | np.diff(length[by_group]))
+    groups = [((int(candidates.channel[idx[0]]), int(length[idx[0]])), idx)
+              for idx in np.split(by_group, cuts)]
 
-    def screens(l, idx, stop, checks_at):
+    channel_rows = {}
+
+    def rows_of(channel):
+        """A channel's rows in scan order and their raw-window prefix sums,
+        built when a group on it follows one on another channel."""
+        if channel not in channel_rows:
+            channel_rows.clear()                # free the last channel's first
+            rows = np.stack([dataset[i].values[channel] for i in order])
+            channel_rows[channel] = rows, None if config.znorm else prefix_sums(rows)
+        return channel_rows[channel]
+
+    def screens(channel, l, idx, stop, checks_at):
         """The group's block screens for a scan to ``stop``, each column's
         class key taken from the groups completed so far. A column is live
         if its probe bound, capped at the gain of a perfect split over the
         instances it fits, `_beats` that key; a block with none is left
-        out, its kernel calls counted as skipped."""
+        out, its kernel calls counted as skipped. Queries are sliced from
+        the channel's rows."""
         fit = lengths >= l
-        caps = dict(zip(class_targets, _parent_entropy(
-            np.array([np.count_nonzero(t & fit) for t in class_targets.values()]),
-            np.full(len(class_targets), np.count_nonzero(fit)))[:, 0]))
+        caps = _parent_entropy(np.count_nonzero(class_targets & fit, axis=1),
+                               np.full(n_labels, np.count_nonzero(fit)))[:, 0]
         out = []
         for j in range(0, len(idx), QUERY_BLOCK):
             block = idx[j : j + QUERY_BLOCK]
-            floor, tie_worse = np.full(len(block), -np.inf), np.zeros(len(block), dtype=bool)
-            cap = np.empty(len(block))
-            for b, i in enumerate(block):
-                c = candidates[i]
-                cap[b] = caps[c.label]
-                if len(best[c.label]) == quota:
-                    key = best[c.label][-1]
-                    floor[b] = -key[0]
-                    tie_worse[b] = _rank_key(floor[b], c, i) > key
+            key = kth[label[block]]
+            full = key >= 0
+            floor = np.where(full, gains[key], -np.inf)
+            tie_worse = full & (tie_rank[block] > tie_rank[key])
+            cap = caps[label[block]]
             live = _beats(np.minimum(bounds[block], cap), floor, tie_worse)
             if not live.any():
                 tally["matmuls_skipped"] += -(-stop // chunk)
                 continue
+            rows = rows_of(channel)[0]
+            queries = rows[row[block, None], start[block, None] + np.arange(l)]
             out.append(_BlockScreen(
-                block, prepare_queries(np.stack([candidates[i].values for i in block]),
-                                       config.znorm),
-                np.stack([class_targets[candidates[i].label] for i in block]), fit, cap,
-                stop, checks_at, floor, tie_worse, live))
+                block, prepare_queries(queries, config.znorm), class_targets[label[block]],
+                fit, cap, stop, checks_at, floor, tie_worse, live))
         return out
 
     def scan(channel, l, screens, stop):
         """Score the screens' live columns on the chunks before ``stop``.
         Fixed block boundaries and chunk offsets keep every matmul shape
-        independent of the thread count and of pruning. A channel's rows
-        in scan order and their raw-window prefix sums are built when a
-        group on it follows one on another channel, and sliced for each
-        chunk and length."""
+        independent of the thread count and of pruning. The channel's rows
+        and prefix sums are sliced for each chunk and length."""
         for i0 in range(0, stop, chunk):
             todo = [sc for sc in screens if sc.live.any()]
             tally["matmuls"] += len(todo)
             tally["matmuls_skipped"] += len(screens) - len(todo)
             if not todo:
                 continue
-            if channel not in channel_rows:
-                channel_rows.clear()            # free the last channel's first
-                rows = np.stack([dataset[i].values[channel] for i in order])
-                channel_rows[channel] = rows, None if config.znorm else prefix_sums(rows)
-            (rows, sums), part = channel_rows[channel], slice(i0, i0 + chunk)
+            (rows, sums), part = rows_of(channel), slice(i0, i0 + chunk)
             prep = prepare_windows(rows[part], lengths[part], l, znorm=config.znorm,
                                    sums=None if sums is None else tuple(a[part] for a in sums))
             thread_map(lambda sc, prep=prep, i0=i0: sc.score(prep, i0), todo, config.threads)
@@ -471,7 +545,7 @@ def _screen_gains(dataset: Dataset, candidates: list[Shapelet], config: Config,
 
     if probe:
         for (channel, l), idx in groups:
-            probed = screens(l, idx, probe, ())        # no keys yet: all live
+            probed = screens(channel, l, idx, probe, ())    # no keys yet: all live
             scan(channel, l, probed, probe)
             for sc in probed:
                 bounds[sc.idx] = sc.bound(probe, np.arange(len(sc.idx)))
@@ -479,23 +553,31 @@ def _screen_gains(dataset: Dataset, candidates: list[Shapelet], config: Config,
     groups.sort(key=lambda group: -bounds[group[1]].max())
 
     for (channel, l), idx in groups:
-        group = screens(l, idx, m, offsets)
+        group = screens(channel, l, idx, m, offsets)
         tally["rescanned"] += sum(int(np.count_nonzero(sc.live)) for sc in group)
         scan(channel, l, group, m)
         for sc in group:
             if sc.live.any():
                 gains[sc.idx[sc.live]] = _gain_block(sc.dists[:, sc.live].T,
                                                      sc.targets[sc.live])[0]
-        for i in np.asarray(idx)[np.isfinite(gains[idx])].tolist():
-            best[candidates[i].label].append(_rank_key(gains[i], candidates[i], i))
-        for lab in best:
-            best[lab] = sorted(best[lab])[:quota]
+        scored = idx[np.isfinite(gains[idx])]
+        for c in np.unique(label[scored]):
+            best[c] = _ranked(np.concatenate((best[c], scored[label[scored] == c])),
+                              gains, tie_rank)[:quota]
+            kth[c] = best[c][-1] if len(best[c]) == quota else -1
 
-    dropped = [c.label for c, g in zip(candidates, gains.tolist()) if g == -np.inf]
-    pruned = {lab: dropped.count(lab) for lab in dataset.labels}
-    counters.update(candidates=len(candidates), groups=len(groups), pruned=pruned,
-                    probe_offset=probe, **tally)
-    return {lab: [key[-1] for key in keys] for lab, keys in best.items()}
+    outside = np.isfinite(gains)
+    pruned = np.bincount(label[~outside], minlength=n_labels).tolist()
+    outside[np.concatenate(best)] = False
+    margin = {}
+    for c, lab in enumerate(candidates.labels):
+        rest = gains[outside & (label == c)]
+        margin[lab] = {"quota_gain": float(gains[kth[c]]) if kth[c] >= 0 else None,
+                       "best_outside": float(rest.max()) if rest.size else None}
+    counters.update(candidates=len(candidates), groups=len(groups),
+                    pruned=dict(zip(candidates.labels, pruned)), probe_offset=probe,
+                    margin=margin, **tally)
+    return {lab: best[c].tolist() for c, lab in enumerate(candidates.labels)}
 
 
 # ---------------------------------------------------------------------------

@@ -102,19 +102,21 @@ def _series_terms(series: np.ndarray, depth: int) -> np.ndarray:
     differences (zero on and below the diagonal) by a binomial count: the
     order-n summand depends only on the last two indices, and the leading
     n-2 indices contribute the ways to sit below the second-to-last one.
-    Rows are walked in chunks whose matrices fit LOGSIG_CHUNK_BYTES.
+    Rows are walked in chunks whose matrices fit LOGSIG_CHUNK_BYTES, every
+    order's temporaries included.
     """
     r, n = series.shape
     terms = np.zeros((r, depth))
-    terms[:, 0] = signed_log(np.diff(series, axis=1)).sum(axis=1)
-    if depth < 2:
-        return terms
-    a_idx, b_idx, flat, coef = _upper_triangle(n, depth)
     step = max(1, LOGSIG_CHUNK_BYTES // (8 * n * n))
-    diffs = np.zeros((min(step, r), n * n))
+    if depth >= 2:
+        a_idx, b_idx, flat, coef = _upper_triangle(n, depth)
+        diffs = np.zeros((min(step, r), n * n))
     for lo in range(0, r, step):
         s = series[lo : lo + step]
         k = len(s)
+        terms[lo : lo + k, 0] = signed_log(np.diff(s, axis=1)).sum(axis=1)
+        if depth < 2:
+            continue
         diffs[:k, flat] = signed_log(np.take(s, b_idx, axis=1) - np.take(s, a_idx, axis=1))
         row_sums = diffs[:k].reshape(k, n, n).sum(axis=2)     # over b > a, per a
         # One dot per (row, order): a batched product would sum in

@@ -30,9 +30,9 @@ from .pipeline import subset_channels
 
 class Run:
     """The record of one command: its config, input and output paths, the
-    wall-clock seconds of each stage it ran and the counts some stages
-    report. Its manifest is the only place these are kept, so result
-    artifacts stay byte-reproducible."""
+    wall-clock seconds of each stage it ran, the process's peak memory at
+    each stage's end and the counts some stages report. Its manifest is the
+    only place these are kept, so result artifacts stay byte-reproducible."""
 
     def __init__(self, command: str, config: Config, inputs: dict | None = None,
                  outputs: dict | None = None):
@@ -41,6 +41,7 @@ class Run:
         self.inputs = dict(inputs or {})
         self.outputs = dict(outputs or {})
         self.timings: dict[str, float] = {}
+        self.stage_peak_rss: dict[str, float] = {}
         self.counters: dict[str, dict] = {}
 
     @contextmanager
@@ -50,6 +51,7 @@ class Run:
             yield
         finally:
             self.timings[name] = round(time.perf_counter() - start, 6)
+            self.stage_peak_rss[name] = peak_rss_mib()
 
 
 def peak_rss_mib() -> float:
@@ -60,8 +62,9 @@ def peak_rss_mib() -> float:
 
 
 def write_manifest(path, run: Run) -> None:
-    """The run's config snapshot and hash, paths, stage timings, stage
-    counters (when a stage reported any), peak memory and versions."""
+    """The run's config snapshot and hash, paths, stage timings, peak
+    memory at each stage's end, stage counters (when a stage reported
+    any), peak memory and versions."""
     cfg = run.config
     counters = {"counters": run.counters} if run.counters else {}
     write_json(path, {
@@ -72,6 +75,7 @@ def write_manifest(path, run: Run) -> None:
         "inputs": {k: str(v) for k, v in run.inputs.items()},
         "outputs": {k: str(v) for k, v in run.outputs.items()},
         "timings_s": run.timings,
+        "stage_peak_rss_mib": run.stage_peak_rss,
         **counters,
         "peak_rss_mib": peak_rss_mib(),
         "versions": {"pvashape": __version__,
@@ -95,7 +99,8 @@ def fit(train_ds: Dataset, val_ds: Dataset, config: Config, *,
         run: Run | None = None) -> FitResult:
     """Fit every enabled stage on the training split, score the validation
     split, and return what the CLI saves. ``run`` (if given) records the
-    seconds of each stage and the discovery screen's counters."""
+    seconds of each stage and the counters of discovery, augmentation and
+    training."""
     if len(train_ds) == 0 or len(val_ds) == 0:
         raise ValidationError("both splits must be non-empty")
     if classes is None:
@@ -113,7 +118,8 @@ def fit(train_ds: Dataset, val_ds: Dataset, config: Config, *,
     train_full = train_ds
     if config.use_augment and pool is not None and len(pool) > 0:
         with stage("augment"):
-            train_full = balance_dataset(train_ds, pool, config)
+            train_full = balance_dataset(train_ds, pool, config,
+                                         counters=run.counters.setdefault("augment", {}))
 
     with stage("transform"):
         train_features = featurize(train_full, pool, config)
@@ -122,6 +128,7 @@ def fit(train_ds: Dataset, val_ds: Dataset, config: Config, *,
     with stage("train"):
         checkpoint = train_head(train_features, val_features, config, classes=classes,
                                 pool=pool)
+    run.counters["train"] = {"epochs": len(checkpoint.history)}
     with stage("evaluate"):
         report = score_features(checkpoint, val_features[0], val_features[2])
     return FitResult(checkpoint=checkpoint, train_full=train_full,

@@ -3,6 +3,7 @@
 Everything here is written as plain scalar loops from the definitions,
 sharing no code with pvashape, so agreement means something.
 """
+import bisect
 import math
 
 import numpy as np
@@ -71,6 +72,34 @@ def pip_steps(series, k):
         pips.sort()
         steps.append((best_t, tuple(pips)))
     return steps
+
+
+def candidate_rows(instances, k):
+    """The per-instance bisect loop that ``discovery.generate_candidates``
+    replaced with array operations, on ``pip_steps``' insertions: the
+    (instance, channel, start, end) of every unique span of three
+    consecutive points after each insertion, in instance, channel,
+    insertion, z order. Instances shorter than ``k`` give none."""
+    out = []
+    for i, x in enumerate(instances):
+        if x.original_length < k:
+            continue
+        seen = set()
+        for ch in range(x.n_channels):
+            p = [0, x.original_length - 1]
+            for t, _ in pip_steps(x.values[ch, : x.original_length], k):
+                idx = bisect.bisect_left(p, t)
+                p.insert(idx, t)
+                for z in (0, 1, 2):
+                    i0, i2 = idx - z, idx + 2 - z
+                    if i0 < 0 or i2 > len(p) - 1:
+                        continue
+                    start, end = p[i0], p[i2]
+                    if end - start + 1 < 3 or (ch, start, end) in seen:
+                        continue
+                    seen.add((ch, start, end))
+                    out.append((i, ch, start, end))
+    return out
 
 
 def entropy_bits(counts):

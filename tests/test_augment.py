@@ -9,7 +9,9 @@ from conftest import make_series
 from pvashape import discovery
 from pvashape.augment import _mask, balance_dataset
 from pvashape.core import Config, Dataset, Shapelet, ShapeletPool, order_labels
-from pvashape.distance import ShapeletLengthError, match_pool
+from pvashape.distance import match_pool
+from pvashape.pipeline import SynthConfig, generate_synthetic
+from pvashape.workflow import Run, fit
 
 
 def _shapelet(values, channel=0, label="NP", source="s0", start=0, **kw):
@@ -113,13 +115,46 @@ def test_augment_fixed_seed_reproduces():
         assert np.array_equal(ya.values, yb.values)
 
 
-def test_augment_without_fitting_shapelet_raises():
-    x = make_series([1, 2, 3], label="IE", id="i0")
+def test_augment_skips_an_instance_no_shapelet_fits(caplog):
+    """A padded minority instance shorter than every pool shapelet of its
+    class gets no copies, a warning naming it and a count; the other
+    minority instance is still augmented."""
+    short = make_series([1, 2, 3], label="IE", id="i0", pad_to=6)
+    fits = make_series([1, 2, 3, 4, 5, 6], label="IE", id="i1")
     too_long = _shapelet([1, 2, 3, 4], label="IE")
     wrong_class = _shapelet([1, 2], label="NP")
     pool = _pool_for([too_long, wrong_class])
-    with pytest.raises(ShapeletLengthError):
-        balance_dataset(_with_majority(x), pool, Config(r_sa=1))
+    rows = [dataclasses.replace(fits, id=f"n{i}", label="NP") for i in range(3)]
+    counters = {}
+    with caplog.at_level("WARNING", logger="pvashape.augment"):
+        out = balance_dataset(Dataset(tuple(rows) + (short, fits)), pool, Config(r_sa=2),
+                              counters=counters)
+    assert _copies(out, short) == [] and len(_copies(out, fits)) == 2
+    assert counters == {"copies": 2, "unaugmentable": 1}
+    assert "i0" in caplog.text
+
+
+def test_fit_counts_an_instance_no_shapelet_fits():
+    """`workflow.fit` on a split with a padded minority instance shorter
+    than every pool shapelet of its class: the fit completes, and the
+    manifest counters hold the copies made and the instance left out."""
+    ds = generate_synthetic(SynthConfig(
+        n_instances=24, t=40, seed=1,
+        class_proportions={"NP": 0.5, "AC": 0.25, "DT": 0.25}))
+    train_ds, val_ds = Dataset(ds.instances[:16]), Dataset(ds.instances[16:])
+    cfg = Config(k=5, g=6, r_sa=2, max_epochs=2, seed=0)
+    pool = discovery.discover(train_ds, cfg)
+    x = next(y for y in train_ds if y.label == "AC")
+    n = min(len(s) for s in pool.of_class("AC")) - 1
+    values = x.values.copy()
+    values[:, n:] = 0.0
+    short = dataclasses.replace(x, id="short", values=values, original_length=n)
+    run = Run("fit", cfg)
+    result = fit(Dataset(train_ds.instances + (short,)), val_ds, cfg, pool=pool, run=run)
+    minority = sum(y.label != "NP" for y in train_ds)
+    assert run.counters["augment"] == {"copies": 2 * minority, "unaugmentable": 1}
+    assert not any(y.id.startswith("short#aug") for y in result.train_full)
+    assert run.counters["train"]["epochs"] == len(result.checkpoint.history) > 0
 
 
 def test_noise_spec_rejects_negative_sigma():

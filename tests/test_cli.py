@@ -822,6 +822,36 @@ def test_run_all_seeded_twice_identical(tmp_path):
     assert man["counters"]["discover"]["candidates"] > 0
 
 
+def test_manifests_count_copies_epochs_and_stage_peaks(chain, tmp_path):
+    """Copies, epochs and each stage's peak memory go to the manifests,
+    from run-all and from the augment and train subcommands alike."""
+    out = tmp_path / "a"
+    assert main(["run-all", "--out-dir", str(out), "--n", "24", "--t", "40",
+                 "--proportions", PROPS, "--train-fraction", "0.75"] + TINY) == 0
+    man = json.loads((out / "manifest.json").read_text())
+    copies = _count_lines(out / "train_aug.ndjson") - _count_lines(out / "train.ndjson")
+    history = json.loads((out / "checkpoint.json").read_text())["history"]
+    assert man["counters"]["augment"] == {"copies": copies, "unaugmentable": 0} and copies > 0
+    assert man["counters"]["train"] == {"epochs": len(history)}
+    peaks = man["stage_peak_rss_mib"]
+    assert set(peaks) == RUN_ALL_STAGES
+    assert list(peaks.values()) == sorted(peaks.values())       # in stage order
+    assert 0 < max(peaks.values()) <= man["peak_rss_mib"]
+    aug = json.loads((chain / "aug.ndjson.manifest.json").read_text())
+    assert aug["counters"]["augment"]["copies"] == (
+        _count_lines(chain / "aug.ndjson") - _count_lines(chain / "data.ndjson"))
+    ckpt = json.loads((chain / "ckpt.json.manifest.json").read_text())
+    assert ckpt["counters"]["train"]["epochs"] == len(
+        json.loads((chain / "ckpt.json").read_text())["history"])
+    assert set(ckpt["stage_peak_rss_mib"]) == {"train"}
+    for name in ("aug.ndjson", "ckpt.json"):
+        assert "unaugmentable" not in (chain / name).read_text()
+
+
+def _count_lines(path):
+    return sum(1 for line in path.read_text().splitlines() if line.strip())
+
+
 def test_run_all_ablation_flags(tmp_path, capsys):
     base = ["run-all", "--n", "24", "--t", "40", "--proportions", PROPS,
             "--train-fraction", "0.75"] + TINY
@@ -931,11 +961,15 @@ def test_train_takes_the_channel_subset_from_the_pool(tmp_path, capsys):
 
 def test_discovery_counters_go_to_the_manifest_only(chain, tmp_path):
     keys = {"candidates", "groups", "pruned", "matmuls", "matmuls_skipped", "bound_checks",
-            "probe_offset", "rescanned"}
+            "probe_offset", "rescanned", "margin"}
     man = json.loads((chain / "pool.json.manifest.json").read_text())
     assert set(man["counters"]["discover"]) == keys
     assert type(man["counters"]["discover"]["probe_offset"]) is int
     assert set(man["counters"]["discover"]["pruned"]) == {"NP", "AC", "DT", "IE"}
+    for margin in man["counters"]["discover"]["margin"].values():
+        assert set(margin) == {"quota_gain", "best_outside"}
+        if None not in margin.values():
+            assert margin["best_outside"] <= margin["quota_gain"]
     assert "counters" not in json.loads((chain / "metrics.json.manifest.json").read_text())
     for name in ("pool.json", "ckpt.json", "metrics.json"):
         assert "matmuls" not in (chain / name).read_text()

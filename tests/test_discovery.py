@@ -97,8 +97,9 @@ def test_candidates_single_spike():
     x = make_series([0, 0, 4, 0, 0])
     cands = generate_candidates([x], 3)
     assert len(cands) == 1
-    c = cands[0]
-    assert (c.start, c.end, c.channel) == (0, 4, 0)
+    assert (cands.start[0], cands.end[0], cands.channel[0]) == (0, 4, 0)
+    assert cands.source[0] == 0 and cands.labels[cands.label[0]] == x.label
+    (c,) = cands.shapelets([0])
     assert np.array_equal(c.values, [0, 0, 4, 0, 0])
     assert c.source_id == x.id and c.label == x.label
 
@@ -112,16 +113,57 @@ def test_candidates_respect_bounds_and_dedup():
         cands = generate_candidates([x], k)
         seen = set()
         per_channel = {0: 0, 1: 0}
-        for c in cands:
-            key = (c.channel, c.start, c.end)
+        rows = zip(cands.channel.tolist(), cands.start.tolist(), cands.end.tolist(),
+                   cands.shapelets(range(len(cands))))
+        for channel, start, end, c in rows:
+            key = (channel, start, end)
             assert key not in seen
             seen.add(key)
-            per_channel[c.channel] += 1
-            assert 0 <= c.start < c.end < n
-            assert len(c) >= 3
-            assert np.array_equal(c.values, x.values[c.channel, c.start : c.end + 1])
+            per_channel[channel] += 1
+            assert 0 <= start < end < n
+            assert end - start + 1 >= 3
+            assert np.array_equal(c.values, x.values[channel, start : end + 1])
         for v in per_channel.values():
             assert v <= 3 * (k - 2)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_candidate_table_equals_the_reference_loop(seed):
+    """Multi-channel instances, some padded and some shorter than k: the
+    table's rows, in order, are the ones the per-instance loop emits."""
+    gen = np.random.default_rng(seed)
+    k, t = int(gen.integers(3, 9)), int(gen.integers(8, 30))
+    rows = []
+    for i in range(int(gen.integers(1, 12))):
+        n = int(gen.integers(3, t + 1)) if i % 3 else t
+        values = gen.normal(size=(3, n))
+        if i % 4 == 1:
+            values = np.round(values)                   # tied chord distances
+        rows.append(make_series(values, label=["NP", "AC", "DT"][i % 3], id=f"r{i}",
+                                pad_to=t))
+    cands = generate_candidates(rows, k)
+    got = list(zip(cands.source.tolist(), cands.channel.tolist(), cands.start.tolist(),
+                   cands.end.tolist()))
+    assert got == oracles.candidate_rows(rows, k)
+    assert [cands.labels[j] for j in cands.label] == [rows[i].label for i, *_ in got]
+
+
+def test_lexsort_ranking_equals_sorted_key_tuples():
+    """Gain ties, and source ids whose string order is not dataset order
+    (``syn-10`` < ``syn-9``): the lexsorts give the order of ``sorted``
+    over (-gain, length, start, source id, index)."""
+    gen = np.random.default_rng(7)
+    ids = [f"syn-{i}" for i in range(12)]
+    n = 400
+    gain = gen.integers(0, 4, size=n) / 4.0
+    length = gen.integers(3, 6, size=n)
+    start = gen.integers(0, 3, size=n)
+    source = gen.integers(0, len(ids), size=n)
+    assert ids[10] < ids[9] and {9, 10} <= set(source.tolist())
+    idx = gen.permutation(n)[: n // 2]
+    want = sorted(idx.tolist(), key=lambda i: (-gain[i], length[i], start[i], ids[source[i]], i))
+    tie_rank = discovery._tie_ranks(length, start, source, ids)
+    assert discovery._ranked(idx, gain, tie_rank).tolist() == want
 
 
 def _motif_dataset():
@@ -385,6 +427,7 @@ def test_a_probe_to_zero_prepares_each_query_block_at_most_once(small_chunks, mo
     counters = {}
     discover(ds, Config(k=6, g=8, seed=0), counters=counters)
     assert counters["probe_offset"] == 0
-    groups = Counter((c.channel, len(c)) for c in generate_candidates(ds, 6))
+    cands = generate_candidates(ds, 6)
+    groups = Counter(zip(cands.channel.tolist(), cands.length.tolist()))
     blocks = sum(-(-n // distance.QUERY_BLOCK) for n in groups.values())
     assert 0 < len(calls) <= blocks
