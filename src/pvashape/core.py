@@ -239,15 +239,16 @@ class Config:
     def __post_init__(self):
         for f in fields(self):
             value = getattr(self, f.name)
-            if not _TYPE_CHECKS[f.type](value):
-                raise ValidationError(f"config {f.name} must be {f.type}, got {value!r}")
+            kind, check = _TYPE_CHECKS[f.type]
+            if not check(value):
+                raise ValidationError(f"config {f.name} must be {kind}, got {value!r}")
         if self.k < 3:
             raise ValidationError(f"k must be >= 3, got {self.k}")
-        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+        if not self.learning_rate > 0:
             raise ValidationError(
                 f"learning_rate must be finite and > 0, got {self.learning_rate!r}")
         for name, low in _LOWER_BOUNDS:
-            if not getattr(self, name) >= low:          # NaN fails too
+            if not getattr(self, name) >= low:
                 raise ValidationError(f"{name} must be >= {low}, got {getattr(self, name)!r}")
         if self.channel_subset is not None:
             object.__setattr__(self, "channel_subset", tuple(self.channel_subset))
@@ -292,13 +293,15 @@ def _is_int(v) -> bool:
     return isinstance(v, numbers.Integral) and not isinstance(v, bool)
 
 
-# Type check per Config field annotation; integers pass as floats.
+# What each Config field annotation accepts, as named in a refusal, and
+# its check; integers pass as floats, but no float field takes NaN or inf.
 _TYPE_CHECKS = {
-    "bool": lambda v: isinstance(v, bool),
-    "int": _is_int,
-    "float": lambda v: isinstance(v, numbers.Real) and not isinstance(v, bool),
-    "tuple[int, ...] | None": lambda v: v is None or (
-        isinstance(v, (list, tuple)) and all(_is_int(i) for i in v)),
+    "bool": ("bool", lambda v: isinstance(v, bool)),
+    "int": ("int", _is_int),
+    "float": ("a finite float", lambda v: (isinstance(v, numbers.Real)
+                                           and not isinstance(v, bool) and abs(v) < math.inf)),
+    "tuple[int, ...] | None": ("tuple[int, ...] | None", lambda v: v is None or (
+        isinstance(v, (list, tuple)) and all(_is_int(i) for i in v))),
 }
 
 

@@ -25,7 +25,6 @@ from .core import (Config, Dataset, LabeledSeries, Shapelet, ShapeletPool, Valid
 from . import distance
 from .distance import (QUERY_BLOCK, match_pool, prefix_sums, prepare_queries,
                        prepare_windows, prepared_min_cid)
-from .parallel import thread_map
 from .pips import pip_insertions
 
 log = logging.getLogger(__name__)
@@ -218,14 +217,15 @@ def discover(dataset: Dataset, config: Config,
              counters: dict | None = None) -> ShapeletPool:
     """Run candidate generation, scoring and per-class selection.
 
-    Deterministic for a fixed (dataset, config): candidate order, scoring
-    blocks, pruning and tie-breaking are all schedule-independent.
+    Deterministic for a fixed (dataset, config): the screen runs on one
+    thread, and ``config.threads`` reaches only the exact engine's
+    re-score of the pool, whose groups are collected in order.
     ``counters``, when given, receives the screen's counts (candidates,
     groups, pruned candidates per class, chunk matmuls run and skipped,
-    bound checks, the probe offset, 0 when the probe pass scans nothing,
-    the candidates rescanned from instance 0, and each class's margin: its
-    quota-th screen gain and the best screen gain outside the pool, null
-    where there is none).
+    bound checks, one per probed query block, the probe offset, 0 when the
+    probe pass scans nothing, the candidates rescanned from instance 0, and
+    each class's margin: its quota-th screen gain and the best screen gain
+    outside the pool, null where there is none).
     """
     if len(dataset) == 0:
         raise ValueError("cannot discover shapelets on an empty dataset")
@@ -346,29 +346,19 @@ def _ranked(idx: np.ndarray, gain: np.ndarray, tie_rank: np.ndarray) -> np.ndarr
     return idx[np.lexsort((tie_rank[idx], -gain[idx]))]
 
 
-def _check_offsets(m: int, n_minority: int) -> range:
-    """Chunk ends at which a scan of ``m`` instances whose first
-    ``n_minority`` are non-majority checks the bound.
-
-    Until every non-majority instance is seen, the unseen ones mix labels
-    and the bound rarely prunes. A check re-sorts the distances seen so far
-    and can save work only on the instances still unseen, so none runs
-    past the halfway point.
-    """
-    step = distance.INSTANCE_CHUNK
-    return range(max(-(-n_minority // step), 1) * step, m // 2 + 1, step)
-
-
 def _probe_offset(m: int, n_minority: int) -> int:
-    """The first `_check_offsets` offset at which the scan has seen at
-    least as many majority instances as non-majority ones, or 0.
+    """The first chunk end at which a scan of ``m`` instances whose first
+    ``n_minority`` are non-majority has seen at least as many majority
+    instances as non-majority ones, or 0 when that lies past ``m // 2``.
 
     The probe pass scores every candidate up to it. Earlier, too few
     majority distances are seen for the bound to rule most candidates out,
-    and the completion pass would rescan nearly all of them; at 0 there is
-    no probe pass.
+    and the completion pass would rescan nearly all of them. Later, the
+    probe itself scans most of the split; at 0 there is no probe pass.
     """
-    return next((s for s in _check_offsets(m, n_minority) if s >= 2 * n_minority), 0)
+    step = distance.INSTANCE_CHUNK
+    probe = -(-max(2 * n_minority, 1) // step) * step
+    return probe if probe <= m // 2 else 0
 
 
 def _beats(bound: np.ndarray, floor: np.ndarray, tie_worse: np.ndarray) -> np.ndarray:
@@ -379,50 +369,26 @@ def _beats(bound: np.ndarray, floor: np.ndarray, tie_worse: np.ndarray) -> np.nd
 
 
 class _BlockScreen:
-    """One query block's prepared queries, distances and live columns
-    across the instance chunks ``[0, stop)`` of one (channel, length) group.
+    """One query block's prepared queries, one-vs-rest ``targets``, the
+    instances it ``fit``s and its distances across the instance chunks
+    ``[0, stop)`` of one (channel, length) group, all in scan order. Only
+    its ``live`` columns are scored; ``cap`` is each column's gain of a
+    perfect split."""
 
-    ``floor`` and ``tie_worse`` describe, per column, its class's quota-th
-    candidate by `_ranked` among those already scored, and a column
-    stays ``live`` while its gain bound, at most ``cap``, `_beats` that key.
-    Bounds are checked after the chunks that end at ``offsets``.
-    """
+    def __init__(self, idx, queries, targets, fit, cap, stop, live):
+        self.idx, self.queries, self.targets = np.asarray(idx), queries, targets
+        self.fit, self.cap, self.live = fit, cap, live
+        self.dists = np.empty((stop, len(idx)))     # (stop, B)
 
-    def __init__(self, idx, queries, targets, fit, cap, stop, offsets, floor, tie_worse, live):
-        self.idx, self.queries, self.targets, self.cap = np.asarray(idx), queries, targets, cap
-        self.offsets, self.floor, self.tie_worse, self.live = offsets, floor, tie_worse, live
-        self.dists = np.empty((stop, len(idx)))     # (stop, B), scan order
-        self.checks = 0
-        self.fit_rows = np.flatnonzero(fit)
-        self.fit_targets = targets[:, fit]          # (B, instances it fits)
-        n_targets = np.count_nonzero(self.fit_targets, axis=1)
-        self.unseen = np.stack((n_targets, len(self.fit_rows) - n_targets))
-
-    def bound(self, s: int, cols: np.ndarray) -> np.ndarray:
-        """`_gain_bound` of columns ``cols`` given their distances to the
-        first ``s`` instances."""
-        n_seen = np.searchsorted(self.fit_rows, s)
-        targets = self.fit_targets[cols, :n_seen]
-        seen_targets = np.count_nonzero(targets, axis=1)
-        unseen_targets, unseen_others = self.unseen[:, cols]
-        return _gain_bound(self.dists[self.fit_rows[:n_seen, None], cols].T, targets,
-                           unseen_targets - seen_targets,
-                           unseen_others - (n_seen - seen_targets), self.cap[cols])
-
-    def score(self, prep, i0: int) -> None:
-        """Distances of the live columns to the chunk of instances
-        ``i0:i0 + prep.m``; then, if the chunk ends at one of the
-        ``offsets``, drop every live column whose bound cannot beat its
-        class's key."""
-        i1 = i0 + prep.m
-        prepared_min_cid(prep, self.queries, self.live, out=self.dists[i0:i1])
-        if i1 not in self.offsets:
-            return
-        cols = np.flatnonzero(self.live & np.isfinite(self.floor))
-        if cols.size:
-            self.live[cols] = _beats(self.bound(i1, cols), self.floor[cols],
-                                     self.tie_worse[cols])
-            self.checks += 1
+    def bound(self) -> np.ndarray:
+        """`_gain_bound` of every column given its distances to the first
+        ``stop`` instances."""
+        stop = len(self.dists)
+        seen = np.flatnonzero(self.fit[:stop])
+        unseen_targets = np.count_nonzero(self.targets[:, stop:] & self.fit[stop:], axis=1)
+        unseen_others = np.count_nonzero(self.fit[stop:]) - unseen_targets
+        return _gain_bound(self.dists[seen].T, self.targets[:, seen], unseen_targets,
+                           unseen_others, self.cap)
 
 
 def _screen_gains(dataset: Dataset, candidates: Candidates, config: Config,
@@ -435,20 +401,18 @@ def _screen_gains(dataset: Dataset, candidates: Candidates, config: Config,
     Instances are scanned non-majority first, one INSTANCE_CHUNK at a time:
     windows are prepared per (channel, length) group and chunk, and each
     query block's prepared queries are scored against each chunk with one
-    kernel call on its live columns. A candidate is dropped once its gain
-    bound cannot beat the quota-th candidate of its class among the
-    candidates of groups already completed; a block's kernel call runs only
-    while one of its candidates is live. The keys are refreshed once per
-    group, so what is dropped does not depend on the thread count.
+    kernel call on its live columns, on the calling thread.
 
     A probe pass first scores every candidate up to `_probe_offset` and
-    keeps only its bound there; at offset 0 there is nothing to score, and
-    every bound is the gain of a perfect split. Groups are then completed
-    in descending order of their best probe bound (stable, so (channel,
-    length) order at offset 0), which makes each class's key high early: a
-    candidate whose probe bound cannot beat it is never rescanned, and the
-    others are scored from instance 0 with checks at the `_check_offsets`
-    past the probe.
+    keeps only its gain bound there, the one place a bound is computed
+    from distances; at offset 0 there is nothing to score, and every bound
+    is the gain of a perfect split. Groups are then completed in
+    descending order of their best probe bound (stable, so (channel,
+    length) order at offset 0), which makes each class's key, its quota-th
+    candidate among the groups already completed, high early. A candidate
+    whose probe bound cannot beat its key is never rescanned; the others
+    are scored on every instance, and a block with none of them runs no
+    kernel call.
 
     Pruning is exact: every key is one a candidate reached, so the top
     ``quota`` keys do not depend on the completion order; and a distance
@@ -467,9 +431,7 @@ def _screen_gains(dataset: Dataset, candidates: Candidates, config: Config,
     class_targets = (np.asarray([dataset[i].label for i in order])
                      == np.asarray(candidates.labels)[:, None])    # (labels, m)
     chunk = distance.INSTANCE_CHUNK
-    n_minority = m - dataset.class_counts[dataset.majority]
-    probe = _probe_offset(m, n_minority)
-    offsets = [s for s in _check_offsets(m, n_minority) if s > probe]
+    probe = _probe_offset(m, m - dataset.class_counts[dataset.majority])
 
     label, start, length = candidates.label, candidates.start, candidates.length
     row = scan_row[candidates.source]
@@ -497,16 +459,19 @@ def _screen_gains(dataset: Dataset, candidates: Candidates, config: Config,
             channel_rows[channel] = rows, None if config.znorm else prefix_sums(rows)
         return channel_rows[channel]
 
-    def screens(channel, l, idx, stop, checks_at):
-        """The group's block screens for a scan to ``stop``, each column's
-        class key taken from the groups completed so far. A column is live
-        if its probe bound, capped at the gain of a perfect split over the
-        instances it fits, `_beats` that key; a block with none is left
-        out, its kernel calls counted as skipped. Queries are sliced from
-        the channel's rows."""
+    def screened(channel, l, idx, stop):
+        """The group's block screens, their live columns scored on the
+        chunks before ``stop``. A column is live if its probe bound, capped
+        at the gain of a perfect split over the instances it fits, `_beats`
+        its class's key from the groups completed so far; a block with none
+        is left out, its kernel calls counted as skipped. Queries are
+        sliced from the channel's rows, windows from its rows and prefix
+        sums per chunk; fixed block boundaries and chunk offsets keep every
+        matmul shape independent of pruning."""
         fit = lengths >= l
         caps = _parent_entropy(np.count_nonzero(class_targets & fit, axis=1),
                                np.full(n_labels, np.count_nonzero(fit)))[:, 0]
+        n_chunks = -(-stop // chunk)
         out = []
         for j in range(0, len(idx), QUERY_BLOCK):
             block = idx[j : j + QUERY_BLOCK]
@@ -517,49 +482,38 @@ def _screen_gains(dataset: Dataset, candidates: Candidates, config: Config,
             cap = caps[label[block]]
             live = _beats(np.minimum(bounds[block], cap), floor, tie_worse)
             if not live.any():
-                tally["matmuls_skipped"] += -(-stop // chunk)
+                tally["matmuls_skipped"] += n_chunks
                 continue
             rows = rows_of(channel)[0]
             queries = rows[row[block, None], start[block, None] + np.arange(l)]
-            out.append(_BlockScreen(
-                block, prepare_queries(queries, config.znorm), class_targets[label[block]],
-                fit, cap, stop, checks_at, floor, tie_worse, live))
-        return out
-
-    def scan(channel, l, screens, stop):
-        """Score the screens' live columns on the chunks before ``stop``.
-        Fixed block boundaries and chunk offsets keep every matmul shape
-        independent of the thread count and of pruning. The channel's rows
-        and prefix sums are sliced for each chunk and length."""
+            out.append(_BlockScreen(block, prepare_queries(queries, config.znorm),
+                                    class_targets[label[block]], fit, cap, stop, live))
+        if not out:
+            return out
+        tally["matmuls"] += n_chunks * len(out)
+        rows, sums = rows_of(channel)
         for i0 in range(0, stop, chunk):
-            todo = [sc for sc in screens if sc.live.any()]
-            tally["matmuls"] += len(todo)
-            tally["matmuls_skipped"] += len(screens) - len(todo)
-            if not todo:
-                continue
-            (rows, sums), part = rows_of(channel), slice(i0, i0 + chunk)
+            part = slice(i0, i0 + chunk)
             prep = prepare_windows(rows[part], lengths[part], l, znorm=config.znorm,
                                    sums=None if sums is None else tuple(a[part] for a in sums))
-            thread_map(lambda sc, prep=prep, i0=i0: sc.score(prep, i0), todo, config.threads)
-        tally["bound_checks"] += sum(sc.checks for sc in screens)
+            for sc in out:
+                prepared_min_cid(prep, sc.queries, sc.live, out=sc.dists[part])
+        return out
 
     if probe:
         for (channel, l), idx in groups:
-            probed = screens(channel, l, idx, probe, ())    # no keys yet: all live
-            scan(channel, l, probed, probe)
+            probed = screened(channel, l, idx, probe)      # no keys yet: all live
             for sc in probed:
-                bounds[sc.idx] = sc.bound(probe, np.arange(len(sc.idx)))
+                bounds[sc.idx] = sc.bound()
             tally["bound_checks"] += len(probed)
     groups.sort(key=lambda group: -bounds[group[1]].max())
 
     for (channel, l), idx in groups:
-        group = screens(channel, l, idx, m, offsets)
-        tally["rescanned"] += sum(int(np.count_nonzero(sc.live)) for sc in group)
-        scan(channel, l, group, m)
+        group = screened(channel, l, idx, m)
         for sc in group:
-            if sc.live.any():
-                gains[sc.idx[sc.live]] = _gain_block(sc.dists[:, sc.live].T,
-                                                     sc.targets[sc.live])[0]
+            tally["rescanned"] += int(np.count_nonzero(sc.live))
+            gains[sc.idx[sc.live]] = _gain_block(sc.dists[:, sc.live].T,
+                                                 sc.targets[sc.live])[0]
         scored = idx[np.isfinite(gains[idx])]
         for c in np.unique(label[scored]):
             best[c] = _ranked(np.concatenate((best[c], scored[label[scored] == c])),

@@ -9,13 +9,13 @@ and vice versa.
 """
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .core import LabeledSeries, ValidationError
-from .parallel import thread_map
 
 # Guards the complexity ratio when one side is constant (zero complexity).
 EPS_COMPLEXITY = 1e-8
@@ -122,10 +122,12 @@ def match_pool(instances, shapelets, znorm: bool = False,
     """Best match of every shapelet on every instance, in the given orders.
 
     Shapelets are grouped by (channel, length) and each group is scored
-    against all instances in one ``match`` call. Returns ``(dists,
-    offsets)`` of shape (len(instances), len(shapelets)); offset -1 marks a
-    shapelet longer than the instance's unpadded region. A shapelet on a
-    channel the instances do not have is refused.
+    against all instances in one ``match`` call, on up to ``threads``
+    threads; results are collected in group order, so the thread count
+    never changes an output. Returns ``(dists, offsets)`` of shape
+    (len(instances), len(shapelets)); offset -1 marks a shapelet longer
+    than the instance's unpadded region. A shapelet on a channel the
+    instances do not have is refused.
     """
     instances = list(instances)
     dists = np.full((len(instances), len(shapelets)), np.inf)
@@ -148,7 +150,12 @@ def match_pool(instances, shapelets, znorm: bool = False,
                      np.stack([shapelets[j].values for j in idx]), znorm)
 
     items = sorted(groups.items())
-    for (_, idx), (d, o) in zip(items, thread_map(run, items, threads)):
+    if threads > 1 and len(items) > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            results = list(pool.map(run, items))     # in submission order
+    else:
+        results = map(run, items)
+    for (_, idx), (d, o) in zip(items, results):
         dists[:, idx], offsets[:, idx] = d, o
     return dists, offsets
 

@@ -90,8 +90,8 @@ class SynthConfig:
     def __post_init__(self):
         if self.n_instances <= 0:
             raise ValidationError(f"n_instances must be positive, got {self.n_instances}")
-        if self.noise < 0:
-            raise ValidationError(f"noise must be >= 0, got {self.noise}")
+        if not (math.isfinite(self.noise) and self.noise >= 0):
+            raise ValidationError(f"--noise is {self.noise}, not a finite number >= 0")
         if self.t < 30:
             raise ValidationError(f"t must be >= 30, got {self.t}")
         props = self.class_proportions or default_proportions()

@@ -90,6 +90,31 @@ def test_proportions_with_a_negative_or_non_finite_share_exit_two(tmp_path, caps
     assert not out.exists()
 
 
+@pytest.mark.parametrize("noise", ["nan", "inf", "-1"])
+def test_synth_refuses_noise_that_is_not_finite_and_at_least_zero(tmp_path, capsys, noise):
+    out = tmp_path / "d.ndjson"
+    assert main(["synth", "--out", str(out), "--n", "20", "--t", "40",
+                 "--noise", noise]) == 2
+    assert f"--noise is {float(noise)}, not a finite number >= 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags,config,problem", [
+    (["--sigma-scale", "inf"], None, "config noise_sigma_scale must be a finite float, got inf"),
+    (["--sigma-scale", "nan"], None, "config noise_sigma_scale must be a finite float, got nan"),
+    ([], '{"learning_rate": Infinity}', "config learning_rate must be a finite float, got inf"),
+], ids=["infinite-sigma-scale", "nan-sigma-scale", "infinite-learning-rate"])
+def test_run_all_refuses_a_non_finite_float_setting(tmp_path, capsys, flags, config, problem):
+    if config is not None:
+        (tmp_path / "cfg.json").write_text(config)
+        flags = ["--config", str(tmp_path / "cfg.json")]
+    out = tmp_path / "run"
+    assert main(["run-all", "--out-dir", str(out), "--n", "24", "--t", "40",
+                 "--proportions", PROPS] + flags + TINY) == 2
+    assert problem in capsys.readouterr().err
+    assert not (out / "data.ndjson").exists()
+
+
 def test_proportions_allow_a_zero_share(tmp_path):
     out = tmp_path / "d.ndjson"
     assert main(["synth", "--out", str(out), "--n", "20", "--t", "40",

@@ -313,21 +313,21 @@ def _imbalanced_padded_dataset():
 
 
 def _never_prune(patch):
-    """Keep every candidate live: no bound, cap or check rules one out."""
+    """Keep every candidate live: no bound or cap rules one out."""
     patch.setattr(discovery, "_beats",
                   lambda bound, floor, tie_worse: np.ones(len(bound), dtype=bool))
 
 
 @pytest.fixture
 def small_chunks(monkeypatch):
-    """Scan in chunks of 8 instances, with bound checks at multiples of 8."""
+    """Scan in chunks of 8 instances, so a probe offset is a multiple of 8."""
     monkeypatch.setattr(distance, "INSTANCE_CHUNK", 8)
     monkeypatch.setattr(distance, "MIN_TILE", 2)
 
 
 def test_pruning_leaves_the_pool_unchanged(monkeypatch):
     """Chunks of 8 instances, then one chunk that holds the whole split,
-    which has no check offset: only the cap, the bound with nothing seen,
+    which is probed to 0: only the cap, the bound with nothing seen,
     can prune it."""
     ds = _imbalanced_padded_dataset()
     assert any(x.original_length < x.length for x in ds) and len(ds) <= 64
@@ -338,7 +338,7 @@ def test_pruning_leaves_the_pool_unchanged(monkeypatch):
         counters = {}
         pruned = pool_to_dict(discover(ds, cfg, counters=counters))
         assert sum(counters["pruned"].values()) > 0, chunk
-        # one chunk has no check offset, and the cap computes no bound
+        # a probe to 0 computes no bound from distances
         assert (counters["bound_checks"] > 0) == (chunk == 8)
         assert counters["matmuls_skipped"] > 0 or chunk == 64
         # with 8-instance chunks the probe pass runs to instance 24
@@ -359,27 +359,39 @@ def test_pruning_leaves_the_pool_unchanged(monkeypatch):
         assert sum(unpruned["pruned"].values()) == 0 and unpruned["matmuls_skipped"] == 0
 
 
-@pytest.mark.parametrize("m,n_minority,offsets", [
-    (256, 21, [64, 128]),          # fit-imbalanced: checks once the minority is seen
-    (256, 64, [64, 128]),
-    (256, 65, [128]),
-    (256, 192, []),                # balanced: the unseen mix labels until past half
-    (256, 0, [64, 128]),
-    (1600, 128, list(range(128, 801, 64))),
-])
-def test_check_offsets_start_after_the_minority_and_stop_at_half(m, n_minority, offsets):
-    assert list(discovery._check_offsets(m, n_minority)) == offsets
-
-
 @pytest.mark.parametrize("m,n_minority,probe", [
     (256, 21, 64),                 # fit-imbalanced
     (640, 53, 128),                # run-all --n 800
     (1600, 131, 320),              # run-all --n 2000
-    (80, 60, 0),                   # score: no check offset at all
-    (512, 231, 0),                 # 55% NP: the one check comes before 2 * 231
+    (80, 60, 0),                   # score: the first chunk end lies past half
+    (512, 231, 0),                 # 55% NP: 512 lies past half
+    (256, 64, 128),
+    (256, 65, 0),                  # 192 is not a chunk end; 256 lies past half
+    (256, 0, 64),                  # all majority: the first chunk end
+    (1600, 128, 256),
 ])
 def test_probe_offset_is_the_first_check_past_twice_the_minority(m, n_minority, probe):
     assert discovery._probe_offset(m, n_minority) == probe
+
+
+def test_the_bound_is_computed_once_per_probed_block(monkeypatch):
+    """Chunks of 4 instances probe to instance 24; the completion pass
+    computes no bound, not even at the chunk ends past the probe."""
+    monkeypatch.setattr(distance, "INSTANCE_CHUNK", 4)
+    monkeypatch.setattr(distance, "MIN_TILE", 2)
+    seen = []
+    gain_bound = discovery._gain_bound
+    monkeypatch.setattr(discovery, "_gain_bound",
+                        lambda dists, *rest: seen.append(dists.shape) or gain_bound(dists, *rest))
+    ds = _imbalanced_padded_dataset()
+    counters = {}
+    discover(ds, Config(k=6, g=8, seed=0), counters=counters)
+    assert counters["probe_offset"] == 24 and counters["rescanned"] > 0
+    cands = generate_candidates(ds, 6)
+    groups = Counter(zip(cands.channel.tolist(), cands.length.tolist()))
+    blocks = sum(-(-n // distance.QUERY_BLOCK) for n in groups.values())
+    assert len(seen) == counters["bound_checks"] == blocks
+    assert max(s for _, s in seen) <= 24        # distances to probed instances only
 
 
 def test_pool_and_counters_do_not_depend_on_threads(small_chunks):
@@ -400,7 +412,7 @@ def _balanced_dataset():
 
 
 def test_balanced_split_probes_to_zero(small_chunks, monkeypatch):
-    """Three quarters non-majority: no check offset lies past twice the
+    """Three quarters non-majority: no chunk end at or past twice the
     minority count, so the probe is to instance 0 and groups complete in
     (channel, length) order, each column live while its cap beats its key."""
     ds = _balanced_dataset()
