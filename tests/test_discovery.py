@@ -365,13 +365,27 @@ def test_pruning_leaves_the_pool_unchanged(monkeypatch):
     (1600, 131, 320),              # run-all --n 2000
     (80, 60, 0),                   # score: the first chunk end lies past half
     (512, 231, 0),                 # 55% NP: 512 lies past half
-    (256, 64, 128),
-    (256, 65, 0),                  # 192 is not a chunk end; 256 lies past half
-    (256, 0, 64),                  # all majority: the first chunk end
-    (1600, 128, 256),
 ])
 def test_probe_offset_is_the_first_check_past_twice_the_minority(m, n_minority, probe):
     assert discovery._probe_offset(m, n_minority) == probe
+
+
+@pytest.mark.parametrize("m,n_minority,offsets", [
+    (256, 21, [64, 128]),          # fit-imbalanced
+    (256, 64, [64, 128]),
+    (256, 65, [128]),
+    (256, 192, []),                # balanced: no chunk end between the minority and half
+    (256, 0, [64, 128]),           # all majority: the first chunk end
+    (1600, 128, list(range(128, 801, 64))),
+])
+def test_check_offsets_start_after_the_minority_and_stop_at_half(m, n_minority, offsets):
+    """``offsets`` are the chunk ends from the first past the minority up
+    to ``m // 2``; the probe is the first of them at which as many majority
+    instances as non-majority ones are seen, or 0 when none is."""
+    assert offsets == [s for s in range(distance.INSTANCE_CHUNK, m // 2 + 1, distance.INSTANCE_CHUNK)
+                       if s >= n_minority]
+    probe = discovery._probe_offset(m, n_minority)
+    assert probe == next((s for s in offsets if s >= 2 * n_minority), 0)
 
 
 def test_the_bound_is_computed_once_per_probed_block(monkeypatch):
