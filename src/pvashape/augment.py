@@ -18,13 +18,12 @@ from .distance import match_pool
 log = logging.getLogger(__name__)
 
 
-def _mask(x: LabeledSeries, s: Shapelet, dist: float, offset: int,
-          clamp: bool) -> np.ndarray:
-    """Noise mask of one match: the distance (clamped to 1 if asked) on the
-    matched span of the shapelet's channel, 0 on every channel's padded
-    tail, so padding stays zero, and 1 elsewhere."""
+def _mask(x: LabeledSeries, s: Shapelet, dist: float, offset: int) -> np.ndarray:
+    """Noise mask of one match: the distance on the matched span of the
+    shapelet's channel, 0 on every channel's padded tail, so padding stays
+    zero, and 1 elsewhere."""
     mask = np.ones_like(x.values)
-    mask[s.channel, offset : offset + len(s)] = min(dist, 1.0) if clamp else dist
+    mask[s.channel, offset : offset + len(s)] = dist
     mask[:, x.original_length:] = 0.0
     return mask
 
@@ -87,7 +86,7 @@ def balance_dataset(dataset: Dataset, pool: ShapeletPool, config: Config,
         for j in range(config.r_sa):
             gen = rng.derive(i).derive(j).generator()
             k = eligible[int(gen.integers(len(eligible)))]
-            mask = _mask(x, shapelets[k], dists[k], offsets[k], config.clamp_mask)
+            mask = _mask(x, shapelets[k], dists[k], offsets[k])
             augmented.append(_noisy_copy(x, mask, config.noise_sigma_scale, gen, j))
     counters["copies"] = len(augmented) - len(dataset)
     return Dataset(tuple(augmented))

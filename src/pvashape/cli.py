@@ -20,8 +20,7 @@ from . import __version__
 from .core import (Config, Dataset, STREAM_SPLIT, SeededRng, ValidationError,
                    load_dataset, read_json, save_dataset,
                    write_json as _write_json)
-from .discovery import discover, load_pool, save_pool
-from .augment import balance_dataset
+from .discovery import load_pool, save_pool
 from .distance import ShapeletLengthError
 from .explain import build_explain_report, emit_plot_data
 from .features import load_features, save_features
@@ -111,151 +110,125 @@ def _parse_proportions(raw):
 # Commands
 # ---------------------------------------------------------------------------
 
-def _synthesize(args, cfg: Config, path) -> Dataset:
-    """The synth stage of ``synth`` and ``run-all``: generate, keep the
-    configured channels, save."""
+def _synthesize(args, cfg: Config) -> Dataset:
+    """The synth stage of ``synth`` and ``run-all``: generate and keep the
+    configured channels."""
     ds = generate_synthetic(SynthConfig(
         n_instances=args.n, class_proportions=_parse_proportions(args.proportions),
         noise=args.noise, seed=cfg.seed, t=args.t))
     if cfg.channel_subset is not None:
         ds = subset_channels(ds, cfg.channel_subset)
-    save_dataset(path, ds)
     return ds
 
 
-def cmd_synth(args) -> int:
-    run = Run("synth", build_config(args), {}, {"data": args.out})
+def cmd_synth(args, run: Run) -> int:
     with run.stage("synth"):
-        ds = _synthesize(args, run.config, args.out)
-    write_manifest(f"{args.out}.manifest.json", run)
+        ds = _synthesize(args, run.config)
+    save_dataset(args.out, ds)
     print(f"wrote {len(ds)} instances to {args.out}")
     return EXIT_OK
 
 
-def cmd_discover(args) -> int:
-    run = Run("discover", build_config(args), {"data": args.data}, {"pool": args.out})
+def cmd_discover(args, run: Run) -> int:
     ds = workflow.align_channels(load_dataset(args.data), run.config)
-    with run.stage("discover"):
-        pool = discover(ds, run.config, counters=run.counters.setdefault("discover", {}))
-        save_pool(args.out, pool)
-    write_manifest(f"{args.out}.manifest.json", run)
+    pool = workflow.discover_stage(run, ds)
+    save_pool(args.out, pool)
     print(f"wrote pool of {len(pool)} shapelets to {args.out}")
     return EXIT_OK
 
 
-def _config_and_pool(args):
-    """The command's config and its ``--pool`` (None without one), the
-    config on the channel subset the pool was discovered on: its
-    shapelets' channel indices count within that subset. A different
-    subset from the flags or --config is refused."""
-    cfg = build_config(args)
-    if not args.pool:
-        return cfg, None
-    pool = load_pool(args.pool)
+def _config_and_pool(run: Run, path):
+    """The pool at ``path`` (None without one). The run's config takes the
+    channel subset the pool was discovered on: its shapelets' channel
+    indices count within that subset. A different subset from the flags or
+    --config is refused."""
+    if not path:
+        return None
+    pool = load_pool(path)
     subset = pool.config.get("channel_subset")
     try:
-        pool_cfg = cfg.with_updates(channel_subset=None if subset is None else tuple(subset))
+        pool_cfg = run.config.with_updates(
+            channel_subset=None if subset is None else tuple(subset))
     except (TypeError, ValueError) as err:
-        raise ValidationError(f"pool {args.pool} channel_subset is malformed: {err}") from err
-    if cfg.channel_subset not in (None, pool_cfg.channel_subset):
+        raise ValidationError(f"pool {path} channel_subset is malformed: {err}") from err
+    if run.config.channel_subset not in (None, pool_cfg.channel_subset):
         raise ValidationError(
-            f"pool {args.pool} was discovered on channel subset "
+            f"pool {path} was discovered on channel subset "
             f"{'all channels' if subset is None else list(subset)}, not "
-            f"{list(cfg.channel_subset)}; drop --channels to use the pool's")
-    return pool_cfg, pool
+            f"{list(run.config.channel_subset)}; drop --channels to use the pool's")
+    run.config = pool_cfg
+    return pool
 
 
-def cmd_augment(args) -> int:
-    cfg, pool = _config_and_pool(args)
-    run = Run("augment", cfg, {"data": args.data, "pool": args.pool}, {"data": args.out})
+def cmd_augment(args, run: Run) -> int:
+    pool = _config_and_pool(run, args.pool)
     ds = workflow.align_channels(load_dataset(args.data), run.config)
-    with run.stage("augment"):
-        out = balance_dataset(ds, pool, run.config,
-                              counters=run.counters.setdefault("augment", {}))
-        save_dataset(args.out, out)
-    write_manifest(f"{args.out}.manifest.json", run)
+    out = workflow.augment_stage(run, ds, pool)
+    save_dataset(args.out, out)
     print(f"wrote {len(out)} instances ({len(out) - len(ds)} augmented) to {args.out}")
     return EXIT_OK
 
 
-def cmd_transform(args) -> int:
-    cfg, pool = _config_and_pool(args)
-    run = Run("transform", cfg, {"data": args.data, "pool": args.pool or ""},
-              {"features": args.out})
-    ds = load_dataset(args.data)
-    with run.stage("transform"):
-        z, ids, labels = workflow.featurize(ds, pool, run.config)
-        save_features(args.out, z, ids, labels)
-    write_manifest(f"{args.out}.manifest.json", run)
+def cmd_transform(args, run: Run) -> int:
+    pool = _config_and_pool(run, args.pool)
+    [(z, ids, labels)] = workflow.transform_stage(run, pool, load_dataset(args.data))
+    save_features(args.out, z, ids, labels)
     print(f"wrote {z.shape[0]} x {z.shape[1]} feature matrix to {args.out}")
     return EXIT_OK
 
 
-def cmd_train(args) -> int:
-    cfg, pool = _config_and_pool(args)
-    run = Run("train", cfg,
-              {"train_features": args.train_features, "val_features": args.val_features},
-              {"checkpoint": args.out})
-    train_features = load_features(args.train_features)
-    val_features = load_features(args.val_features)
-    with run.stage("train"):
-        ckpt = workflow.train_head(train_features, val_features, run.config, pool=pool)
-        save_checkpoint(args.out, ckpt)
-    run.counters["train"] = {"epochs": len(ckpt.history)}
-    write_manifest(f"{args.out}.manifest.json", run)
+def cmd_train(args, run: Run) -> int:
+    pool = _config_and_pool(run, args.pool)
+    ckpt = workflow.train_stage(run, load_features(args.train_features),
+                                load_features(args.val_features), pool=pool)
+    save_checkpoint(args.out, ckpt)
     print(f"best epoch {ckpt.best_epoch}, validation macro-F1 "
           f"{ckpt.best_val_macro_f1:.4f}; wrote {args.out}")
     return EXIT_OK
 
 
-def _scoring_config(ckpt: ModelCheckpoint, args) -> ModelCheckpoint:
-    """The checkpoint, its config given the caller's thread count."""
-    return replace(ckpt, config=ckpt.config.with_updates(threads=build_config(args).threads))
+def _scoring_config(run: Run, path) -> ModelCheckpoint:
+    """The checkpoint at ``path``, its config given the caller's thread
+    count; the run's config becomes that config."""
+    ckpt = load_checkpoint(path)
+    run.config = ckpt.config.with_updates(threads=run.config.threads)
+    return replace(ckpt, config=run.config)
 
 
-def cmd_evaluate(args) -> int:
-    ckpt = _scoring_config(load_checkpoint(args.checkpoint), args)
-    run = Run("evaluate", ckpt.config,
-              {"data": args.data, "checkpoint": args.checkpoint}, {"metrics": args.out})
+def cmd_evaluate(args, run: Run) -> int:
+    ckpt = _scoring_config(run, args.checkpoint)
     ds = load_dataset(args.data)
     with run.stage("evaluate"):
         report = workflow.evaluate_on(ckpt, ds)
-        _write_json(args.out, report.to_dict())
-    write_manifest(f"{args.out}.manifest.json", run)
+    _write_json(args.out, report.to_dict())
     print(f"accuracy {report.accuracy:.4f}, macro-F1 {report.macro_f1:.4f}; wrote {args.out}")
     return EXIT_OK
 
 
-def cmd_tune_k(args) -> int:
-    run = Run("tune-k", build_config(args), {"data": args.data}, {"tuning": args.out})
+def cmd_tune_k(args, run: Run) -> int:
     ds = workflow.align_channels(load_dataset(args.data), run.config)
     with run.stage("tune_k"):
         result = tune_k(ds, run.config)
-        _write_json(args.out, result.to_dict())
-    write_manifest(f"{args.out}.manifest.json", run)
+    _write_json(args.out, result.to_dict())
     print(f"best k = {result.best_k}; wrote {args.out}")
     return EXIT_OK
 
 
-def cmd_explain(args) -> int:
-    ckpt = _scoring_config(load_checkpoint(args.checkpoint), args)
-    run = Run("explain", ckpt.config,
-              {"data": args.data, "checkpoint": args.checkpoint}, {"report": args.out})
+def cmd_explain(args, run: Run) -> int:
+    ckpt = _scoring_config(run, args.checkpoint)
     ds = workflow.align_channels(load_dataset(args.data), ckpt.config)
     with run.stage("explain"):
         report = build_explain_report(ds, ckpt, all_classes=args.all_classes,
                                       instance_id=args.instance)
-        _write_json(args.out, report, indent=None)
-        if args.plot_data:
-            emit_plot_data(report, args.plot_data)
-            run.outputs["plot_data"] = args.plot_data
-    write_manifest(f"{args.out}.manifest.json", run)
+    _write_json(args.out, report, indent=None)
+    if args.plot_data:
+        emit_plot_data(report, args.plot_data)
+        run.outputs["plot_data"] = args.plot_data
     print(f"explained {len(report['instances'])} instance(s); wrote {args.out}")
     return EXIT_OK
 
 
-def cmd_run_all(args) -> int:
-    run = Run("run-all", build_config(args))
+def cmd_run_all(args, run: Run) -> int:
     cfg, out_dir = run.config, args.out_dir
     os.makedirs(out_dir, exist_ok=True)
     paths = {name: os.path.join(out_dir, fname) for name, fname in [
@@ -267,12 +240,13 @@ def cmd_run_all(args) -> int:
     ]}
 
     with run.stage("synth"):
-        ds = _synthesize(args, cfg, paths["data"])
+        ds = _synthesize(args, cfg)
+    save_dataset(paths["data"], ds)
     with run.stage("split"):
         train_ds, val_ds = split(ds, args.train_fraction,
                                  SeededRng(cfg.seed).derive(STREAM_SPLIT))
-        save_dataset(paths["train"], train_ds, source=(paths["data"], ds))
-        save_dataset(paths["val"], val_ds, source=(paths["data"], ds))
+    save_dataset(paths["train"], train_ds, source=(paths["data"], ds))
+    save_dataset(paths["val"], val_ds, source=(paths["data"], ds))
 
     result = workflow.fit(train_ds, val_ds, cfg, run=run)
 
@@ -289,7 +263,6 @@ def cmd_run_all(args) -> int:
     save_checkpoint(paths["checkpoint"], result.checkpoint)
     _write_json(paths["metrics"], result.report.to_dict())
 
-    write_manifest(os.path.join(out_dir, "manifest.json"), run)
     r = result.report
     per_class = " ".join(f"{lab}={r.per_class_f1[lab]:.3f}" for lab in r.classes)
     print(f"accuracy {r.accuracy:.4f}, macro-F1 {r.macro_f1:.4f}, per-class F1: {per_class}")
@@ -308,11 +281,18 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", metavar="command")
     sub.required = True
 
-    def add(name, func, help_, flags=_config_flags):
-        p = sub.add_parser(name, help=help_, parents=[], add_help=True)
+    def add(name, func, help_, output=None, inputs=(), optional=(), flags=_config_flags):
+        """A subcommand with its ``inputs`` path flags and its ``optional``
+        ones, which its manifest lists as inputs, and ``--out``, which it
+        lists as its ``output``."""
+        p = sub.add_parser(name, help=help_)
         flags(p)
+        for dest in inputs + optional:
+            p.add_argument(f"--{dest.replace('_', '-')}", required=dest in inputs)
+        if output:
+            p.add_argument("--out", required=True)
         # By name, so the shared parser calls the module's current binding.
-        p.set_defaults(func=func.__name__)
+        p.set_defaults(func=func.__name__, inputs=inputs + optional, output=output)
         return p
 
     def synth_flags(p):
@@ -321,45 +301,23 @@ def build_parser() -> _Parser:
         p.add_argument("--noise", type=float, default=0.1)
         p.add_argument("--t", type=int, default=150)
 
-    p = add("synth", cmd_synth, "generate a synthetic labeled dataset")
-    p.add_argument("--out", required=True)
-    synth_flags(p)
-
-    p = add("discover", cmd_discover, "extract a shapelet pool from a dataset")
-    p.add_argument("--data", required=True)
-    p.add_argument("--out", required=True)
-
-    p = add("augment", cmd_augment, "rebalance minority classes with guided noise")
-    p.add_argument("--data", required=True)
-    p.add_argument("--pool", required=True)
-    p.add_argument("--out", required=True)
-
-    p = add("transform", cmd_transform, "compute feature vectors")
-    p.add_argument("--data", required=True)
-    p.add_argument("--pool", default=None)
-    p.add_argument("--out", required=True)
-
-    p = add("train", cmd_train, "train the classification head on features")
-    p.add_argument("--train-features", required=True)
-    p.add_argument("--val-features", required=True)
-    p.add_argument("--pool", default=None, help="shapelet pool the checkpoint carries")
-    p.add_argument("--out", required=True)
+    synth_flags(add("synth", cmd_synth, "generate a synthetic labeled dataset", "data"))
+    add("discover", cmd_discover, "extract a shapelet pool from a dataset", "pool", ("data",))
+    add("augment", cmd_augment, "rebalance minority classes with guided noise", "data",
+        ("data", "pool"))
+    add("transform", cmd_transform, "compute feature vectors", "features", ("data",),
+        ("pool",))
+    # --pool is the shapelet pool the checkpoint carries.
+    add("train", cmd_train, "train the classification head on features", "checkpoint",
+        ("train_features", "val_features"), ("pool",))
 
     # Scoring takes its settings and its pool from the checkpoint; only the
     # thread count, which never changes a result, is the caller's.
-    p = add("evaluate", cmd_evaluate, "score a dataset with a checkpoint", _threads_flag)
-    p.add_argument("--data", required=True)
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--out", required=True)
-
-    p = add("tune-k", cmd_tune_k, "cross-validated search over the k grid")
-    p.add_argument("--data", required=True)
-    p.add_argument("--out", required=True)
-
-    p = add("explain", cmd_explain, "per-instance shapelet match evidence", _threads_flag)
-    p.add_argument("--data", required=True)
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--out", required=True)
+    add("evaluate", cmd_evaluate, "score a dataset with a checkpoint", "metrics",
+        ("data", "checkpoint"), flags=_threads_flag)
+    add("tune-k", cmd_tune_k, "cross-validated search over the k grid", "tuning", ("data",))
+    p = add("explain", cmd_explain, "per-instance shapelet match evidence", "report",
+            ("data", "checkpoint"), flags=_threads_flag)
     p.add_argument("--instance", default=None, help="explain a single instance id")
     p.add_argument("--all-classes", action="store_true",
                    help="report matches for every class, not just the predicted one")
@@ -387,7 +345,13 @@ def main(argv=None) -> int:
             return exc.code
         return EXIT_OK if exc.code is None else EXIT_USAGE
     try:
-        return globals()[args.func](args)
+        run = Run(args.command, build_config(args),
+                  {name: getattr(args, name) or "" for name in args.inputs},
+                  {args.output: args.out} if args.output else {})
+        code = globals()[args.func](args, run)
+        write_manifest(f"{args.out}.manifest.json" if args.output
+                       else os.path.join(args.out_dir, "manifest.json"), run)
+        return code
     except TrainingDivergedError as exc:
         print(f"pvashape: training diverged: {exc}", file=sys.stderr)
         return EXIT_DIVERGED

@@ -225,7 +225,6 @@ class Config:
     logsig_depth: int = 2
     channel_subset: tuple[int, ...] | None = None
     seed: int = 0
-    clamp_mask: bool = False        # cap the noise mask factor at 1
     znorm: bool = False             # z-normalize windows in distance search
     use_augment: bool = True
     use_shapelet_features: bool = True

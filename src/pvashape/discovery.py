@@ -95,8 +95,8 @@ def generate_candidates(instances, k: int) -> Candidates:
         return Candidates(instances, labels, none, none, none, none, none)
     v, t = instances[0].values.shape
     lengths = np.repeat([instances[i].original_length for i in sources], v)
-    added = pip_insertions(np.concatenate([instances[i].values for i in sources]), lengths, k)
-    start, end, keep = _pip_spans(added, lengths)
+    _, start, end, keep = pip_insertions(
+        np.concatenate([instances[i].values for i in sources]), lengths, k)
     keep &= end - start + 1 >= MIN_CANDIDATE_LENGTH
     flat = np.flatnonzero(keep)
     row = flat // (3 * (k - 2))                 # the (instance, channel) row of each span
@@ -107,28 +107,6 @@ def generate_candidates(instances, k: int) -> Candidates:
     source = sources[row // v]
     return Candidates(instances, labels, source=source, channel=row % v, start=start,
                       end=end, label=label[source])
-
-
-def _pip_spans(added: np.ndarray, lengths: np.ndarray):
-    """``(start, end, exists)`` of shape (rows, insertions, 3): the span
-    ``[P[idx - z], P[idx + 2 - z]]`` of each row after each insertion, for
-    ``z`` in 0..2, and whether it exists."""
-    s, steps = added.shape
-    points = np.full((s, steps + 2), np.iinfo(np.int64).max)     # sorted, filler last
-    points[:, 0], points[:, 1] = 0, lengths - 1
-    start, end = np.empty((2, s, steps, 3), dtype=np.int64)
-    exists = np.empty((s, steps, 3), dtype=bool)
-    z = np.arange(3)
-    for step in range(steps):
-        added_now = added[:, step : step + 1]
-        points[:, step + 2 : step + 3] = added_now
-        points.sort(axis=1)
-        idx = np.count_nonzero(points < added_now, axis=1)[:, None]
-        i0, i2 = idx - z, idx + 2 - z
-        exists[:, step] = (i0 >= 0) & (i2 <= step + 2)
-        start[:, step] = np.take_along_axis(points, np.maximum(i0, 0), axis=1)
-        end[:, step] = np.take_along_axis(points, np.minimum(i2, step + 2), axis=1)
-    return start, end, exists
 
 
 def _entropy(p: np.ndarray) -> np.ndarray:

@@ -46,12 +46,18 @@ class Run:
 
     @contextmanager
     def stage(self, name: str):
+        """Time the block as stage ``name``. It is given a dict for the
+        stage's counters, kept under ``counters[name]`` if the stage sets
+        any."""
+        counters = {}
         start = time.perf_counter()
         try:
-            yield
+            yield counters
         finally:
             self.timings[name] = round(time.perf_counter() - start, 6)
             self.stage_peak_rss[name] = peak_rss_mib()
+            if counters:
+                self.counters[name] = counters
 
 
 def peak_rss_mib() -> float:
@@ -98,42 +104,71 @@ def fit(train_ds: Dataset, val_ds: Dataset, config: Config, *,
         pool: ShapeletPool | None = None,
         run: Run | None = None) -> FitResult:
     """Fit every enabled stage on the training split, score the validation
-    split, and return what the CLI saves. ``run`` (if given) records the
-    seconds of each stage and the counters of discovery, augmentation and
-    training."""
+    split, and return what the CLI saves. ``run`` (if given) is a Run of
+    ``config``; it records the seconds of each stage and the counters of
+    discovery, augmentation and training."""
     if len(train_ds) == 0 or len(val_ds) == 0:
         raise ValidationError("both splits must be non-empty")
     if classes is None:
         classes = order_labels([x.label for x in train_ds] + [x.label for x in val_ds])
     train_ds, val_ds = align_channels(train_ds, config), align_channels(val_ds, config)
     run = run or Run("fit", config)
-    stage = run.stage
+    if run.config != config:
+        raise ValueError("the run records another config than the fit's")
 
     # Augmentation needs a pool even when shapelet features are ablated.
-    needs_pool = config.use_shapelet_features or config.use_augment
-    if needs_pool and pool is None:
-        with stage("discover"):
-            pool = discover(train_ds, config, counters=run.counters.setdefault("discover", {}))
-
+    if (config.use_shapelet_features or config.use_augment) and pool is None:
+        pool = discover_stage(run, train_ds)
     train_full = train_ds
     if config.use_augment and pool is not None and len(pool) > 0:
-        with stage("augment"):
-            train_full = balance_dataset(train_ds, pool, config,
-                                         counters=run.counters.setdefault("augment", {}))
-
-    with stage("transform"):
-        train_features = featurize(train_full, pool, config)
-        val_features = featurize(val_ds, pool, config)
-
-    with stage("train"):
-        checkpoint = train_head(train_features, val_features, config, classes=classes,
-                                pool=pool)
-    run.counters["train"] = {"epochs": len(checkpoint.history)}
-    with stage("evaluate"):
+        train_full = augment_stage(run, train_ds, pool)
+    train_features, val_features = transform_stage(run, pool, train_full, val_ds)
+    checkpoint = train_stage(run, train_features, val_features, classes=classes, pool=pool)
+    with run.stage("evaluate"):
         report = score_features(checkpoint, val_features[0], val_features[2])
     return FitResult(checkpoint=checkpoint, train_full=train_full,
                      report=report, train_features=train_features,
                      val_features=val_features)
+
+
+# The fit stages. Each runs on ``run.config``, times itself on ``run`` as
+# the stage of its name, keeps that stage's counters there and returns the
+# stage's result; `fit` and the CLI's subcommands call the same ones.
+
+def discover_stage(run: Run, dataset: Dataset) -> ShapeletPool:
+    """The shapelet pool of a training set."""
+    with run.stage("discover") as counters:
+        return discover(dataset, run.config, counters=counters)
+
+
+def augment_stage(run: Run, dataset: Dataset, pool: ShapeletPool) -> Dataset:
+    """A training set with its minority classes rebalanced."""
+    with run.stage("augment") as counters:
+        return balance_dataset(dataset, pool, run.config, counters=counters)
+
+
+def transform_stage(run: Run, pool: ShapeletPool | None, *datasets: Dataset) -> list:
+    """The raw (features, ids, labels) of each dataset, by `featurize`."""
+    with run.stage("transform"):
+        return [featurize(ds, pool, run.config) for ds in datasets]
+
+
+def train_stage(run: Run, train_features: tuple, val_features: tuple, *,
+                classes: tuple[str, ...] | None = None,
+                pool: ShapeletPool | None = None) -> ModelCheckpoint:
+    """Standardize on the training features and train the head; the
+    checkpoint keeps the scaler and the pool, which shapelet features need.
+    Counts the epochs run."""
+    config = run.config
+    _require_pool(pool, config)
+    (z_tr, _, labels_tr), (z_va, _, labels_va) = train_features, val_features
+    with run.stage("train") as counters:
+        scaler = fit_scaler(z_tr)
+        checkpoint = train(apply_scaler(z_tr, scaler), labels_tr, apply_scaler(z_va, scaler),
+                           labels_va, config, SeededRng(config.seed).derive(STREAM_TRAIN),
+                           classes=classes, scaler=scaler, pool=pool)
+        counters["epochs"] = len(checkpoint.history)
+    return checkpoint
 
 
 def featurize(dataset: Dataset, pool: ShapeletPool | None,
@@ -146,19 +181,6 @@ def featurize(dataset: Dataset, pool: ShapeletPool | None,
     return transform_dataset(align_channels(dataset, config), pool, config.logsig_depth,
                              include_shapelets=config.use_shapelet_features,
                              znorm=config.znorm, threads=config.threads)
-
-
-def train_head(train_features: tuple, val_features: tuple, config: Config, *,
-               classes: tuple[str, ...] | None = None,
-               pool: ShapeletPool | None = None) -> ModelCheckpoint:
-    """Standardize on the training features and train the head; the
-    checkpoint keeps the scaler and the pool, which shapelet features need."""
-    _require_pool(pool, config)
-    (z_tr, _, labels_tr), (z_va, _, labels_va) = train_features, val_features
-    scaler = fit_scaler(z_tr)
-    return train(apply_scaler(z_tr, scaler), labels_tr, apply_scaler(z_va, scaler),
-                 labels_va, config, SeededRng(config.seed).derive(STREAM_TRAIN),
-                 classes=classes, scaler=scaler, pool=pool)
 
 
 def _require_pool(pool: ShapeletPool | None, config: Config) -> None:

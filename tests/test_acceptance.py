@@ -76,7 +76,7 @@ def test_criterion_02_pip_selection_matches_oracle():
         else:
             series = gen.normal(size=n)
         steps = oracles.pip_steps(series, k)
-        inserted = pip_insertions(series[None], [n], k)[0].tolist()
+        inserted = pip_insertions(series[None], [n], k)[0][0].tolist()
         assert len(inserted) == len(steps) == k - 2
         pips = [0, n - 1]
         for got, (added, pips_after) in zip(inserted, steps):

@@ -20,12 +20,12 @@ def _shapelet(values, channel=0, label="NP", source="s0", start=0, **kw):
                     start=start, end=start + len(values) - 1, label=label, **kw)
 
 
-def _match_mask(x, s, clamp=False):
+def _match_mask(x, s):
     """The mask ``balance_dataset`` builds for one (instance, shapelet)
     pair, from the same ``match_pool`` distance and offset."""
     dists, offsets = match_pool([x], [s])
     d, o = dists[0, 0], int(offsets[0, 0])
-    return _mask(x, s, d, o, clamp), d, o
+    return _mask(x, s, d, o), d, o
 
 
 def test_mask_zero_on_exact_match_span():
@@ -43,12 +43,6 @@ def test_mask_carries_match_distance_on_span():
     assert mask[0, 0] == 1.0
     assert mask[0, 1] == pytest.approx(math.sqrt(2), abs=1e-7)
     assert mask[0, 2] == pytest.approx(math.sqrt(2), abs=1e-7)
-
-
-def test_mask_clamped_when_asked():
-    x = make_series([0, 1, 3])
-    mask, _, _ = _match_mask(x, _shapelet([0, 2]), clamp=True)
-    assert mask[0, 1] == 1.0 and mask[0, 2] == 1.0
 
 
 def test_mask_zero_on_padded_tail_every_channel():
@@ -157,6 +151,15 @@ def test_fit_counts_an_instance_no_shapelet_fits():
     assert run.counters["train"]["epochs"] == len(result.checkpoint.history) > 0
 
 
+def test_fit_refuses_a_run_of_another_config():
+    # the stages read the run's config, so a run of another config would
+    # fit with settings the caller did not give
+    ds = generate_synthetic(SynthConfig(n_instances=12, t=40, seed=1))
+    train_ds, val_ds = Dataset(ds.instances[:8]), Dataset(ds.instances[8:])
+    with pytest.raises(ValueError, match="another config"):
+        fit(train_ds, val_ds, Config(k=5), run=Run("fit", Config(k=6)))
+
+
 def test_noise_spec_rejects_negative_sigma():
     with pytest.raises(ValueError):
         Config(noise_sigma_scale=-0.1)
@@ -244,8 +247,7 @@ def test_balance_thread_count_changes_nothing():
         assert a.values.tobytes() == b.values.tobytes()
 
 
-@pytest.mark.parametrize("clamp", [False, True], ids=["raw-mask", "clamped-mask"])
-def test_balance_keeps_exact_spans_and_zero_padding(clamp):
+def test_balance_keeps_exact_spans_and_zero_padding():
     # one shapelet per minority class, cut from a source instance: every
     # copy of that source is guided by an exact match, whose span must
     # survive bit for bit; every copy keeps a zero tail on every channel
@@ -254,7 +256,7 @@ def test_balance_keeps_exact_spans_and_zero_padding(clamp):
     pool = _pool_for([
         _shapelet(x.values[ch, a:b], channel=ch, label=lab, source=x.id, start=a)
         for lab, (x, ch, a, b) in sources.items()])
-    out = balance_dataset(ds, pool, Config(r_sa=4, seed=3, clamp_mask=clamp))
+    out = balance_dataset(ds, pool, Config(r_sa=4, seed=3))
     assert out.class_counts == {"NP": 6, "AC": 3 * 5, "DT": 2 * 5}
     for x, ch, a, b in sources.values():
         dists, offsets = match_pool([x], pool.of_class(x.label))

@@ -530,6 +530,18 @@ def test_subcommands_reproduce_run_all(tmp_path):
     for name in ("pool.json", "train_aug.ndjson", "features_train.ndjson",
                  "features_val.ndjson", "checkpoint.json", "metrics.json"):
         assert (sub / name).read_bytes() == (run / name).read_bytes(), name
+    # The same stage functions count the same things, and every manifest
+    # has run-all's keys; only a stage that counts nothing has no counters.
+    whole = json.loads((run / "manifest.json").read_text())
+    for name, stage in [("pool.json", "discover"), ("train_aug.ndjson", "augment"),
+                        ("features_train.ndjson", None), ("features_val.ndjson", None),
+                        ("checkpoint.json", "train"), ("metrics.json", None)]:
+        man = json.loads((sub / f"{name}.manifest.json").read_text())
+        assert set(man) | {"counters"} == set(whole), name
+        if stage is None:
+            assert "counters" not in man, name
+        else:
+            assert man["counters"] == {stage: whole["counters"][stage]}, name
 
 
 def test_run_all_dataset_files_read_as_fresh_encodings(tmp_path):
@@ -873,6 +885,26 @@ def test_manifests_count_copies_epochs_and_stage_peaks(chain, tmp_path):
         assert "unaugmentable" not in (chain / name).read_text()
 
 
+def test_manifests_list_every_path_flag_as_an_input(chain, tmp_path):
+    """A manifest's inputs are the command's path flags: `train` lists the
+    pool it reads, and `transform` an empty pool when it has none."""
+    ckpt = json.loads((chain / "ckpt.json.manifest.json").read_text())
+    assert ckpt["inputs"] == {"train_features": str(chain / "ftr.ndjson"),
+                              "val_features": str(chain / "fva.ndjson"),
+                              "pool": str(chain / "pool.json")}
+    assert ckpt["outputs"] == {"checkpoint": str(chain / "ckpt.json")}
+    aug = json.loads((chain / "aug.ndjson.manifest.json").read_text())
+    assert aug["inputs"] == {"data": str(chain / "data.ndjson"),
+                             "pool": str(chain / "pool.json")}
+    assert aug["outputs"] == {"data": str(chain / "aug.ndjson")}
+    out = tmp_path / "f.ndjson"
+    assert main(["transform", "--data", str(chain / "data.ndjson"), "--out", str(out),
+                 "--no-shapelet-features"]) == 0
+    man = json.loads((tmp_path / "f.ndjson.manifest.json").read_text())
+    assert man["inputs"] == {"data": str(chain / "data.ndjson"), "pool": ""}
+    assert man["outputs"] == {"features": str(out)}
+
+
 def _count_lines(path):
     return sum(1 for line in path.read_text().splitlines() if line.strip())
 
@@ -1003,7 +1035,7 @@ def test_discovery_counters_go_to_the_manifest_only(chain, tmp_path):
 def test_main_builds_the_parser_once_and_dispatches_by_name(tmp_path, monkeypatch):
     assert main(["--version"]) == 0
     monkeypatch.setattr(cli, "build_parser", lambda: pytest.fail("parser rebuilt"))
-    monkeypatch.setattr(cli, "cmd_synth", lambda args: 7)
+    monkeypatch.setattr(cli, "cmd_synth", lambda args, run: 7)
     assert main(["synth", "--out", str(tmp_path / "d.ndjson")]) == 7
 
 

@@ -10,7 +10,7 @@ from pvashape.pips import pip_insertions
 def _inserted(series, k):
     """Insertion order of one unpadded series."""
     series = np.asarray(series, dtype=float)
-    return pip_insertions(series[None, :], [len(series)], k)[0].tolist()
+    return pip_insertions(series[None, :], [len(series)], k)[0][0].tolist()
 
 
 def _final_set(series, k):
@@ -102,8 +102,17 @@ def test_batch_matches_oracle_on_ragged_batches(seed, rows, k):
     values = np.zeros((rows, t))
     for i, n in enumerate(lengths):
         values[i, :n] = gen.integers(0, 4, size=n) if i % 3 else gen.normal(size=n)
-    got = pip_insertions(values, lengths, k)
-    assert got.shape == (rows, k - 2)
+    got, start, end, exists = pip_insertions(values, lengths, k)
+    assert got.shape == (rows, k - 2) and start.shape == end.shape == (rows, k - 2, 3)
     for i, n in enumerate(lengths):
-        want = [added for added, _ in oracles.pip_steps(values[i, :n], k)]
-        assert got[i].tolist() == want
+        steps = oracles.pip_steps(values[i, :n], k)
+        assert got[i].tolist() == [added for added, _ in steps]
+        # the spans [P[idx - z], P[idx + 2 - z]] of each sorted point set
+        for step, (added, points) in enumerate(steps):
+            idx = points.index(added)
+            for z in range(3):
+                there = idx - z >= 0 and idx + 2 - z < len(points)
+                assert exists[i, step, z] == there
+                if there:
+                    assert (start[i, step, z], end[i, step, z]) == (
+                        points[idx - z], points[idx + 2 - z])
