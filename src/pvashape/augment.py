@@ -14,6 +14,7 @@ import numpy as np
 
 from .core import Config, Dataset, LabeledSeries, SeededRng, Shapelet, ShapeletPool, STREAM_AUGMENT
 from .distance import match_pool
+from .pipeline import align_channels
 
 log = logging.getLogger(__name__)
 
@@ -55,6 +56,7 @@ def balance_dataset(dataset: Dataset, pool: ShapeletPool, config: Config,
     warning. ``counters``, when given, receives the ``copies`` made and the
     ``unaugmentable`` instances.
     """
+    dataset = align_channels(dataset, config)
     counters = {} if counters is None else counters
     counters.update(copies=0, unaugmentable=0)
     if config.r_sa <= 0:

@@ -130,7 +130,7 @@ def cmd_synth(args, run: Run) -> int:
 
 
 def cmd_discover(args, run: Run) -> int:
-    ds = workflow.align_channels(load_dataset(args.data), run.config)
+    ds = load_dataset(args.data)
     pool = workflow.discover_stage(run, ds)
     save_pool(args.out, pool)
     print(f"wrote pool of {len(pool)} shapelets to {args.out}")
@@ -162,7 +162,7 @@ def _config_and_pool(run: Run, path):
 
 def cmd_augment(args, run: Run) -> int:
     pool = _config_and_pool(run, args.pool)
-    ds = workflow.align_channels(load_dataset(args.data), run.config)
+    ds = load_dataset(args.data)
     out = workflow.augment_stage(run, ds, pool)
     save_dataset(args.out, out)
     print(f"wrote {len(out)} instances ({len(out) - len(ds)} augmented) to {args.out}")
@@ -206,9 +206,8 @@ def cmd_evaluate(args, run: Run) -> int:
 
 
 def cmd_tune_k(args, run: Run) -> int:
-    ds = workflow.align_channels(load_dataset(args.data), run.config)
     with run.stage("tune_k"):
-        result = tune_k(ds, run.config)
+        result = tune_k(load_dataset(args.data), run.config)
     _write_json(args.out, result.to_dict())
     print(f"best k = {result.best_k}; wrote {args.out}")
     return EXIT_OK
@@ -216,7 +215,7 @@ def cmd_tune_k(args, run: Run) -> int:
 
 def cmd_explain(args, run: Run) -> int:
     ckpt = _scoring_config(run, args.checkpoint)
-    ds = workflow.align_channels(load_dataset(args.data), ckpt.config)
+    ds = load_dataset(args.data)
     with run.stage("explain"):
         report = build_explain_report(ds, ckpt, all_classes=args.all_classes,
                                       instance_id=args.instance)

@@ -23,8 +23,8 @@ from .core import (Config, Dataset, LabeledSeries, Shapelet, ShapeletPool, Valid
                    json_integer, order_labels, read_json, refuse_malformed, result_config,
                    write_json)
 from . import distance
-from .distance import (QUERY_BLOCK, match_pool, prefix_sums, prepare_queries,
-                       prepare_windows, prepared_min_cid)
+from .distance import QUERY_BLOCK, match_pool, prepare_queries, prepare_windows, prepared_min_cid
+from .pipeline import align_channels
 from .pips import pip_insertions
 
 log = logging.getLogger(__name__)
@@ -205,6 +205,7 @@ def discover(dataset: Dataset, config: Config,
     each class's margin: its quota-th screen gain and the best screen gain
     outside the pool, null where there is none).
     """
+    dataset = align_channels(dataset, config)
     if len(dataset) == 0:
         raise ValueError("cannot discover shapelets on an empty dataset")
     classes = dataset.labels
@@ -405,6 +406,7 @@ def _screen_gains(dataset: Dataset, candidates: Candidates, config: Config,
     scan_row = np.empty(m, dtype=np.int64)
     scan_row[order] = np.arange(m)                     # dataset index -> scan position
     lengths = np.asarray([dataset[i].original_length for i in order], dtype=np.int64)
+    split = np.stack([dataset[i].values for i in order], axis=1)   # (channel, m, time)
     n_labels = len(candidates.labels)
     class_targets = (np.asarray([dataset[i].label for i in order])
                      == np.asarray(candidates.labels)[:, None])    # (labels, m)
@@ -426,26 +428,16 @@ def _screen_gains(dataset: Dataset, candidates: Candidates, config: Config,
     groups = [((int(candidates.channel[idx[0]]), int(length[idx[0]])), idx)
               for idx in np.split(by_group, cuts)]
 
-    channel_rows = {}
-
-    def rows_of(channel):
-        """A channel's rows in scan order and their raw-window prefix sums,
-        built when a group on it follows one on another channel."""
-        if channel not in channel_rows:
-            channel_rows.clear()                # free the last channel's first
-            rows = np.stack([dataset[i].values[channel] for i in order])
-            channel_rows[channel] = rows, None if config.znorm else prefix_sums(rows)
-        return channel_rows[channel]
-
     def screened(channel, l, idx, stop):
         """The group's block screens, their live columns scored on the
         chunks before ``stop``. A column is live if its probe bound, capped
         at the gain of a perfect split over the instances it fits, `_beats`
         its class's key from the groups completed so far; a block with none
-        is left out, its kernel calls counted as skipped. Queries are
-        sliced from the channel's rows, windows from its rows and prefix
-        sums per chunk; fixed block boundaries and chunk offsets keep every
-        matmul shape independent of pruning."""
+        is left out, its kernel calls counted as skipped. Queries and each
+        chunk's windows are sliced from the channel's rows; fixed block
+        boundaries and chunk offsets keep every matmul shape independent of
+        pruning."""
+        rows = split[channel]
         fit = lengths >= l
         caps = _parent_entropy(np.count_nonzero(class_targets & fit, axis=1),
                                np.full(n_labels, np.count_nonzero(fit)))[:, 0]
@@ -462,18 +454,15 @@ def _screen_gains(dataset: Dataset, candidates: Candidates, config: Config,
             if not live.any():
                 tally["matmuls_skipped"] += n_chunks
                 continue
-            rows = rows_of(channel)[0]
             queries = rows[row[block, None], start[block, None] + np.arange(l)]
             out.append(_BlockScreen(block, prepare_queries(queries, config.znorm),
                                     class_targets[label[block]], fit, cap, stop, live))
         if not out:
             return out
         tally["matmuls"] += n_chunks * len(out)
-        rows, sums = rows_of(channel)
         for i0 in range(0, stop, chunk):
             part = slice(i0, i0 + chunk)
-            prep = prepare_windows(rows[part], lengths[part], l, znorm=config.znorm,
-                                   sums=None if sums is None else tuple(a[part] for a in sums))
+            prep = prepare_windows(rows[part], lengths[part], l, znorm=config.znorm)
             for sc in out:
                 prepared_min_cid(prep, sc.queries, sc.live, out=sc.dists[part])
         return out

@@ -57,9 +57,23 @@ def _znorm_rows(a: np.ndarray) -> np.ndarray:
     return (a - mean) / std
 
 
-# Instances scored per engine step: bounds the (chunk, windows, length)
-# working arrays whatever the dataset size.
-MATCH_CHUNK = 64
+# Instances per engine step: bounds the (chunk, windows, length) working
+# arrays whatever the dataset size. Both engines step by it.
+INSTANCE_CHUNK = 64
+
+
+def _windows(values: np.ndarray, l: int, znorm: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Every length-``l`` window of each row of ``values``, z-scored one by
+    one when ``znorm`` is set, shape (M, W, l), and each window's squared
+    complexity, shape (M, W). Each sum runs along its own window, so its
+    error is bounded by the window's values alone."""
+    windows = sliding_window_view(values, l, axis=1)
+    if znorm:
+        windows = _znorm_rows(windows)
+        dw = np.diff(windows, axis=-1)
+    else:
+        dw = sliding_window_view(np.diff(values, axis=1), l - 1, axis=1)
+    return windows, np.einsum("...j,...j->...", dw, dw)
 
 
 def match(values: np.ndarray, lengths: np.ndarray, queries: np.ndarray,
@@ -93,16 +107,10 @@ def match(values: np.ndarray, lengths: np.ndarray, queries: np.ndarray,
     qs = [_znorm_rows(q[None, :])[0] if znorm else q for q in queries]
     ce_q = [complexity_estimate(q) for q in qs]
     w = t - l + 1
-    steps = np.diff(values, axis=1)
-    for i0 in range(0, m, MATCH_CHUNK):
-        i1 = min(i0 + MATCH_CHUNK, m)
-        windows = sliding_window_view(values[i0:i1], l, axis=1)      # (c, W, l)
-        if znorm:
-            windows = _znorm_rows(windows)
-            dw = np.diff(windows, axis=-1)
-        else:
-            dw = sliding_window_view(steps[i0:i1], l - 1, axis=1)
-        ce_w = np.sqrt(np.einsum("...j,...j->...", dw, dw))
+    for i0 in range(0, m, INSTANCE_CHUNK):
+        i1 = min(i0 + INSTANCE_CHUNK, m)
+        windows, ce2 = _windows(values[i0:i1], l, znorm)             # (c, W, l), (c, W)
+        ce_w = np.sqrt(ce2)
         invalid = np.arange(w)[None, :] > (lengths[i0:i1, None] - l)
         rows = np.arange(i1 - i0)
         for k, q in enumerate(qs):
@@ -189,8 +197,6 @@ def psd(x: LabeledSeries, channel: int, s: np.ndarray, znorm: bool = False) -> M
 # constants: results are bit-identical no matter how work is scheduled.
 
 QUERY_BLOCK = 64
-# Instances per prepared window matrix, and so per matmul.
-INSTANCE_CHUNK = 64
 # Instances per step of the elementwise pass over one matmul's output.
 MIN_TILE = 8
 
@@ -214,30 +220,16 @@ class PreparedWindows:
     znorm: bool
 
 
-def prefix_sums(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Zero-led running sums along each row of ``values**2`` and of the
-    squared first differences. Raw-window prep slices them for any window
-    length, so a caller preparing many lengths of one channel builds them
-    once."""
-    values = np.asarray(values, dtype=np.float64)
-    return (_zero_led_cumsum(np.square(values)),
-            _zero_led_cumsum(np.square(np.diff(values, axis=1))))
-
-
 def prepare_windows(values: np.ndarray, lengths: np.ndarray, l: int,
-                    znorm: bool = False,
-                    sums: tuple[np.ndarray, np.ndarray] | None = None) -> PreparedWindows:
+                    znorm: bool = False) -> PreparedWindows:
     """Window statistics of one channel for all queries of length ``l``.
 
     The window matrix carries two extra columns, the window's squared norm
     and a constant one. Dotting a row with an extended query
     ``[-2q, 1, ||q||^2]`` then yields the squared Euclidean distance straight
-    from the matmul. Raw windows take their squared norm and complexity from
-    prefix sums: ``sums`` is ``prefix_sums(values)`` when the caller already
-    has it, else it is computed here. Under z-normalization the stored
-    windows are z-scored one by one, as ``match`` scores them, and their
-    norm and complexity are summed over each window: prefix-sum moments
-    cancel on near-constant series.
+    from the matmul. The windows and their complexities are the ones
+    ``match`` scores, z-scored one by one under z-normalization, and each
+    squared norm is summed over its own window.
     """
     values = np.asarray(values, dtype=np.float64)
     lengths = np.asarray(lengths, dtype=np.int64)
@@ -246,31 +238,20 @@ def prepare_windows(values: np.ndarray, lengths: np.ndarray, l: int,
     if w <= 0:
         raise ShapeletLengthError(f"query length {l} exceeds series length {t}")
 
-    windows = sliding_window_view(values, l, axis=1)          # (M, W, l) view
+    windows, ce2 = _windows(values, l, znorm)
     flat = np.empty((m * w, l + 2))
-    body = flat.reshape(m, w, l + 2)[:, :, :l]               # one copy of the view
-    if znorm:
-        np.subtract(windows, windows.mean(axis=-1, keepdims=True), out=body)
-        body /= np.maximum(windows.std(axis=-1, keepdims=True), EPS_STD)
-        dz = np.diff(body, axis=-1)
-        ce2 = np.einsum("...j,...j->...", dz, dz)
-        sq = np.einsum("...j,...j->...", body, body)
-    else:
-        np.copyto(body, windows)
-        c_sq, c_d2 = prefix_sums(values) if sums is None else sums
-        ce2 = _window_sums(c_d2, l - 1) if l >= 2 else np.zeros((m, w))
-        sq = _window_sums(c_sq, l)
-    flat[:, l] = sq.ravel()
+    body = flat.reshape(m, w, l + 2)[:, :, :l]               # one copy of the windows
+    np.copyto(body, windows)
+    flat[:, l] = np.einsum("...j,...j->...", body, body).ravel()
     flat[:, l + 1] = 1.0
 
-    ce_w = np.sqrt(np.maximum(ce2, 0.0))
-    ce2_eff = np.square(ce_w)
+    ce_w = np.sqrt(ce2)
     inv_ce2 = np.square(1.0 / np.maximum(ce_w, EPS_COMPLEXITY))
 
     n_valid = np.maximum(lengths - l + 1, 0)                  # valid windows per instance
     invalid = np.arange(w)[None, :] >= n_valid[:, None]       # (M, W)
     return PreparedWindows(m=m, w=w, l=l, flat=flat, invalid=invalid,
-                           ce2=ce2_eff, inv_ce2=inv_ce2, znorm=znorm)
+                           ce2=np.square(ce_w), inv_ce2=inv_ce2, znorm=znorm)
 
 
 @dataclass(frozen=True)
@@ -372,12 +353,3 @@ def prepared_min_cid(prep: PreparedWindows, queries: PreparedQueries,
     if n_live < n:
         dists[:, ~live] = np.nan
     return dists
-
-
-def _zero_led_cumsum(a: np.ndarray) -> np.ndarray:
-    return np.concatenate([np.zeros((a.shape[0], 1)), np.cumsum(a, axis=1)], axis=1)
-
-
-def _window_sums(c: np.ndarray, width: int) -> np.ndarray:
-    """Sum of every length-``width`` window, from zero-led running sums."""
-    return c[:, width:] - c[:, :-width]

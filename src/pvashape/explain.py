@@ -18,6 +18,7 @@ from .discovery import pool_digest
 from .distance import match_pool
 from .features import feature_matrix
 from .model import ModelCheckpoint, forward_batch
+from .pipeline import align_channels
 
 
 def build_explain_report(dataset: Dataset, checkpoint: ModelCheckpoint,
@@ -37,7 +38,7 @@ def build_explain_report(dataset: Dataset, checkpoint: ModelCheckpoint,
     if pool is None:
         raise ValidationError("explain needs a shapelet pool, and the checkpoint was "
                               "trained without one")
-    instances = list(dataset)
+    instances = list(align_channels(dataset, cfg))
     if instance_id is not None:
         instances = [x for x in instances if x.id == instance_id]
         if not instances:

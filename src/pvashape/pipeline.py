@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (Dataset, LabeledSeries, STREAM_SYNTH, SeededRng,
+from .core import (Config, Dataset, LabeledSeries, STREAM_SYNTH, SeededRng,
                    ValidationError, order_labels)
 
 DEFAULT_CHANNELS = ("Pmask", "Flow", "Thor", "Abdo")
@@ -73,6 +73,16 @@ def subset_channels(dataset: Dataset, indices) -> Dataset:
             channel_names=tuple(x.channel_names[i] for i in indices),
         ))
     return Dataset(tuple(out))
+
+
+def align_channels(dataset: Dataset, config: Config) -> Dataset:
+    """Apply the configured channel subset unless the data already has it.
+    Every library call that takes data and a config or checkpoint applies
+    it, so full-channel data gives what the CLI gives."""
+    subset = config.channel_subset
+    if subset is None or dataset.n_channels == len(subset):
+        return dataset
+    return subset_channels(dataset, subset)
 
 
 # ---------------------------------------------------------------------------

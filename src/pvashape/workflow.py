@@ -25,7 +25,7 @@ from .core import (Config, Dataset, STREAM_TRAIN, SeededRng, ShapeletPool,
 from .discovery import discover
 from .features import apply_scaler, fit_scaler, transform_dataset
 from .model import EvalReport, ModelCheckpoint, compute_metrics, forward_batch, train
-from .pipeline import subset_channels
+from .pipeline import align_channels
 
 
 class Run:
@@ -187,14 +187,6 @@ def _require_pool(pool: ShapeletPool | None, config: Config) -> None:
     if config.use_shapelet_features and pool is None:
         raise ValidationError("shapelet features are enabled but no shapelet pool was "
                               "given (pass --pool, or --no-shapelet-features)")
-
-
-def align_channels(dataset: Dataset, config: Config) -> Dataset:
-    """Apply the configured channel subset unless the data already has it."""
-    subset = config.channel_subset
-    if subset is None or dataset.n_channels == len(subset):
-        return dataset
-    return subset_channels(dataset, subset)
 
 
 def evaluate_on(checkpoint: ModelCheckpoint, dataset: Dataset) -> EvalReport:

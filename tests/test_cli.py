@@ -11,13 +11,15 @@ import pytest
 
 from pvashape import cli, discovery, explain, model, workflow
 from pvashape.cli import main
-from pvashape.core import Dataset, load_dataset, save_dataset, write_json
+from pvashape.augment import balance_dataset
+from pvashape.core import Config, Dataset, load_dataset, save_dataset, write_json
 from pvashape.discovery import load_pool, pool_digest
 from pvashape.explain import build_explain_report
 from pvashape.features import load_features, save_features
 from pvashape.model import load_checkpoint
 
-RUN_ALL_STAGES = {"synth", "split", "discover", "augment", "transform", "train", "evaluate"}
+RUN_ALL_ORDER = ("synth", "split", "discover", "augment", "transform", "train", "evaluate")
+RUN_ALL_STAGES = set(RUN_ALL_ORDER)
 TINY = ["--seed", "3", "--k", "5", "--g", "8", "--rsa", "2", "--threads", "1"]
 PROPS = '{"NP": 0.4, "AC": 0.2, "DT": 0.2, "IE": 0.2}'
 PROPS_BALANCED = '{"NP": 0.25, "AC": 0.25, "DT": 0.25, "IE": 0.25}'
@@ -872,7 +874,8 @@ def test_manifests_count_copies_epochs_and_stage_peaks(chain, tmp_path):
     assert man["counters"]["train"] == {"epochs": len(history)}
     peaks = man["stage_peak_rss_mib"]
     assert set(peaks) == RUN_ALL_STAGES
-    assert list(peaks.values()) == sorted(peaks.values())       # in stage order
+    in_run_order = [peaks[stage] for stage in RUN_ALL_ORDER]
+    assert in_run_order == sorted(in_run_order)
     assert 0 < max(peaks.values()) <= man["peak_rss_mib"]
     aug = json.loads((chain / "aug.ndjson.manifest.json").read_text())
     assert aug["counters"]["augment"]["copies"] == (
@@ -1014,6 +1017,30 @@ def test_train_takes_the_channel_subset_from_the_pool(tmp_path, capsys):
     capsys.readouterr()
     assert main(train + ["--channels", "0,1"]) == 2
     assert str(pool) in capsys.readouterr().err
+
+
+def test_library_calls_apply_the_channel_subset_as_the_cli_does(tmp_path):
+    """On full-channel data, `discover`, `balance_dataset` and
+    `build_explain_report` given a channel-subset config or checkpoint
+    return what the CLI writes for the same inputs."""
+    data, pool = _pool_on_channels_2_3(tmp_path)
+    ds, cli_pool = load_dataset(data), load_pool(pool)
+    config = Config(k=5, g=8, channel_subset=(2, 3))
+    assert pool_digest(discovery.discover(ds, config)) == pool_digest(cli_pool)
+
+    aug = tmp_path / "a.ndjson"
+    assert main(["augment", "--data", str(data), "--pool", str(pool), "--out", str(aug)]) == 0
+    save_dataset(tmp_path / "mine.ndjson", balance_dataset(ds, cli_pool, config))
+    assert (tmp_path / "mine.ndjson").read_bytes() == aug.read_bytes()
+
+    feats, ckpt, report = tmp_path / "f.ndjson", tmp_path / "c.json", tmp_path / "r.json"
+    assert main(["transform", "--data", str(data), "--pool", str(pool), "--out", str(feats)]) == 0
+    assert main(["train", "--train-features", str(feats), "--val-features", str(feats),
+                 "--pool", str(pool), "--out", str(ckpt)]) == 0
+    assert main(["explain", "--data", str(data), "--checkpoint", str(ckpt),
+                 "--out", str(report), "--all-classes"]) == 0
+    mine = build_explain_report(ds, load_checkpoint(ckpt), all_classes=True)
+    assert json.loads(json.dumps(mine)) == json.loads(report.read_text())
 
 
 def test_discovery_counters_go_to_the_manifest_only(chain, tmp_path):

@@ -9,10 +9,9 @@ from hypothesis import given, settings, strategies as st
 import oracles
 from conftest import make_series
 from pvashape.core import LabeledSeries, Shapelet, ValidationError
-from pvashape.distance import (INSTANCE_CHUNK, MATCH_CHUNK, MIN_TILE, QUERY_BLOCK,
-                               ShapeletLengthError, complexity_estimate, match,
-                               match_pool, prefix_sums, prepare_queries, prepare_windows,
-                               prepared_min_cid, psd)
+from pvashape.distance import (INSTANCE_CHUNK, MIN_TILE, QUERY_BLOCK, ShapeletLengthError,
+                               complexity_estimate, match, match_pool, prepare_queries,
+                               prepare_windows, prepared_min_cid, psd)
 
 
 def test_complexity_constant_is_zero():
@@ -141,16 +140,22 @@ def _kernel(values, lengths, queries, znorm=False):
     return np.concatenate(chunks)
 
 
-def test_shared_prefix_sums_prepare_the_same_windows():
-    # discovery builds a channel's prefix sums once and slices them for
-    # every length: the prepared statistics must not change by a bit
-    values, lengths = _random_batch(np.random.default_rng(6))
-    sums = prefix_sums(values)
-    for l in (1, 2, 3, 17, values.shape[1]):
-        own, shared = (prepare_windows(values, lengths, l),
-                       prepare_windows(values, lengths, l, sums=sums))
-        for field in ("flat", "invalid", "ce2", "inv_ce2"):
-            assert np.array_equal(getattr(own, field), getattr(shared, field)), (l, field)
+def test_kernel_agrees_with_match_on_mixed_magnitude_rows():
+    """Rows whose first half is six orders of magnitude above the second:
+    every window norm and complexity is summed over its own window, so the
+    small half's windows keep full precision however large the rest of
+    the row is."""
+    gen = np.random.default_rng(11)
+    m, t, l = 2 * INSTANCE_CHUNK + 3, 60, 7
+    values = np.concatenate([gen.normal(scale=1e3, size=(m, t // 2)),
+                             gen.normal(scale=1e-3, size=(m, t - t // 2))], axis=1)
+    lengths = np.full(m, t)
+    queries = gen.normal(scale=1e-3, size=(5, l))
+    want, _ = match(values, lengths, queries)
+    assert np.allclose(_kernel(values, lengths, queries), want, rtol=1e-12, atol=0)
+    prep = prepare_windows(values, lengths, l)
+    ce2 = [[complexity_estimate(row[j : j + l]) ** 2 for j in range(prep.w)] for row in values]
+    assert np.allclose(prep.ce2, ce2, rtol=1e-12, atol=0)
 
 
 def test_batch_matches_scalar_plain():
@@ -274,7 +279,7 @@ def _shapelet(values, channel):
 
 
 @settings(max_examples=25, deadline=None, derandomize=True, database=None)
-@given(st.integers(0, 2**32 - 1), st.integers(1, 2 * MATCH_CHUNK + 5), st.booleans())
+@given(st.integers(0, 2**32 - 1), st.integers(1, 2 * INSTANCE_CHUNK + 5), st.booleans())
 def test_match_pool_independent_of_batching(seed, m, use_z):
     gen = np.random.default_rng(seed)
     t = 24
@@ -403,12 +408,10 @@ def test_kernel_is_bitwise_stable_under_row_permutation(seed):
 @pytest.mark.parametrize("znorm", [False, True])
 def test_windows_prepared_per_chunk_are_slices_of_the_whole(znorm):
     values, lengths, _ = _padded_chunk(2, m=2 * INSTANCE_CHUNK + 5)
-    sums = None if znorm else prefix_sums(values)
-    whole = prepare_windows(values, lengths, 9, znorm=znorm, sums=sums)
+    whole = prepare_windows(values, lengths, 9, znorm=znorm)
     for i0 in range(0, len(values), INSTANCE_CHUNK):
         i1 = min(i0 + INSTANCE_CHUNK, len(values))
-        part = prepare_windows(values[i0:i1], lengths[i0:i1], 9, znorm=znorm,
-                               sums=None if sums is None else tuple(a[i0:i1] for a in sums))
+        part = prepare_windows(values[i0:i1], lengths[i0:i1], 9, znorm=znorm)
         w = whole.w
         assert np.array_equal(part.flat, whole.flat[i0 * w : i1 * w])
         for field in ("invalid", "ce2", "inv_ce2"):
