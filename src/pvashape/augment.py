@@ -69,7 +69,7 @@ def balance_dataset(dataset: Dataset, pool: ShapeletPool, config: Config,
             continue
         idx = [i for i, x in enumerate(dataset) if x.label == lab]
         dists, offsets = match_pool([dataset[i] for i in idx], pool.of_class(lab),
-                                    config.znorm, config.threads)
+                                    config.znorm)
         matches.update({i: (dists[r], offsets[r]) for r, i in enumerate(idx)})
 
     rng = SeededRng(config.seed).derive(STREAM_AUGMENT)

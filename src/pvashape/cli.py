@@ -14,7 +14,6 @@ import functools
 import json
 import os
 import sys
-from dataclasses import replace
 
 from . import __version__
 from .core import (Config, Dataset, STREAM_SPLIT, SeededRng, ValidationError,
@@ -24,8 +23,7 @@ from .discovery import load_pool, save_pool
 from .distance import ShapeletLengthError
 from .explain import build_explain_report, emit_plot_data
 from .features import load_features, save_features
-from .model import (ModelCheckpoint, TrainingDivergedError, load_checkpoint,
-                    save_checkpoint, tune_k)
+from .model import TrainingDivergedError, load_checkpoint, save_checkpoint, tune_k
 from .pipeline import SynthConfig, generate_synthetic, split, subset_channels
 from . import workflow
 from .workflow import Run, write_manifest
@@ -46,10 +44,6 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _threads_flag(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--threads", type=int, default=None)
-
-
 def _config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="JSON config file; flags override its values")
     p.add_argument("--seed", type=int, default=None)
@@ -59,7 +53,6 @@ def _config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--sigma-scale", type=float, default=None, help="noise std scale")
     p.add_argument("--logsig-depth", type=int, default=None)
     p.add_argument("--channels", default=None, help="comma-separated channel indices, e.g. 0,1")
-    _threads_flag(p)
     p.add_argument("--no-augment", action="store_true", help="ablate augmentation")
     p.add_argument("--no-shapelet-features", action="store_true",
                    help="ablate shapelet distance features")
@@ -73,8 +66,7 @@ def build_config(args) -> Config:
     updates = {}
     for flag, field in [("seed", "seed"), ("k", "k"), ("g", "g"), ("rsa", "r_sa"),
                         ("sigma_scale", "noise_sigma_scale"),
-                        ("logsig_depth", "logsig_depth"), ("threads", "threads"),
-                        ("folds", "folds")]:
+                        ("logsig_depth", "logsig_depth"), ("folds", "folds")]:
         value = getattr(args, flag, None)
         if value is not None:
             updates[field] = value
@@ -187,16 +179,9 @@ def cmd_train(args, run: Run) -> int:
     return EXIT_OK
 
 
-def _scoring_config(run: Run, path) -> ModelCheckpoint:
-    """The checkpoint at ``path``, its config given the caller's thread
-    count; the run's config becomes that config."""
-    ckpt = load_checkpoint(path)
-    run.config = ckpt.config.with_updates(threads=run.config.threads)
-    return replace(ckpt, config=run.config)
-
-
 def cmd_evaluate(args, run: Run) -> int:
-    ckpt = _scoring_config(run, args.checkpoint)
+    ckpt = load_checkpoint(args.checkpoint)
+    run.config = ckpt.config
     ds = load_dataset(args.data)
     with run.stage("evaluate"):
         report = workflow.evaluate_on(ckpt, ds)
@@ -214,7 +199,8 @@ def cmd_tune_k(args, run: Run) -> int:
 
 
 def cmd_explain(args, run: Run) -> int:
-    ckpt = _scoring_config(run, args.checkpoint)
+    ckpt = load_checkpoint(args.checkpoint)
+    run.config = ckpt.config
     ds = load_dataset(args.data)
     with run.stage("explain"):
         report = build_explain_report(ds, ckpt, all_classes=args.all_classes,
@@ -280,12 +266,13 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", metavar="command")
     sub.required = True
 
-    def add(name, func, help_, output=None, inputs=(), optional=(), flags=_config_flags):
+    def add(name, func, help_, output=None, inputs=(), optional=(), config=True):
         """A subcommand with its ``inputs`` path flags and its ``optional``
-        ones, which its manifest lists as inputs, and ``--out``, which it
-        lists as its ``output``."""
+        ones, which its manifest lists as inputs, ``--out``, which it lists
+        as its ``output``, and the config flags unless ``config`` is false."""
         p = sub.add_parser(name, help=help_)
-        flags(p)
+        if config:
+            _config_flags(p)
         for dest in inputs + optional:
             p.add_argument(f"--{dest.replace('_', '-')}", required=dest in inputs)
         if output:
@@ -310,13 +297,12 @@ def build_parser() -> _Parser:
     add("train", cmd_train, "train the classification head on features", "checkpoint",
         ("train_features", "val_features"), ("pool",))
 
-    # Scoring takes its settings and its pool from the checkpoint; only the
-    # thread count, which never changes a result, is the caller's.
+    # Scoring takes its settings and its pool from the checkpoint.
     add("evaluate", cmd_evaluate, "score a dataset with a checkpoint", "metrics",
-        ("data", "checkpoint"), flags=_threads_flag)
+        ("data", "checkpoint"), config=False)
     add("tune-k", cmd_tune_k, "cross-validated search over the k grid", "tuning", ("data",))
     p = add("explain", cmd_explain, "per-instance shapelet match evidence", "report",
-            ("data", "checkpoint"), flags=_threads_flag)
+            ("data", "checkpoint"), config=False)
     p.add_argument("--instance", default=None, help="explain a single instance id")
     p.add_argument("--all-classes", action="store_true",
                    help="report matches for every class, not just the predicted one")

@@ -233,7 +233,10 @@ class Config:
     max_epochs: int = 100
     patience: int = 10
     folds: int = 5
-    threads: int = 1
+    # Not a field, so no config file, manifest or artifact holds it: the
+    # program's own code runs on one thread. Its one reader is
+    # perfbench/run.py:environment, which records it as cli_threads.
+    threads = 1
 
     def __post_init__(self):
         for f in fields(self):
@@ -285,7 +288,7 @@ class Config:
 # Smallest allowed value of each bounded numeric Config field.
 _LOWER_BOUNDS = (("g", 1), ("r_sa", 0), ("noise_sigma_scale", 0), ("logsig_depth", 1),
                  ("batch_size", 1), ("max_epochs", 0), ("patience", 0), ("folds", 2),
-                 ("threads", 1))
+                 ("seed", 0))
 
 
 def _is_int(v) -> bool:
@@ -304,18 +307,9 @@ _TYPE_CHECKS = {
 }
 
 
-def result_config(config: Config) -> dict:
-    """Config as recorded inside result artifacts. The thread count only
-    changes scheduling, never values, so it is dropped here; runs that
-    differ only in threads produce identical pools and checkpoints."""
-    d = config.to_dict()
-    d.pop("threads")
-    return d
-
-
 def config_hash(config: Config) -> str:
     """Stable digest of a configuration, used to tag artifacts."""
-    blob = json.dumps(result_config(config), sort_keys=True).encode()
+    blob = json.dumps(config.to_dict(), sort_keys=True).encode()
     return hashlib.sha256(blob).hexdigest()
 
 

@@ -20,8 +20,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .core import (Config, Dataset, LabeledSeries, Shapelet, ShapeletPool, ValidationError,
-                   json_integer, order_labels, read_json, refuse_malformed, result_config,
-                   write_json)
+                   json_integer, order_labels, read_json, refuse_malformed, write_json)
 from . import distance
 from .distance import QUERY_BLOCK, match_pool, prepare_queries, prepare_windows, prepared_min_cid
 from .pipeline import align_channels
@@ -195,9 +194,7 @@ def discover(dataset: Dataset, config: Config,
              counters: dict | None = None) -> ShapeletPool:
     """Run candidate generation, scoring and per-class selection.
 
-    Deterministic for a fixed (dataset, config): the screen runs on one
-    thread, and ``config.threads`` reaches only the exact engine's
-    re-score of the pool, whose groups are collected in order.
+    Deterministic for a fixed (dataset, config).
     ``counters``, when given, receives the screen's counts (candidates,
     groups, pruned candidates per class, chunk matmuls run and skipped,
     bound checks, one per probed query block, the probe offset, 0 when the
@@ -231,7 +228,7 @@ def discover(dataset: Dataset, config: Config,
     # The recorded numbers come from the exact engine the transform uses,
     # not from the screen that ranked the candidates.
     labels = np.asarray([x.label for x in dataset])
-    dists = match_pool(dataset, chosen, config.znorm, config.threads)[0].T   # (G, M)
+    dists = match_pool(dataset, chosen, config.znorm)[0].T   # (G, M)
     gains, thresholds = _gain_block(dists, np.stack([labels == c.label for c in chosen]))
     max_psds = np.max(np.where(np.isfinite(dists), dists, -np.inf), axis=1)
     pool = tuple(
@@ -239,7 +236,7 @@ def discover(dataset: Dataset, config: Config,
         for c, g, th, mx in zip(chosen, gains, thresholds, max_psds)
     )
     return ShapeletPool(shapelets=pool, per_class_quota=quota,
-                        labels=classes, config=result_config(config))
+                        labels=classes, config=config.to_dict())
 
 
 def _gain_bound(dists: np.ndarray, targets: np.ndarray, unseen_targets: np.ndarray,
@@ -380,7 +377,7 @@ def _screen_gains(dataset: Dataset, candidates: Candidates, config: Config,
     Instances are scanned non-majority first, one INSTANCE_CHUNK at a time:
     windows are prepared per (channel, length) group and chunk, and each
     query block's prepared queries are scored against each chunk with one
-    kernel call on its live columns, on the calling thread.
+    kernel call on its live columns.
 
     A probe pass first scores every candidate up to `_probe_offset` and
     keeps only its gain bound there, the one place a bound is computed

@@ -9,7 +9,6 @@ and vice versa.
 """
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -125,17 +124,14 @@ def match(values: np.ndarray, lengths: np.ndarray, queries: np.ndarray,
     return dists, offsets
 
 
-def match_pool(instances, shapelets, znorm: bool = False,
-               threads: int = 1) -> tuple[np.ndarray, np.ndarray]:
+def match_pool(instances, shapelets, znorm: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """Best match of every shapelet on every instance, in the given orders.
 
     Shapelets are grouped by (channel, length) and each group is scored
-    against all instances in one ``match`` call, on up to ``threads``
-    threads; results are collected in group order, so the thread count
-    never changes an output. Returns ``(dists, offsets)`` of shape
-    (len(instances), len(shapelets)); offset -1 marks a shapelet longer
-    than the instance's unpadded region. A shapelet on a channel the
-    instances do not have is refused.
+    against all instances in one ``match`` call. Returns ``(dists,
+    offsets)`` of shape (len(instances), len(shapelets)); offset -1 marks
+    a shapelet longer than the instance's unpadded region. A shapelet on a
+    channel the instances do not have is refused.
     """
     instances = list(instances)
     dists = np.full((len(instances), len(shapelets)), np.inf)
@@ -151,20 +147,9 @@ def match_pool(instances, shapelets, znorm: bool = False,
                                   f"data with {n_channels} channels")
         groups.setdefault((s.channel, len(s)), []).append(j)
     channels = {v: np.stack([x.values[v] for x in instances]) for v, _ in groups}
-
-    def run(item):
-        (channel, _), idx = item
-        return match(channels[channel], lengths,
-                     np.stack([shapelets[j].values for j in idx]), znorm)
-
-    items = sorted(groups.items())
-    if threads > 1 and len(items) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run, items))     # in submission order
-    else:
-        results = map(run, items)
-    for (_, idx), (d, o) in zip(items, results):
-        dists[:, idx], offsets[:, idx] = d, o
+    for (channel, _), idx in sorted(groups.items()):
+        dists[:, idx], offsets[:, idx] = match(
+            channels[channel], lengths, np.stack([shapelets[j].values for j in idx]), znorm)
     return dists, offsets
 
 

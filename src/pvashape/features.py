@@ -138,17 +138,16 @@ def feature_matrix(instances, pool: ShapeletPool | None, depth: int,
 
 
 def transform_dataset(dataset: Dataset, pool: ShapeletPool | None, depth: int,
-                      include_shapelets: bool = True, znorm: bool = False,
-                      threads: int = 1) -> tuple[np.ndarray, list[str], list[str]]:
+                      include_shapelets: bool = True,
+                      znorm: bool = False) -> tuple[np.ndarray, list[str], list[str]]:
     """Feature matrix for a dataset, row order matching instance order.
 
     Each (channel, length) group of pool shapelets is scored against the
-    whole dataset in one engine call; ``threads`` runs groups concurrently.
+    whole dataset in one engine call.
     """
     instances = list(dataset)
     pool = pool if include_shapelets else None
-    matches = (match_pool(instances, pool.shapelets, znorm, threads)
-               if pool is not None else None)
+    matches = match_pool(instances, pool.shapelets, znorm) if pool is not None else None
     z = feature_matrix(instances, pool, depth, matches)
     return z, [x.id for x in instances], [x.label for x in instances]
 

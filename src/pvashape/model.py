@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (Config, Dataset, SeededRng, STREAM_TUNE, ShapeletPool, ValidationError,
-                   config_hash, order_labels, read_json, result_config, write_json)
+                   config_hash, order_labels, read_json, write_json)
 from .discovery import pool_from_dict, pool_to_dict
 from .features import FeatureScaler, apply_scaler
 
@@ -208,7 +208,7 @@ class ModelCheckpoint:
             "weights": self.params.to_dict(),
             "classes": list(self.classes),
             "scaler": self.scaler.to_dict() if self.scaler is not None else None,
-            "config": result_config(self.config),
+            "config": self.config.to_dict(),
             "config_hash": config_hash(self.config),
             "pool": pool_to_dict(self.pool) if self.pool is not None else None,
             "history": list(self.history),
@@ -285,6 +285,15 @@ def _adam_step(params: dict, grads: dict, m: dict, v: dict, t: int, lr: float) -
         params[name] -= lr * (m[name] / c1) / (np.sqrt(v[name] / c2) + ADAM_EPS)
 
 
+def label_codes(labels, classes: tuple[str, ...]) -> np.ndarray:
+    """Each label's index in ``classes``; a label outside them is refused."""
+    index = {lab: i for i, lab in enumerate(classes)}
+    try:
+        return np.array([index[lab] for lab in labels])
+    except KeyError as exc:
+        raise ValidationError(f"label outside the class set: {exc}") from exc
+
+
 def train(train_z: np.ndarray, train_labels: list[str],
           val_z: np.ndarray, val_labels: list[str],
           config: Config, rng: SeededRng, *,
@@ -304,12 +313,7 @@ def train(train_z: np.ndarray, train_labels: list[str],
         raise ValidationError("train and validation feature dimensions differ")
     if classes is None:
         classes = order_labels(train_labels)
-    index = {lab: i for i, lab in enumerate(classes)}
-    try:
-        y_tr = np.array([index[lab] for lab in train_labels])
-        y_va = np.array([index[lab] for lab in val_labels])
-    except KeyError as exc:
-        raise ValidationError(f"label outside the class set: {exc}") from exc
+    y_tr, y_va = label_codes(train_labels, classes), label_codes(val_labels, classes)
 
     init = init_params(train_z.shape[1], len(classes), rng.derive(0))
     params = {name: getattr(init, name).copy() for name in PARAM_NAMES}

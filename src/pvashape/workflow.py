@@ -24,7 +24,8 @@ from .core import (Config, Dataset, STREAM_TRAIN, SeededRng, ShapeletPool,
                    ValidationError, config_hash, order_labels, write_json)
 from .discovery import discover
 from .features import apply_scaler, fit_scaler, transform_dataset
-from .model import EvalReport, ModelCheckpoint, compute_metrics, forward_batch, train
+from .model import (EvalReport, ModelCheckpoint, compute_metrics, forward_batch, label_codes,
+                    train)
 from .pipeline import align_channels
 
 
@@ -174,13 +175,12 @@ def train_stage(run: Run, train_features: tuple, val_features: tuple, *,
 def featurize(dataset: Dataset, pool: ShapeletPool | None,
               config: Config) -> tuple[np.ndarray, list, list]:
     """Raw (features, ids, labels) of a dataset as ``config`` defines them:
-    its channel subset, its log-signature depth, its thread count, and
-    shapelet distances only when shapelet features are enabled, which then
-    needs a pool."""
+    its channel subset, its log-signature depth, and shapelet distances
+    only when shapelet features are enabled, which then needs a pool."""
     _require_pool(pool, config)
     return transform_dataset(align_channels(dataset, config), pool, config.logsig_depth,
                              include_shapelets=config.use_shapelet_features,
-                             znorm=config.znorm, threads=config.threads)
+                             znorm=config.znorm)
 
 
 def _require_pool(pool: ShapeletPool | None, config: Config) -> None:
@@ -200,10 +200,6 @@ def score_features(checkpoint: ModelCheckpoint, z_raw: np.ndarray,
                    labels: list[str]) -> EvalReport:
     """Argmax predictions of the checkpoint's head on raw features, scored
     per class; a label outside the checkpoint's classes is refused."""
-    index = {lab: i for i, lab in enumerate(checkpoint.classes)}
-    try:
-        y_true = np.array([index[lab] for lab in labels])
-    except KeyError as exc:
-        raise ValidationError(f"label outside the class set: {exc}") from exc
+    y_true = label_codes(labels, checkpoint.classes)
     probs = forward_batch(checkpoint.params, checkpoint.head_input(z_raw))
     return compute_metrics(y_true, np.argmax(probs, axis=1), checkpoint.classes)

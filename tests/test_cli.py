@@ -20,7 +20,7 @@ from pvashape.model import load_checkpoint
 
 RUN_ALL_ORDER = ("synth", "split", "discover", "augment", "transform", "train", "evaluate")
 RUN_ALL_STAGES = set(RUN_ALL_ORDER)
-TINY = ["--seed", "3", "--k", "5", "--g", "8", "--rsa", "2", "--threads", "1"]
+TINY = ["--seed", "3", "--k", "5", "--g", "8", "--rsa", "2"]
 PROPS = '{"NP": 0.4, "AC": 0.2, "DT": 0.2, "IE": 0.2}'
 PROPS_BALANCED = '{"NP": 0.25, "AC": 0.25, "DT": 0.25, "IE": 0.25}'
 
@@ -58,7 +58,7 @@ def test_usage_errors_exit_one(tmp_path):
     assert main(["discover", "--out", str(tmp_path / "p")]) == 1  # missing --data
 
 
-def test_data_errors_exit_two(tmp_path):
+def test_data_errors_exit_two(tmp_path, capsys):
     missing = str(tmp_path / "nope.ndjson")
     assert main(["discover", "--data", missing, "--out", str(tmp_path / "p")]) == 2
     out = tmp_path / "d.ndjson"
@@ -67,6 +67,10 @@ def test_data_errors_exit_two(tmp_path):
     assert main(bad_props) == 2
     assert main(["synth", "--out", str(out), "--n", "10",
                  "--channels", "0,9"]) == 2
+    capsys.readouterr()
+    assert main(["synth", "--out", str(out), "--n", "10", "--seed", "-1"]) == 2
+    assert "seed must be >= 0, got -1" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("props", ['{"NP": true}', '{"NP": "1"}',
@@ -137,8 +141,10 @@ def test_config_file_with_flag_override(tmp_path):
 
 
 @pytest.mark.parametrize("doc,problem", [({"rsa": 5}, "unknown config key(s): rsa"),
-                                         ({"k": "5"}, "config k must be int")],
-                         ids=["unknown-key", "wrong-type"])
+                                         ({"k": "5"}, "config k must be int"),
+                                         ({"threads": 2}, "unknown config key(s): threads"),
+                                         ({"seed": -1}, "seed must be >= 0, got -1")],
+                         ids=["unknown-key", "wrong-type", "threads", "negative-seed"])
 def test_config_file_errors_exit_two(tmp_path, capsys, doc, problem):
     cfg_file = tmp_path / "cfg.json"
     cfg_file.write_text(json.dumps(doc))
@@ -181,7 +187,7 @@ def chain(tmp_path_factory):
     assert main(["train", "--train-features", str(ftr), "--val-features", str(fva),
                  "--pool", str(pool), "--out", str(ckpt)] + TINY) == 0
     assert main(["evaluate", "--data", str(data), "--checkpoint", str(ckpt),
-                 "--out", str(metrics), "--threads", "1"]) == 0
+                 "--out", str(metrics)]) == 0
     return d
 
 
@@ -775,24 +781,15 @@ def test_empty_json_document_exits_two_naming_the_file(chain, tmp_path, capsys, 
 
 
 @pytest.mark.parametrize("flags", [["--k", "99"], ["--rsa", "7"], ["--no-shapelet-features"],
-                                   ["--logsig-depth", "5"], ["--config", "cfg.json"]],
-                         ids=["k", "rsa", "no-shapelet-features", "logsig-depth", "config"])
+                                   ["--logsig-depth", "5"], ["--config", "cfg.json"],
+                                   ["--threads", "2"]],
+                         ids=["k", "rsa", "no-shapelet-features", "logsig-depth", "config",
+                              "threads"])
 def test_scoring_refuses_config_flags_it_would_ignore(chain, tmp_path, flags):
     for cmd in ("evaluate", "explain"):
         out = tmp_path / f"{cmd}.json"
         assert main(_scoring_args(cmd, chain, chain / "ckpt.json", out) + flags) == 1
         assert not out.exists()
-
-
-@pytest.mark.parametrize("cmd", ["evaluate", "explain"])
-def test_scoring_threads_change_the_manifest_only(chain, tmp_path, cmd):
-    for threads in (1, 2):
-        out = tmp_path / f"{threads}.json"
-        assert main(_scoring_args(cmd, chain, chain / "ckpt.json", out)
-                    + ["--threads", str(threads)]) == 0
-        man = json.loads((tmp_path / f"{threads}.json.manifest.json").read_text())
-        assert man["config"]["threads"] == threads
-    assert (tmp_path / "1.json").read_bytes() == (tmp_path / "2.json").read_bytes()
 
 
 def test_explain_unknown_instance_exits_two(chain, tmp_path):

@@ -222,10 +222,10 @@ def test_pool_numbers_come_from_exact_distances():
         assert s.max_train_psd == max(d for d, _ in pairs)
 
 
-def test_discover_thread_count_does_not_change_pool():
+def test_discover_reruns_give_the_same_pool():
     ds = _motif_dataset()
-    a = pool_to_dict(discover(ds, Config(k=4, g=6, seed=1, threads=1)))
-    b = pool_to_dict(discover(ds, Config(k=4, g=6, seed=1, threads=4)))
+    a = pool_to_dict(discover(ds, Config(k=4, g=6, seed=1)))
+    b = pool_to_dict(discover(ds, Config(k=4, g=6, seed=1)))
     assert a == b
 
 
@@ -408,12 +408,12 @@ def test_the_bound_is_computed_once_per_probed_block(monkeypatch):
     assert max(s for _, s in seen) <= 24        # distances to probed instances only
 
 
-def test_pool_and_counters_do_not_depend_on_threads(small_chunks):
+def test_pool_and_counters_do_not_change_on_rerun(small_chunks):
     ds = _imbalanced_padded_dataset()
     runs = []
-    for threads in (1, 4):
+    for _ in range(2):
         counters = {}
-        pool = discover(ds, Config(k=6, g=8, seed=0, threads=threads), counters=counters)
+        pool = discover(ds, Config(k=6, g=8, seed=0), counters=counters)
         runs.append((pool_to_dict(pool), counters))
     assert runs[0] == runs[1]
     assert runs[0][1]["probe_offset"] == 24 and runs[0][1]["rescanned"] > 0

@@ -295,8 +295,6 @@ def test_match_pool_independent_of_batching(seed, m, use_z):
     d, off = match_pool(instances, shapelets, use_z)
     d_rev, off_rev = match_pool(instances[::-1], shapelets, use_z)
     assert np.array_equal(d_rev[::-1], d) and np.array_equal(off_rev[::-1], off)
-    d_two, off_two = match_pool(instances, shapelets, use_z, threads=2)
-    assert np.array_equal(d_two, d) and np.array_equal(off_two, off)
     for i in range(0, m, max(1, m // 7)):
         x = instances[i]
         d_one, off_one = match_pool([x], shapelets, use_z)

@@ -198,17 +198,17 @@ def test_transform_dataset_concatenation():
     assert np.array_equal(no_sha, z[:, 1:])
 
 
-def test_transform_dataset_order_and_threads():
+def test_transform_dataset_order_and_reruns():
     gen = np.random.default_rng(5)
     rows = tuple(make_series(gen.normal(size=(2, 10)), id=f"x{i}",
                              label="NP" if i % 2 else "AC") for i in range(6))
     ds = Dataset(rows)
     pool = _pool([_shapelet(gen.normal(size=3), channel=1)])
-    z1, ids1, labs1 = transform_dataset(ds, pool, depth=2, threads=1)
-    z4, ids4, labs4 = transform_dataset(ds, pool, depth=2, threads=4)
+    z1, ids1, labs1 = transform_dataset(ds, pool, depth=2)
+    z2, ids2, labs2 = transform_dataset(ds, pool, depth=2)
     assert ids1 == [f"x{i}" for i in range(6)]
     assert labs1 == [x.label for x in ds]
-    assert np.array_equal(z1, z4) and ids1 == ids4
+    assert np.array_equal(z1, z2) and ids1 == ids2
 
 
 def test_scaler_two_points():
