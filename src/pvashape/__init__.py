@@ -17,10 +17,10 @@ from .augment import balance_dataset
 from .features import (FeatureScaler, apply_scaler, fit_scaler,
                        logsig_transform, transform_dataset)
 from .model import (EvalReport, HeadParams, ModelCheckpoint,
-                    TrainingDivergedError, compute_metrics, k_grid,
-                    load_checkpoint, save_checkpoint, train, tune_k)
+                    TrainingDivergedError, compute_metrics,
+                    load_checkpoint, save_checkpoint, train)
 from .pipeline import SynthConfig, generate_synthetic, split, subset_channels
-from .workflow import fit
+from .workflow import fit, k_grid, tune_k
 from .explain import build_explain_report, emit_plot_data
 
 __all__ = [

@@ -23,7 +23,7 @@ from .discovery import load_pool, save_pool
 from .distance import ShapeletLengthError
 from .explain import build_explain_report, emit_plot_data
 from .features import load_features, save_features
-from .model import TrainingDivergedError, load_checkpoint, save_checkpoint, tune_k
+from .model import TrainingDivergedError, load_checkpoint, save_checkpoint
 from .pipeline import SynthConfig, generate_synthetic, split, subset_channels
 from . import workflow
 from .workflow import Run, write_manifest
@@ -44,10 +44,12 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _config_flags(p: argparse.ArgumentParser) -> None:
+def _config_flags(p: argparse.ArgumentParser, k: bool = True) -> None:
     p.add_argument("--config", help="JSON config file; flags override its values")
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--k", type=int, default=None, help="number of perceptually important points")
+    if k:
+        p.add_argument("--k", type=int, default=None,
+                       help="number of perceptually important points")
     p.add_argument("--g", type=int, default=None, help="shapelet pool size")
     p.add_argument("--rsa", type=int, default=None, help="augmented copies per minority instance")
     p.add_argument("--sigma-scale", type=float, default=None, help="noise std scale")
@@ -192,7 +194,7 @@ def cmd_evaluate(args, run: Run) -> int:
 
 def cmd_tune_k(args, run: Run) -> int:
     with run.stage("tune_k"):
-        result = tune_k(load_dataset(args.data), run.config)
+        result = workflow.tune_k(load_dataset(args.data), run.config)
     _write_json(args.out, result.to_dict())
     print(f"best k = {result.best_k}; wrote {args.out}")
     return EXIT_OK
@@ -266,13 +268,14 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", metavar="command")
     sub.required = True
 
-    def add(name, func, help_, output=None, inputs=(), optional=(), config=True):
+    def add(name, func, help_, output=None, inputs=(), optional=(), config=True, k=True):
         """A subcommand with its ``inputs`` path flags and its ``optional``
         ones, which its manifest lists as inputs, ``--out``, which it lists
-        as its ``output``, and the config flags unless ``config`` is false."""
+        as its ``output``, and the config flags unless ``config`` is false
+        (``--k`` among them unless ``k`` is false)."""
         p = sub.add_parser(name, help=help_)
         if config:
-            _config_flags(p)
+            _config_flags(p, k)
         for dest in inputs + optional:
             p.add_argument(f"--{dest.replace('_', '-')}", required=dest in inputs)
         if output:
@@ -300,7 +303,9 @@ def build_parser() -> _Parser:
     # Scoring takes its settings and its pool from the checkpoint.
     add("evaluate", cmd_evaluate, "score a dataset with a checkpoint", "metrics",
         ("data", "checkpoint"), config=False)
-    add("tune-k", cmd_tune_k, "cross-validated search over the k grid", "tuning", ("data",))
+    # The grid sets k.
+    add("tune-k", cmd_tune_k, "cross-validated search over the k grid", "tuning", ("data",),
+        k=False)
     p = add("explain", cmd_explain, "per-instance shapelet match evidence", "report",
             ("data", "checkpoint"), config=False)
     p.add_argument("--instance", default=None, help="explain a single instance id")

@@ -1,4 +1,4 @@
-"""Classification head, training loop, metrics, and the k-grid search.
+"""Classification head, training loop and metrics.
 
 The head maps a feature vector through d -> 512 -> 256 -> |Y| with ReLU
 between the linear layers and a softmax output. Without the nonlinearities
@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (Config, Dataset, SeededRng, STREAM_TUNE, ShapeletPool, ValidationError,
-                   config_hash, order_labels, read_json, write_json)
+from .core import (Config, SeededRng, ShapeletPool, ValidationError, config_hash,
+                   order_labels, read_json, write_json)
 from .discovery import pool_from_dict, pool_to_dict
 from .features import FeatureScaler, apply_scaler
 
@@ -444,97 +444,3 @@ def confusion_metrics(confusion: np.ndarray, classes: tuple[str, ...]) -> EvalRe
         macro_f1=float(f1.mean()) if c else 0.0,
         accuracy=accuracy,
     )
-
-
-# ---------------------------------------------------------------------------
-# k-grid search
-# ---------------------------------------------------------------------------
-
-def k_grid(t: int) -> list[int]:
-    """Ten evenly spaced candidate k values from 3 to floor(0.1 * t),
-    rounded half-up and deduplicated preserving order."""
-    if t < 30:
-        raise ValidationError(f"series length {t} too short for a k grid (need >= 30)")
-    hi = math.floor(0.1 * t)
-    grid: list[int] = []
-    for x in np.linspace(3.0, float(hi), 10):
-        k = int(math.floor(x + 0.5))
-        if k not in grid:
-            grid.append(k)
-    return grid
-
-
-@dataclass(frozen=True)
-class TuneResult:
-    best_k: int
-    scores: dict            # k -> mean validation macro-F1
-    reports: dict           # k -> EvalReport over pooled fold predictions
-
-    def to_dict(self) -> dict:
-        return {"best_k": self.best_k,
-                "scores": {str(k): v for k, v in self.scores.items()},
-                "reports": {str(k): r.to_dict() for k, r in self.reports.items()}}
-
-
-def stratified_folds(labels: list[str], folds: int, rng: SeededRng) -> list[np.ndarray]:
-    """Deterministic stratified fold assignment; fold f holds every class's
-    f-th shuffled slice. Errors out if any class cannot reach every fold."""
-    labels_arr = np.asarray(labels)
-    gen = rng.generator()
-    assignments = [[] for _ in range(folds)]
-    for lab in order_labels(labels):
-        idx = np.flatnonzero(labels_arr == lab)
-        if len(idx) < folds:
-            raise ValidationError(
-                f"class {lab} has {len(idx)} instances, fewer than {folds} folds"
-            )
-        idx = idx[gen.permutation(len(idx))]
-        for f in range(folds):
-            assignments[f].extend(idx[f::folds].tolist())
-    return [np.array(sorted(a)) for a in assignments]
-
-
-def tune_k(dataset: Dataset, config: Config) -> TuneResult:
-    """Cross-validated search over the k grid.
-
-    Stratified ``config.folds``-fold; folds equal to the dataset size give
-    true leave-one-out validation. Best k is the smallest grid member
-    achieving the highest mean validation macro-F1.
-    """
-    from . import workflow
-
-    folds, n = config.folds, len(dataset)
-    if folds > n:
-        raise ValidationError(f"{folds} folds but only {n} instances")
-    labels = [x.label for x in dataset]
-    classes = dataset.labels
-    rng = SeededRng(config.seed).derive(STREAM_TUNE)
-    loocv = folds == n
-    if loocv:
-        fold_idx = [np.array([i]) for i in range(n)]
-    else:
-        fold_idx = stratified_folds(labels, folds, rng)
-
-    grid = k_grid(dataset.length)
-    scores: dict[int, float] = {}
-    reports: dict[int, EvalReport] = {}
-    for k in grid:
-        cfg_k = config.with_updates(k=k)
-        fold_f1: list[float] = []
-        confusion = np.zeros((len(classes), len(classes)), dtype=np.int64)
-        for val_idx in fold_idx:
-            val_mask = np.zeros(n, dtype=bool)
-            val_mask[val_idx] = True
-            train_ds = Dataset(tuple(x for i, x in enumerate(dataset) if not val_mask[i]))
-            val_ds = Dataset(tuple(x for i, x in enumerate(dataset) if val_mask[i]))
-            report = workflow.fit(train_ds, val_ds, cfg_k, classes=classes).report
-            fold_f1.append(report.macro_f1)
-            confusion += report.confusion
-        pooled = confusion_metrics(confusion, classes)
-        scores[k] = pooled.macro_f1 if loocv else float(np.mean(fold_f1))
-        reports[k] = pooled
-    best_k = grid[0]
-    for k in grid:
-        if scores[k] > scores[best_k]:
-            best_k = k
-    return TuneResult(best_k=best_k, scores=scores, reports=reports)

@@ -35,25 +35,36 @@ def split(dataset: Dataset, train_fraction: float,
     """Stratified random split keeping every class on both sides."""
     if not 0.0 < train_fraction < 1.0:
         raise ValidationError(f"train_fraction must be in (0, 1), got {train_fraction}")
-    labels = np.asarray([x.label for x in dataset])
-    gen = rng.generator()
     train_idx: list[int] = []
     val_idx: list[int] = []
-    for lab in order_labels(labels):
-        idx = np.flatnonzero(labels == lab)
-        if len(idx) < 2:
-            raise ValidationError(
-                f"class {lab} has {len(idx)} instance(s); need at least 2 to stratify"
-            )
+    for idx in shuffled_classes([x.label for x in dataset], rng, 2,
+                                "instance(s); need at least 2 to stratify"):
         n_tr = int(math.floor(train_fraction * len(idx) + 0.5))
         n_tr = min(max(n_tr, 1), len(idx) - 1)
-        perm = idx[gen.permutation(len(idx))]
-        train_idx.extend(perm[:n_tr].tolist())
-        val_idx.extend(perm[n_tr:].tolist())
-    train_idx.sort()
-    val_idx.sort()
-    return (Dataset(tuple(dataset.instances[i] for i in train_idx)),
-            Dataset(tuple(dataset.instances[i] for i in val_idx)))
+        train_idx.extend(idx[:n_tr].tolist())
+        val_idx.extend(idx[n_tr:].tolist())
+    return take(dataset, sorted(train_idx)), take(dataset, sorted(val_idx))
+
+
+def shuffled_classes(labels: list[str], rng: SeededRng, minimum: int,
+                     too_few: str) -> list[np.ndarray]:
+    """Each class's indices in label order, shuffled by one permutation of
+    ``rng``'s generator per class. A class with fewer than ``minimum``
+    instances is refused as "class <label> has <count> <too_few>"."""
+    labels_arr = np.asarray(labels)
+    gen = rng.generator()
+    out = []
+    for lab in order_labels(labels):
+        idx = np.flatnonzero(labels_arr == lab)
+        if len(idx) < minimum:
+            raise ValidationError(f"class {lab} has {len(idx)} {too_few}")
+        out.append(idx[gen.permutation(len(idx))])
+    return out
+
+
+def take(dataset: Dataset, indices) -> Dataset:
+    """The instances at ``indices``, in that order."""
+    return Dataset(tuple(dataset.instances[i] for i in indices))
 
 
 def subset_channels(dataset: Dataset, indices) -> Dataset:

@@ -1,5 +1,5 @@
-"""End-to-end fitting engine and run bookkeeping shared by the CLI, k
-tuning, and tests.
+"""End-to-end fitting engine, the k-grid search over it, and run
+bookkeeping shared by the CLI and tests.
 
 A fit is: discover shapelets on the original training split, rebalance the
 minority classes with shapelet-guided noise, build features (shapelet
@@ -9,6 +9,7 @@ runs before augmentation so the pool reflects real waveforms only.
 """
 from __future__ import annotations
 
+import math
 import platform
 import resource
 import sys
@@ -20,13 +21,13 @@ import numpy as np
 
 from . import __version__
 from .augment import balance_dataset
-from .core import (Config, Dataset, STREAM_TRAIN, SeededRng, ShapeletPool,
+from .core import (Config, Dataset, STREAM_TRAIN, STREAM_TUNE, SeededRng, ShapeletPool,
                    ValidationError, config_hash, order_labels, write_json)
 from .discovery import discover
 from .features import apply_scaler, fit_scaler, transform_dataset
-from .model import (EvalReport, ModelCheckpoint, compute_metrics, forward_batch, label_codes,
-                    train)
-from .pipeline import align_channels
+from .model import (EvalReport, ModelCheckpoint, compute_metrics, confusion_metrics,
+                    forward_batch, label_codes, train)
+from .pipeline import align_channels, shuffled_classes, take
 
 
 class Run:
@@ -130,6 +131,79 @@ def fit(train_ds: Dataset, val_ds: Dataset, config: Config, *,
     return FitResult(checkpoint=checkpoint, train_full=train_full,
                      report=report, train_features=train_features,
                      val_features=val_features)
+
+
+# The k-grid search: each fold of each grid member is one `fit`.
+
+def k_grid(t: int) -> list[int]:
+    """Ten evenly spaced candidate k values from 3 to floor(0.1 * t),
+    rounded half-up and deduplicated preserving order."""
+    if t < 30:
+        raise ValidationError(f"series length {t} too short for a k grid (need >= 30)")
+    hi = math.floor(0.1 * t)
+    grid: list[int] = []
+    for x in np.linspace(3.0, float(hi), 10):
+        k = int(math.floor(x + 0.5))
+        if k not in grid:
+            grid.append(k)
+    return grid
+
+
+@dataclass(frozen=True)
+class TuneResult:
+    best_k: int
+    scores: dict            # k -> mean validation macro-F1
+    reports: dict           # k -> EvalReport over pooled fold predictions
+
+    def to_dict(self) -> dict:
+        return {"best_k": self.best_k,
+                "scores": {str(k): v for k, v in self.scores.items()},
+                "reports": {str(k): r.to_dict() for k, r in self.reports.items()}}
+
+
+def stratified_folds(labels: list[str], folds: int, rng: SeededRng) -> list[np.ndarray]:
+    """Deterministic stratified fold assignment; fold f holds every class's
+    f-th shuffled slice. Errors out if any class cannot reach every fold."""
+    by_class = shuffled_classes(labels, rng, folds, f"instances, fewer than {folds} folds")
+    return [np.sort(np.concatenate([idx[f::folds] for idx in by_class]))
+            for f in range(folds)]
+
+
+def tune_k(dataset: Dataset, config: Config) -> TuneResult:
+    """Cross-validated search over the k grid.
+
+    Stratified ``config.folds``-fold; folds equal to the dataset size give
+    true leave-one-out validation, scored by the macro-F1 of the pooled
+    predictions. Best k is the smallest grid member achieving the highest
+    mean validation macro-F1.
+    """
+    folds, n = config.folds, len(dataset)
+    if folds > n:
+        raise ValidationError(f"{folds} folds but only {n} instances")
+    loocv = folds == n
+    if loocv:
+        fold_idx = [np.array([i]) for i in range(n)]
+    else:
+        fold_idx = stratified_folds([x.label for x in dataset], folds,
+                                    SeededRng(config.seed).derive(STREAM_TUNE))
+    fold_sets = [(take(dataset, np.setdiff1d(np.arange(n), val_idx)), take(dataset, val_idx))
+                 for val_idx in fold_idx]
+
+    classes = dataset.labels
+    grid = k_grid(dataset.length)
+    scores: dict[int, float] = {}
+    reports: dict[int, EvalReport] = {}
+    for k in grid:
+        cfg_k = config.with_updates(k=k)
+        fold_reports = [fit(train_ds, val_ds, cfg_k, classes=classes).report
+                        for train_ds, val_ds in fold_sets]
+        pooled = confusion_metrics(sum(r.confusion for r in fold_reports), classes)
+        scores[k] = (pooled.macro_f1 if loocv
+                     else float(np.mean([r.macro_f1 for r in fold_reports])))
+        reports[k] = pooled
+    # max keeps the first of equal scores, and the grid ascends
+    best_k = max(grid, key=scores.__getitem__)
+    return TuneResult(best_k=best_k, scores=scores, reports=reports)
 
 
 # The fit stages. Each runs on ``run.config``, times itself on ``run`` as

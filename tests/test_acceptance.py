@@ -18,10 +18,11 @@ from pvashape.core import Config, Dataset, STREAM_SPLIT, SeededRng
 from pvashape.discovery import _gain_block, discover
 from pvashape.distance import match_pool, psd
 from pvashape.model import (PARAM_NAMES, batch_loss, compute_metrics, forward_batch,
-                            gradients, init_params, k_grid, tune_k)
+                            gradients, init_params)
 from pvashape.pips import pip_insertions
 from pvashape.pipeline import SynthConfig, generate_synthetic, split
 from pvashape import workflow
+from pvashape.workflow import k_grid, tune_k
 
 MINORITY = ("AC", "DT", "IE")
 

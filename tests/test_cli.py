@@ -56,6 +56,10 @@ def test_usage_errors_exit_one(tmp_path):
     assert main(["no-such-command"]) == 1
     assert main(["synth", "--out", str(tmp_path / "d"), "--bogus"]) == 1
     assert main(["discover", "--out", str(tmp_path / "p")]) == 1  # missing --data
+    # the grid sets k
+    assert main(["tune-k", "--data", str(tmp_path / "d"), "--out", str(tmp_path / "t"),
+                 "--k", "3"]) == 1
+    assert not (tmp_path / "t").exists()
 
 
 def test_data_errors_exit_two(tmp_path, capsys):
@@ -71,6 +75,11 @@ def test_data_errors_exit_two(tmp_path, capsys):
     assert main(["synth", "--out", str(out), "--n", "10", "--seed", "-1"]) == 2
     assert "seed must be >= 0, got -1" in capsys.readouterr().err
     assert not out.exists()
+    assert main(["synth", "--out", str(out), "--n", "40", "--t", "40"]) == 0
+    tuning = tmp_path / "tuning.json"
+    assert main(["tune-k", "--data", str(out), "--out", str(tuning), "--folds", "41"]) == 2
+    assert "41 folds but only 40 instances" in capsys.readouterr().err
+    assert not tuning.exists()
 
 
 @pytest.mark.parametrize("props", ['{"NP": true}', '{"NP": "1"}',

@@ -1,6 +1,8 @@
 """Classification head: forward, gradients, training loop, metrics, tuning."""
 import json
 import math
+from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,9 +12,11 @@ from pvashape.discovery import pool_digest
 from pvashape.features import FeatureScaler
 from pvashape.model import (PARAM_NAMES, HeadParams, ModelCheckpoint, TrainingDivergedError,
                             batch_loss, compute_metrics,
-                            forward_batch, gradients, init_params, k_grid,
-                            load_checkpoint, save_checkpoint,
-                            stratified_folds, train, tune_k)
+                            forward_batch, gradients, init_params,
+                            load_checkpoint, save_checkpoint, train)
+from pvashape.pipeline import SynthConfig, generate_synthetic
+from pvashape import workflow
+from pvashape.workflow import k_grid, stratified_folds, tune_k
 
 
 def _zero_params(d=3, c=4):
@@ -323,7 +327,6 @@ def test_stratified_folds_class_too_small():
 
 
 def _tiny_t30_dataset():
-    from pvashape.pipeline import SynthConfig, generate_synthetic
     props = {"NP": 0.4, "AC": 0.2, "DT": 0.2, "IE": 0.2}
     return generate_synthetic(SynthConfig(n_instances=20, class_proportions=props,
                                           noise=0.05, seed=4, t=30))
@@ -338,3 +341,41 @@ def test_tune_k_degenerate_grid_returns_member():
     assert a.best_k == b.best_k
     assert a.scores == b.scores
     assert set(a.reports) == {3}
+
+
+BALANCED = {"NP": 0.25, "AC": 0.25, "DT": 0.25, "IE": 0.25}
+
+
+def test_tune_k_leave_one_out_pools_every_instance_once(monkeypatch):
+    ds = generate_synthetic(SynthConfig(n_instances=8, class_proportions=BALANCED,
+                                        noise=0.05, seed=4, t=30))
+    validated = []
+
+    def recording_fit(train_ds, val_ds, config, **kw):
+        validated.extend(x.id for x in val_ds)
+        return fit(train_ds, val_ds, config, **kw)
+
+    fit = workflow.fit
+    monkeypatch.setattr(workflow, "fit", recording_fit)
+    result = tune_k(ds, Config(g=8, max_epochs=3, folds=len(ds), seed=4))
+    assert sorted(validated) == sorted(x.id for x in ds)
+    report = result.reports[3]
+    assert report.confusion.sum() == len(ds)
+    assert dict(zip(report.classes, report.confusion.sum(axis=1).tolist())) == ds.class_counts
+    assert result.scores[3] == report.macro_f1
+
+
+def test_tune_k_best_k_is_the_smallest_of_tied_scores(monkeypatch):
+    ds = generate_synthetic(SynthConfig(n_instances=8, class_proportions=BALANCED,
+                                        seed=0, t=150))
+    macro_f1 = {3: 0.5, 6: 0.8, 10: 0.8}
+
+    def scored_fit(train_ds, val_ds, config, *, classes):
+        report = compute_metrics(np.zeros(0, dtype=int), np.zeros(0, dtype=int), classes)
+        return SimpleNamespace(report=replace(report, macro_f1=macro_f1.get(config.k, 0.1)))
+
+    monkeypatch.setattr(workflow, "fit", scored_fit)
+    result = tune_k(ds, Config(folds=2, seed=0))
+    assert list(result.scores) == k_grid(150)
+    assert result.scores[6] == result.scores[10] == max(result.scores.values())
+    assert result.best_k == 6
