@@ -21,7 +21,7 @@ from .core import (Config, Dataset, STREAM_SPLIT, SeededRng, ValidationError,
                    write_json as _write_json)
 from .discovery import load_pool, save_pool
 from .distance import ShapeletLengthError
-from .explain import build_explain_report, emit_plot_data
+from .explain import EncodedReport, build_explain_report, emit_plot_data
 from .features import load_features, save_features
 from .model import TrainingDivergedError, load_checkpoint, save_checkpoint
 from .pipeline import SynthConfig, generate_synthetic, split, subset_channels
@@ -193,8 +193,10 @@ def cmd_evaluate(args, run: Run) -> int:
 
 
 def cmd_tune_k(args, run: Run) -> int:
-    with run.stage("tune_k"):
-        result = workflow.tune_k(load_dataset(args.data), run.config)
+    with run.stage("tune_k") as counters:
+        result = workflow.tune_k(load_dataset(args.data), run.config, counters)
+    # The manifest names the k the search recommends, which the fits chose.
+    run.config = run.config.with_updates(k=result.best_k)
     _write_json(args.out, result.to_dict())
     print(f"best k = {result.best_k}; wrote {args.out}")
     return EXIT_OK
@@ -207,9 +209,10 @@ def cmd_explain(args, run: Run) -> int:
     with run.stage("explain"):
         report = build_explain_report(ds, ckpt, all_classes=args.all_classes,
                                       instance_id=args.instance)
-    _write_json(args.out, report, indent=None)
+    encoded = EncodedReport(report)
+    encoded.write(args.out)
     if args.plot_data:
-        emit_plot_data(report, args.plot_data)
+        emit_plot_data(report, args.plot_data, encoded)
         run.outputs["plot_data"] = args.plot_data
     print(f"explained {len(report['instances'])} instance(s); wrote {args.out}")
     return EXIT_OK

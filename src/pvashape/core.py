@@ -361,13 +361,10 @@ def atomic_write(path):
         raise
 
 
-def write_json(path, doc, indent: int | None = 2) -> None:
-    """One key-sorted JSON document, indented unless ``indent`` is None,
-    which writes it on one line. NaN and infinity are not JSON, so they
-    raise instead of being written. The text is built by ``json.dumps``,
-    whose compact form runs the C encoder; ``json.dump`` to a handle never
-    does."""
-    text = json.dumps(doc, indent=indent, sort_keys=True, allow_nan=False)
+def write_json(path, doc) -> None:
+    """One key-sorted, indented JSON document. NaN and infinity are not
+    JSON, so they raise instead of being written."""
+    text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
     with atomic_write(path) as fh:
         fh.write(text + "\n")
 

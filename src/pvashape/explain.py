@@ -82,35 +82,84 @@ def build_explain_report(dataset: Dataset, checkpoint: ModelCheckpoint,
 _OVERLAY_KEYS = ("shapelet", "label", "channel", "channel_name", "offset", "psd")
 
 
-def _encode(part) -> str:
-    """``json.dumps`` text of one part of a plot document."""
-    return json.dumps(part, allow_nan=False)
+def _encode(part, sort_keys: bool = False) -> str:
+    """``json.dumps`` text of one part of a report or plot document."""
+    return json.dumps(part, sort_keys=sort_keys, allow_nan=False)
 
 
-def emit_plot_data(report: dict, out_path) -> None:
+def _with_last(doc: dict, key: str, text: str) -> str:
+    """Key-sorted text of ``doc`` whose member ``key``, which sorts last,
+    is given already encoded as ``text``."""
+    rest = _encode({k: v for k, v in doc.items() if k != key}, sort_keys=True)
+    return f"{rest[:-1]}, {_encode(key)}: {text}}}"
+
+
+class EncodedReport:
+    """An explain report's large parts, each encoded once: every
+    shapelet's values, and every instance's channels as ``"name": [...]``
+    members. The report text (key-sorted, so its series objects list the
+    channels by name) and the plot lines (channels in channel order) are
+    both assembled from them, and each equals the ``json.dumps`` text of
+    its whole document."""
+
+    def __init__(self, report: dict):
+        self.report = report
+        self.values = [_encode(s["values"]) for s in report["shapelets"]]
+        self.channels = [[(name, f"{_encode(name)}: {_encode(v)}")
+                          for name, v in entry["series"].items()]
+                         for entry in report["instances"]]
+
+    def text(self) -> str:
+        """``json.dumps(report, sort_keys=True, allow_nan=False)`` plus a
+        newline."""
+        r = self.report
+        parts = {
+            "shapelets": "[" + ", ".join(_with_last(s, "values", v)
+                                         for s, v in zip(r["shapelets"], self.values)) + "]",
+            "instances": "[" + ", ".join(
+                _with_last(entry, "series", "{" + ", ".join(m for _, m in sorted(channels)) + "}")
+                for entry, channels in zip(r["instances"], self.channels)) + "]",
+        }
+        members = ", ".join(f"{_encode(key)}: "
+                            f"{parts[key] if key in parts else _encode(r[key], sort_keys=True)}"
+                            for key in sorted(r))
+        return f"{{{members}}}\n"
+
+    def plot_lines(self):
+        """One ``json.dumps`` line per instance: its series with their time
+        axis, encoded once per series length, and its overlays."""
+        times = {}
+        for entry, channels in zip(self.report["instances"], self.channels):
+            n = len(next(iter(entry["series"].values())))
+            if n not in times:
+                times[n] = _encode(list(range(n)))
+            overlays = ", ".join(
+                _encode({key: m[key] for key in _OVERLAY_KEYS})[:-1]
+                + f', "values": {self.values[m["pool_index"]]}}}'
+                for m in entry["matches"])
+            head = _encode({key: entry[key] for key in ("id", "label", "predicted")})[:-1]
+            series = ", ".join(m for _, m in channels)
+            yield (f'{head}, "time": {times[n]}, "series": {{{series}}}, '
+                   f'"overlays": [{overlays}]}}\n')
+
+    def write(self, out_path) -> None:
+        """Write the report text to ``out_path``."""
+        with atomic_write(out_path) as fh:
+            fh.write(self.text())
+
+
+def emit_plot_data(report: dict, out_path, encoded: EncodedReport | None = None) -> None:
     """Write one JSON document per instance with aligned series/overlays.
 
     Overlay index 0 sits at the match offset on the overlay's channel;
     each overlay carries its shapelet's values from the report's table, so
     every document is directly consumable by a plotting tool. Each line is
-    the ``json.dumps`` text of its document, assembled from parts encoded
-    once per call: every shapelet's values, and each instance's series.
+    the ``json.dumps`` text of its document, assembled from ``encoded``,
+    the report's parts encoded once (encoded here if not given).
     """
-    values = [_encode(s["values"]) for s in report["shapelets"]]
-
-    def lines():
-        for entry in report["instances"]:
-            time = list(range(len(next(iter(entry["series"].values())))))
-            overlays = ", ".join(
-                _encode({key: m[key] for key in _OVERLAY_KEYS})[:-1]
-                + f', "values": {values[m["pool_index"]]}}}'
-                for m in entry["matches"])
-            head = _encode({key: entry[key] for key in ("id", "label", "predicted")})[:-1]
-            yield (f'{head}, "time": {_encode(time)}, "series": {_encode(entry["series"])}, '
-                   f'"overlays": [{overlays}]}}\n')
-
+    lines = (encoded or EncodedReport(report)).plot_lines()
     try:
         with atomic_write(out_path) as fh:
-            fh.writelines(lines())
+            fh.writelines(lines)
     except OSError as exc:
         raise OSError(f"cannot write plot data to {out_path}: {exc}") from exc

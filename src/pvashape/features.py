@@ -75,7 +75,7 @@ def logsig_transform(instances, depth: int) -> np.ndarray:
     for i, x in enumerate(instances):
         by_length.setdefault(x.original_length, []).append(i)
     for n, rows in by_length.items():
-        series = np.stack([instances[i].values[:, :n] for i in rows]).reshape(-1, n)
+        series = [row for i in rows for row in instances[i].values[:, :n]]
         out[rows] = _series_terms(series, depth).reshape(len(rows), n_channels, depth)
     return out.reshape(len(instances), n_channels * depth)
 
@@ -95,29 +95,40 @@ def _upper_triangle(n: int, depth: int):
     return a_idx, b_idx, flat, coef
 
 
-def _series_terms(series: np.ndarray, depth: int) -> np.ndarray:
-    """(rows, depth) statistics of equal-length series, one per row.
+def _series_terms(series, depth: int) -> np.ndarray:
+    """(rows, depth) statistics of a sequence of equal-length series.
 
     Orders >= 2 weight the row sums of the n x n matrix of signed-log
     differences (zero on and below the diagonal) by a binomial count: the
     order-n summand depends only on the last two indices, and the leading
     n-2 indices contribute the ways to sit below the second-to-last one.
-    Rows are walked in chunks whose matrices fit LOGSIG_CHUNK_BYTES, every
-    order's temporaries included.
+    Rows are stacked and walked in chunks whose matrices fit
+    LOGSIG_CHUNK_BYTES, every order's temporaries included. The matrix
+    and the pairwise buffers are allocated once per call and filled in
+    place: per-chunk temporaries of that size are mapped and unmapped by
+    malloc each time, which doubled this function's time in a process
+    that had not yet freed a larger block.
     """
-    r, n = series.shape
+    r, n = len(series), len(series[0])
     terms = np.zeros((r, depth))
     step = max(1, LOGSIG_CHUNK_BYTES // (8 * n * n))
     if depth >= 2:
         a_idx, b_idx, flat, coef = _upper_triangle(n, depth)
         diffs = np.zeros((min(step, r), n * n))
+        pairs, signs = np.empty((2, min(step, r), len(flat)))
     for lo in range(0, r, step):
-        s = series[lo : lo + step]
+        s = np.stack(series[lo : lo + step])
         k = len(s)
         terms[lo : lo + k, 0] = signed_log(np.diff(s, axis=1)).sum(axis=1)
         if depth < 2:
             continue
-        diffs[:k, flat] = signed_log(np.take(s, b_idx, axis=1) - np.take(s, a_idx, axis=1))
+        # signed_log of the pairwise differences, op for op; "clip" keeps
+        # np.take from buffering, and every index is in range.
+        d, sign = pairs[:k], signs[:k]
+        np.subtract(np.take(s, b_idx, axis=1, out=d, mode="clip"),
+                    np.take(s, a_idx, axis=1, out=sign, mode="clip"), out=d)
+        np.sign(d, out=sign)
+        diffs[:k, flat] = np.multiply(sign, np.log1p(np.abs(d, out=d), out=d), out=d)
         row_sums = diffs[:k].reshape(k, n, n).sum(axis=2)     # over b > a, per a
         # One dot per (row, order): a batched product would sum in
         # another order and change the last bits.

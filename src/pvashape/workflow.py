@@ -169,13 +169,15 @@ def stratified_folds(labels: list[str], folds: int, rng: SeededRng) -> list[np.n
             for f in range(folds)]
 
 
-def tune_k(dataset: Dataset, config: Config) -> TuneResult:
+def tune_k(dataset: Dataset, config: Config, counters: dict | None = None) -> TuneResult:
     """Cross-validated search over the k grid.
 
     Stratified ``config.folds``-fold; folds equal to the dataset size give
     true leave-one-out validation, scored by the macro-F1 of the pooled
     predictions. Best k is the smallest grid member achieving the highest
-    mean validation macro-F1.
+    mean validation macro-F1. Each fit runs on a `Run` of its own config;
+    ``counters["fits"]`` (if ``counters`` is given) lists their counters in
+    run order, each entry with its ``k`` and ``fold``.
     """
     folds, n = config.folds, len(dataset)
     if folds > n:
@@ -193,16 +195,22 @@ def tune_k(dataset: Dataset, config: Config) -> TuneResult:
     grid = k_grid(dataset.length)
     scores: dict[int, float] = {}
     reports: dict[int, EvalReport] = {}
+    fits = []
     for k in grid:
         cfg_k = config.with_updates(k=k)
-        fold_reports = [fit(train_ds, val_ds, cfg_k, classes=classes).report
-                        for train_ds, val_ds in fold_sets]
+        fold_reports = []
+        for fold, (train_ds, val_ds) in enumerate(fold_sets):
+            run = Run("fit", cfg_k)
+            fold_reports.append(fit(train_ds, val_ds, cfg_k, classes=classes, run=run).report)
+            fits.append({"k": k, "fold": fold, **run.counters})
         pooled = confusion_metrics(sum(r.confusion for r in fold_reports), classes)
         scores[k] = (pooled.macro_f1 if loocv
                      else float(np.mean([r.macro_f1 for r in fold_reports])))
         reports[k] = pooled
     # max keeps the first of equal scores, and the grid ascends
     best_k = max(grid, key=scores.__getitem__)
+    if counters is not None:
+        counters["fits"] = fits
     return TuneResult(best_k=best_k, scores=scores, reports=reports)
 
 

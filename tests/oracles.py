@@ -179,3 +179,46 @@ def logsig_loop(x, depth):
     for v in range(x.n_channels):
         out[v * depth : (v + 1) * depth] = channel_terms(x.channel(v), depth)
     return out
+
+
+def logsig_stacked(instances, depth, chunk_bytes):
+    """The batched form ``features.logsig_transform`` had before it stacked
+    rows per chunk: every same-length (instance, channel) row stacked at
+    once, then walked in chunks of ``chunk_bytes``. Kept verbatim as the
+    bit-exact reference for the per-chunk form."""
+    def signed_log(d):
+        d = np.asarray(d, dtype=np.float64)
+        return np.sign(d) * np.log1p(np.abs(d))
+
+    def series_terms(series, depth):
+        r, n = series.shape
+        terms = np.zeros((r, depth))
+        step = max(1, chunk_bytes // (8 * n * n))
+        if depth >= 2:
+            a_idx, b_idx = np.triu_indices(n, 1)
+            flat = a_idx * n + b_idx
+            coef = [np.array([math.comb(int(ai), order - 2) for ai in range(n)],
+                             dtype=np.float64) for order in range(2, depth + 1)]
+            diffs = np.zeros((min(step, r), n * n))
+        for lo in range(0, r, step):
+            s = series[lo : lo + step]
+            k = len(s)
+            terms[lo : lo + k, 0] = signed_log(np.diff(s, axis=1)).sum(axis=1)
+            if depth < 2:
+                continue
+            diffs[:k, flat] = signed_log(np.take(s, b_idx, axis=1) - np.take(s, a_idx, axis=1))
+            row_sums = diffs[:k].reshape(k, n, n).sum(axis=2)
+            for i in range(k):
+                for order in range(2, depth + 1):
+                    terms[lo + i, order - 1] = np.dot(coef[order - 2], row_sums[i])
+        return terms
+
+    n_channels = instances[0].n_channels
+    out = np.zeros((len(instances), n_channels, depth))
+    by_length = {}
+    for i, x in enumerate(instances):
+        by_length.setdefault(x.original_length, []).append(i)
+    for n, rows in by_length.items():
+        series = np.stack([instances[i].values[:, :n] for i in rows]).reshape(-1, n)
+        out[rows] = series_terms(series, depth).reshape(len(rows), n_channels, depth)
+    return out.reshape(len(instances), n_channels * depth)

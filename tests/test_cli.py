@@ -12,7 +12,8 @@ import pytest
 from pvashape import cli, discovery, explain, model, workflow
 from pvashape.cli import main
 from pvashape.augment import balance_dataset
-from pvashape.core import Config, Dataset, load_dataset, save_dataset, write_json
+from pvashape.core import (Config, Dataset, config_hash, load_dataset, save_dataset,
+                           write_json)
 from pvashape.discovery import load_pool, pool_digest
 from pvashape.explain import build_explain_report
 from pvashape.features import load_features, save_features
@@ -333,6 +334,89 @@ def test_plot_data_lines_are_the_json_of_their_documents(chain, tmp_path, all_cl
     assert any(doc["overlays"] for doc in docs)
     assert (tmp_path / "plot.ndjson").read_text() == "".join(
         json.dumps(doc) + "\n" for doc in docs)
+
+
+def _plot_doc(report, entry):
+    """The plot document of one report instance, as a plain dict."""
+    return {"id": entry["id"], "label": entry["label"], "predicted": entry["predicted"],
+            "time": list(range(len(next(iter(entry["series"].values()))))),
+            "series": entry["series"],
+            "overlays": [{key: m[key] for key in ("shapelet", "label", "channel",
+                                                  "channel_name", "offset", "psd")}
+                         | {"values": report["shapelets"][m["pool_index"]]["values"]}
+                         for m in entry["matches"]]}
+
+
+def _renamed_channels(ds):
+    """``ds`` with channel names out of sorted order, one of them non-ASCII
+    and one that JSON must escape."""
+    names = ("Pmask", 'Flow "raw"', "Thorax\u00e9", "Abdo\\1")
+    return Dataset([replace(x, channel_names=names) for x in ds])
+
+
+def _mixed_lengths(ds):
+    """``ds`` with every third instance cut to a shorter unpadded region."""
+    out = []
+    for i, x in enumerate(ds):
+        if i % 3 == 0:
+            n = x.original_length - 4 - i
+            values = x.values.copy()
+            values[:, n:] = 0.0
+            x = replace(x, values=values, original_length=n)
+        out.append(x)
+    return Dataset(out)
+
+
+@pytest.mark.parametrize("data", ["plain", "renamed", "mixed"])
+@pytest.mark.parametrize("args", [[], ["--all-classes"], ["--instance", "syn-00004"]],
+                         ids=["default", "all-classes", "instance"])
+def test_explain_writes_the_json_of_its_report_and_plot_documents(chain, tmp_path, data,
+                                                                   args):
+    """Both files are assembled from parts encoded once, and each reads
+    byte for byte as ``json.dumps`` of its whole document."""
+    ds = load_dataset(chain / "data.ndjson")
+    if data != "plain":
+        ds = {"renamed": _renamed_channels, "mixed": _mixed_lengths}[data](ds)
+        save_dataset(tmp_path / "data.ndjson", ds)
+    source = chain if data == "plain" else tmp_path
+    report_path, plot_path = tmp_path / "explain.json", tmp_path / "plot.ndjson"
+    assert main(_scoring_args("explain", source, chain / "ckpt.json", report_path)
+                + ["--plot-data", str(plot_path)] + args) == 0
+    report = build_explain_report(ds, load_checkpoint(chain / "ckpt.json"),
+                                  all_classes="--all-classes" in args,
+                                  instance_id="syn-00004" if "--instance" in args else None)
+    assert report_path.read_text() == json.dumps(report, sort_keys=True, allow_nan=False) + "\n"
+    assert plot_path.read_text().splitlines(keepends=True) == [
+        json.dumps(_plot_doc(report, entry)) + "\n" for entry in report["instances"]]
+    if data == "mixed" and not args:
+        assert len({len(e["series"]["Flow"]) for e in report["instances"]}) > 1
+    if data == "renamed":
+        assert list(report["instances"][0]["series"]) != sorted(report["instances"][0]["series"])
+
+
+def _poison(report, part):
+    entry = report["instances"][0]
+    if part == "values":
+        report["shapelets"][0]["values"][0] = float("nan")
+    elif part == "series":
+        next(iter(entry["series"].values()))[1] = float("inf")
+    elif part == "psd":
+        entry["matches"][0]["psd"] = float("nan")
+    else:
+        entry["probabilities"][report["classes"][0]] = float("-inf")
+
+
+@pytest.mark.parametrize("part", ["values", "series", "psd", "probabilities"])
+def test_explain_writers_refuse_a_non_finite_part(chain, tmp_path, part):
+    report = build_explain_report(load_dataset(chain / "data.ndjson"),
+                                  load_checkpoint(chain / "ckpt.json"))
+    _poison(report, part)
+    with pytest.raises(ValueError):
+        explain.EncodedReport(report).write(tmp_path / "explain.json")
+    if part != "probabilities":                 # a plot document has none
+        with pytest.raises(ValueError):
+            explain.emit_plot_data(report, tmp_path / "plot.ndjson")
+    assert list(tmp_path.iterdir()) == []
 
 
 def _mutate_first(rec, kind):
@@ -1085,6 +1169,30 @@ def test_tune_k_cli(tmp_path):
     assert set(doc["scores"]) == {"3"}
     assert _stage_keys(tmp_path / "tuning.json.manifest.json") == {"tune_k"}
     assert _peak_rss_mib(tmp_path / "tuning.json.manifest.json") > 0
+
+
+def test_tune_k_manifest_names_the_chosen_k_and_keeps_every_fit_s_counters(tmp_path):
+    """A --config k is overridden by the grid: the manifest records the k
+    the search recommends, and the counters of each (k, fold) fit."""
+    data, config = tmp_path / "d.ndjson", tmp_path / "k7.json"
+    assert main(["synth", "--out", str(data), "--n", "40", "--t", "40", "--seed", "4",
+                 "--proportions", PROPS_BALANCED]) == 0
+    config.write_text(json.dumps({"k": 7}))
+    tune = ["tune-k", "--data", str(data), "--folds", "2", "--g", "8", "--seed", "4"]
+    assert main(tune + ["--out", str(tmp_path / "t7.json"), "--config", str(config)]) == 0
+    assert main(tune + ["--out", str(tmp_path / "t.json")]) == 0
+    assert (tmp_path / "t7.json").read_bytes() == (tmp_path / "t.json").read_bytes()
+    best_k = json.loads((tmp_path / "t7.json").read_text())["best_k"]
+    for name in ("t7.json", "t.json"):
+        man = json.loads((tmp_path / f"{name}.manifest.json").read_text())
+        cfg = Config.from_dict(man["config"])
+        assert cfg.k == best_k
+        assert man["config_hash"] == config_hash(cfg)
+        fits = man["counters"]["tune_k"]["fits"]
+        assert [(f["k"], f["fold"]) for f in fits] == [(3, 0), (3, 1), (4, 0), (4, 1)]
+        for f in fits:
+            assert set(f) == {"k", "fold", "discover", "augment", "train"}
+            assert f["discover"]["candidates"] > 0 and f["train"]["epochs"] > 0
 
 
 def _readme_commands():

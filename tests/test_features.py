@@ -1,5 +1,6 @@
 """Shapelet and log-signature feature extraction, scaling, serialization."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -115,6 +116,35 @@ def test_logsig_matches_loop_on_mixed_lengths_scales_and_padding():
             vals[i % 3] = gen.normal() * 100.0          # a constant channel
         batch.append(make_series(vals, id=f"x{i}", pad_to=n + int(gen.integers(0, 30))))
     _assert_matches_loop(batch)
+
+
+def test_logsig_per_chunk_stacking_keeps_the_whole_stack_s_bits():
+    gen = np.random.default_rng(9)
+    batch = []
+    for i in range(3 * _chunk_rows(150) + 5):
+        n = int(gen.choice([30, 90, 150, 150, 150]))
+        vals = gen.normal(size=(3, n)) * 10.0 ** gen.integers(-3, 4, size=(3, 1))
+        batch.append(make_series(vals, id=f"x{i}", original_length=n - int(gen.integers(0, 4)),
+                                 pad_to=150))
+    for depth in (1, 2, 3, 4):
+        want = oracles.logsig_stacked(batch, depth, features.LOGSIG_CHUNK_BYTES)
+        assert np.array_equal(_bits(logsig_transform(batch, depth)), _bits(want))
+
+
+def test_logsig_stacks_no_more_than_one_chunk_at_a_time():
+    """The rows are copied one chunk at a time, so a batch whose rows
+    alone exceed the chunk budget twice over stays within it."""
+    n, channels = 150, 4
+    count = 2 * features.LOGSIG_CHUNK_BYTES // (8 * n * channels) + 1
+    row = np.linspace(-1.0, 1.0, n)
+    batch = [make_series(np.tile(row, (channels, 1)), id=f"x{i}") for i in range(count)]
+    tracemalloc.start()
+    try:
+        logsig_transform(batch, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < features.LOGSIG_CHUNK_BYTES
 
 
 def test_logsig_constant_channels_match_loop():

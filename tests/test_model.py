@@ -370,7 +370,7 @@ def test_tune_k_best_k_is_the_smallest_of_tied_scores(monkeypatch):
                                         seed=0, t=150))
     macro_f1 = {3: 0.5, 6: 0.8, 10: 0.8}
 
-    def scored_fit(train_ds, val_ds, config, *, classes):
+    def scored_fit(train_ds, val_ds, config, *, classes, run):
         report = compute_metrics(np.zeros(0, dtype=int), np.zeros(0, dtype=int), classes)
         return SimpleNamespace(report=replace(report, macro_f1=macro_f1.get(config.k, 0.1)))
 
