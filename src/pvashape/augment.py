@@ -68,8 +68,7 @@ def balance_dataset(dataset: Dataset, pool: ShapeletPool, config: Config,
         if lab == dataset.majority:
             continue
         idx = [i for i, x in enumerate(dataset) if x.label == lab]
-        dists, offsets = match_pool([dataset[i] for i in idx], pool.of_class(lab),
-                                    config.znorm)
+        dists, offsets = match_pool([dataset[i] for i in idx], pool.of_class(lab))
         matches.update({i: (dists[r], offsets[r]) for r, i in enumerate(idx)})
 
     rng = SeededRng(config.seed).derive(STREAM_AUGMENT)

@@ -242,16 +242,18 @@ def cmd_run_all(args, run: Run) -> int:
 
     run.outputs = {k: paths[k] for k in ("data", "train", "val", "features_train",
                                          "features_val", "checkpoint", "metrics")}
-    if result.checkpoint.pool is not None:
-        save_pool(paths["pool"], result.checkpoint.pool)
-        run.outputs["pool"] = paths["pool"]
-    if cfg.use_augment and len(result.train_full) != len(train_ds):
-        save_dataset(paths["train_aug"], result.train_full, source=(paths["train"], train_ds))
-        run.outputs["train_aug"] = paths["train_aug"]
-    save_features(paths["features_train"], *result.train_features)
-    save_features(paths["features_val"], *result.val_features)
-    save_checkpoint(paths["checkpoint"], result.checkpoint)
-    _write_json(paths["metrics"], result.report.to_dict())
+    with run.stage("save"):
+        if result.checkpoint.pool is not None:
+            save_pool(paths["pool"], result.checkpoint.pool)
+            run.outputs["pool"] = paths["pool"]
+        if cfg.use_augment and len(result.train_full) != len(train_ds):
+            save_dataset(paths["train_aug"], result.train_full,
+                         source=(paths["train"], train_ds))
+            run.outputs["train_aug"] = paths["train_aug"]
+        save_features(paths["features_train"], *result.train_features)
+        save_features(paths["features_val"], *result.val_features)
+        save_checkpoint(paths["checkpoint"], result.checkpoint)
+        _write_json(paths["metrics"], result.report.to_dict())
 
     r = result.report
     per_class = " ".join(f"{lab}={r.per_class_f1[lab]:.3f}" for lab in r.classes)

@@ -225,7 +225,6 @@ class Config:
     logsig_depth: int = 2
     channel_subset: tuple[int, ...] | None = None
     seed: int = 0
-    znorm: bool = False             # z-normalize windows in distance search
     use_augment: bool = True
     use_shapelet_features: bool = True
     learning_rate: float = 1e-3
@@ -233,10 +232,13 @@ class Config:
     max_epochs: int = 100
     patience: int = 10
     folds: int = 5
-    # Not a field, so no config file, manifest or artifact holds it: the
-    # program's own code runs on one thread. Its one reader is
-    # perfbench/run.py:environment, which records it as cli_threads.
+    # Not fields, so no config file, manifest or artifact holds them: the
+    # program's own code runs on one thread and matches raw windows. The
+    # one reader of ``threads`` is perfbench/run.py:environment, which
+    # records it as cli_threads; that of ``znorm`` is perfbench/run.py's
+    # output checks, which pass it to ``psd`` and ``transform_dataset``.
     threads = 1
+    znorm = False
 
     def __post_init__(self):
         for f in fields(self):

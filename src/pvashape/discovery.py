@@ -228,7 +228,7 @@ def discover(dataset: Dataset, config: Config,
     # The recorded numbers come from the exact engine the transform uses,
     # not from the screen that ranked the candidates.
     labels = np.asarray([x.label for x in dataset])
-    dists = match_pool(dataset, chosen, config.znorm)[0].T   # (G, M)
+    dists = match_pool(dataset, chosen)[0].T   # (G, M)
     gains, thresholds = _gain_block(dists, np.stack([labels == c.label for c in chosen]))
     max_psds = np.max(np.where(np.isfinite(dists), dists, -np.inf), axis=1)
     pool = tuple(
@@ -452,14 +452,14 @@ def _screen_gains(dataset: Dataset, candidates: Candidates, config: Config,
                 tally["matmuls_skipped"] += n_chunks
                 continue
             queries = rows[row[block, None], start[block, None] + np.arange(l)]
-            out.append(_BlockScreen(block, prepare_queries(queries, config.znorm),
+            out.append(_BlockScreen(block, prepare_queries(queries),
                                     class_targets[label[block]], fit, cap, stop, live))
         if not out:
             return out
         tally["matmuls"] += n_chunks * len(out)
         for i0 in range(0, stop, chunk):
             part = slice(i0, i0 + chunk)
-            prep = prepare_windows(rows[part], lengths[part], l, znorm=config.znorm)
+            prep = prepare_windows(rows[part], lengths[part], l)
             for sc in out:
                 prepared_min_cid(prep, sc.queries, sc.live, out=sc.dists[part])
         return out

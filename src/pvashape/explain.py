@@ -43,7 +43,7 @@ def build_explain_report(dataset: Dataset, checkpoint: ModelCheckpoint,
         instances = [x for x in instances if x.id == instance_id]
         if not instances:
             raise ValidationError(f"instance {instance_id!r} not found")
-    dists, offsets = match_pool(instances, pool.shapelets, cfg.znorm)
+    dists, offsets = match_pool(instances, pool.shapelets)
     z = feature_matrix(instances, pool if cfg.use_shapelet_features else None,
                        cfg.logsig_depth, (dists, offsets))
     probs = forward_batch(checkpoint.params, checkpoint.head_input(z))

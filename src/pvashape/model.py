@@ -237,7 +237,10 @@ class ModelCheckpoint:
             raise ValidationError(f"checkpoint scaler covers {len(scaler.mean)} features, "
                                   f"but the head takes {params.d}; {_REWRITE}")
         pool = None if d.get("pool") is None else pool_from_dict(d["pool"])
-        config = Config.from_dict(d["config"])
+        try:
+            config = Config.from_dict(d["config"])
+        except ValidationError as exc:
+            raise ValidationError(f"{exc}; {_REWRITE}") from None
         if pool is None and config.use_shapelet_features:
             raise ValidationError(f"checkpoint uses shapelet features but holds no pool; "
                                   f"{_REWRITE}")

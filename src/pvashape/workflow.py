@@ -261,8 +261,7 @@ def featurize(dataset: Dataset, pool: ShapeletPool | None,
     only when shapelet features are enabled, which then needs a pool."""
     _require_pool(pool, config)
     return transform_dataset(align_channels(dataset, config), pool, config.logsig_depth,
-                             include_shapelets=config.use_shapelet_features,
-                             znorm=config.znorm)
+                             include_shapelets=config.use_shapelet_features)
 
 
 def _require_pool(pool: ShapeletPool | None, config: Config) -> None:

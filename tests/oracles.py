@@ -21,25 +21,14 @@ def cid(q, s):
     return ed * (max(ca, cb) / max(min(ca, cb), 1e-8))
 
 
-def znorm(w):
-    w = [float(v) for v in w]
-    mu = sum(w) / len(w)
-    sd = math.sqrt(sum((v - mu) ** 2 for v in w) / len(w))
-    sd = max(sd, 1e-8)
-    return [(v - mu) / sd for v in w]
-
-
-def psd(series, original_length, query, use_znorm=False):
+def psd(series, original_length, query):
     """Full-window enumeration; returns (distance, offset), first minimum."""
     series = [float(v) for v in series]
-    q = znorm(query) if use_znorm else [float(v) for v in query]
+    q = [float(v) for v in query]
     l = len(q)
     best_d, best_j = math.inf, -1
     for j in range(original_length - l + 1):
-        w = series[j : j + l]
-        if use_znorm:
-            w = znorm(w)
-        d = cid(q, w)
+        d = cid(q, series[j : j + l])
         if d < best_d:
             best_d, best_j = d, j
     return best_d, best_j

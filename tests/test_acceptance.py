@@ -48,18 +48,15 @@ def test_criterion_01_distance_matches_oracle(series_factory):
             q = gen.normal(size=l)
         pad = int(gen.integers(0, 7))
         x = series_factory(vals, pad_to=t + pad)
-        use_z = bool(i % 2)
-        got = psd(x, 0, q, znorm=use_z)
-        want_d, want_j = oracles.psd(x.values[0], t, q, use_znorm=use_z)
+        got = psd(x, 0, q)
+        want_d, want_j = oracles.psd(x.values[0], t, q)
         err = abs(got.psd - want_d)
         worst = max(worst, err)
         assert err <= 1e-9
         # the returned offset must realize the minimum; integer inputs are
         # exact in both paths, so there ties must break identically too
-        q_ref = oracles.znorm(q) if use_z else [float(v) for v in q]
         w = x.values[0][got.offset : got.offset + l]
-        w_ref = oracles.znorm(w) if use_z else [float(v) for v in w]
-        assert oracles.cid(q_ref, w_ref) <= want_d + 1e-9
+        assert oracles.cid([float(v) for v in q], [float(v) for v in w]) <= want_d + 1e-9
         if i % 3 == 0:
             assert got.offset == want_j
     elapsed = time.perf_counter() - t0

@@ -9,17 +9,18 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pvashape import cli, discovery, explain, model, workflow
+from pvashape import cli, discovery, distance, explain, model, workflow
 from pvashape.cli import main
 from pvashape.augment import balance_dataset
 from pvashape.core import (Config, Dataset, config_hash, load_dataset, save_dataset,
                            write_json)
 from pvashape.discovery import load_pool, pool_digest
 from pvashape.explain import build_explain_report
-from pvashape.features import load_features, save_features
+from pvashape.features import load_features, save_features, transform_dataset
 from pvashape.model import load_checkpoint
 
-RUN_ALL_ORDER = ("synth", "split", "discover", "augment", "transform", "train", "evaluate")
+RUN_ALL_ORDER = ("synth", "split", "discover", "augment", "transform", "train", "evaluate",
+                 "save")
 RUN_ALL_STAGES = set(RUN_ALL_ORDER)
 TINY = ["--seed", "3", "--k", "5", "--g", "8", "--rsa", "2"]
 PROPS = '{"NP": 0.4, "AC": 0.2, "DT": 0.2, "IE": 0.2}'
@@ -153,8 +154,9 @@ def test_config_file_with_flag_override(tmp_path):
 @pytest.mark.parametrize("doc,problem", [({"rsa": 5}, "unknown config key(s): rsa"),
                                          ({"k": "5"}, "config k must be int"),
                                          ({"threads": 2}, "unknown config key(s): threads"),
-                                         ({"seed": -1}, "seed must be >= 0, got -1")],
-                         ids=["unknown-key", "wrong-type", "threads", "negative-seed"])
+                                         ({"seed": -1}, "seed must be >= 0, got -1"),
+                                         ({"znorm": True}, "unknown config key(s): znorm")],
+                         ids=["unknown-key", "wrong-type", "threads", "negative-seed", "znorm"])
 def test_config_file_errors_exit_two(tmp_path, capsys, doc, problem):
     cfg_file = tmp_path / "cfg.json"
     cfg_file.write_text(json.dumps(doc))
@@ -755,6 +757,35 @@ def test_scoring_refuses_a_checkpoint_in_another_format(chain, tmp_path, capsys,
         assert not out.exists()
 
 
+def test_benchmark_checks_pass_the_checkpoint_s_znorm(chain):
+    """perfbench/run.py passes a loaded checkpoint's `config.znorm` to
+    `psd` and `transform_dataset`: it reads false, each pool shapelet
+    matches its source span at 0, and the transform equals `featurize`."""
+    config = load_checkpoint(chain / "ckpt.json").config
+    pool = load_pool(chain / "pool.json")
+    data = load_dataset(chain / "data.ndjson")
+    assert config.znorm is False and "znorm" not in config.to_dict()
+    by_id = {x.id: x for x in data}
+    for s in pool.shapelets:
+        assert distance.psd(by_id[s.source_id], s.channel, s.values,
+                            znorm=config.znorm).psd == 0.0
+    z, ids, labels = transform_dataset(data, pool, config.logsig_depth,
+                                       include_shapelets=config.use_shapelet_features,
+                                       znorm=config.znorm)
+    want_z, want_ids, want_labels = workflow.featurize(data, pool, config)
+    assert np.array_equal(z, want_z) and ids == want_ids and labels == want_labels
+
+
+def test_benchmark_keywords_refuse_z_normalization(chain):
+    data = load_dataset(chain / "data.ndjson")
+    pool = load_pool(chain / "pool.json")
+    s = pool.shapelets[0]
+    with pytest.raises(ValueError, match="windows are matched raw"):
+        distance.psd(data[0], s.channel, s.values, znorm=True)
+    with pytest.raises(ValueError, match="windows are matched raw"):
+        transform_dataset(data, pool, 2, znorm=True)
+
+
 def _break_checkpoint(doc, kind):
     scaler = doc["scaler"]
     if kind == "scaler-one-wide":
@@ -777,6 +808,8 @@ def _break_checkpoint(doc, kind):
         doc["history"] = 3
     elif kind == "pool-null":
         doc["pool"] = None
+    elif kind == "config-znorm":      # as written while znorm was a config key
+        doc["config"]["znorm"] = False
     else:
         doc["best_epoch"] = "best"
     return doc
@@ -793,6 +826,7 @@ CHECKPOINT_BREAKS = {
     "classes-not-strings": "checkpoint classes are not 4 distinct strings",
     "history-integer": "checkpoint history is not a list",
     "pool-null": "checkpoint uses shapelet features but holds no pool",
+    "config-znorm": "unknown config key(s): znorm; rewrite the checkpoint",
     "best-epoch-text": "is malformed",
 }
 

@@ -448,7 +448,7 @@ def test_a_probe_to_zero_prepares_each_query_block_at_most_once(small_chunks, mo
     calls = []
     prepare = discovery.prepare_queries
     monkeypatch.setattr(discovery, "prepare_queries",
-                        lambda q, znorm: calls.append(len(q)) or prepare(q, znorm))
+                        lambda q: calls.append(len(q)) or prepare(q))
     ds = _balanced_dataset()
     counters = {}
     discover(ds, Config(k=6, g=8, seed=0), counters=counters)

@@ -99,11 +99,10 @@ def test_psd_matches_oracle_random():
         x = LabeledSeries(id=f"r{trial}", values=vals[None, :], label="NP",
                           original_length=n, channel_names=("c",))
         q = gen.normal(size=l)
-        for zn in (False, True):
-            want_d, want_j = oracles.psd(vals, n, q, use_znorm=zn)
-            got = psd(x, 0, q, znorm=zn)
-            assert got.psd == pytest.approx(want_d, abs=1e-9)
-            assert got.offset == want_j
+        want_d, want_j = oracles.psd(vals, n, q)
+        got = psd(x, 0, q)
+        assert got.psd == pytest.approx(want_d, abs=1e-9)
+        assert got.offset == want_j
 
 
 def test_match_matches_oracle_per_window():
@@ -126,16 +125,16 @@ def _random_batch(gen, m=12, t=40):
     return values, lengths.astype(np.int64)
 
 
-def _kernel(values, lengths, queries, znorm=False):
+def _kernel(values, lengths, queries):
     """Discovery's kernel: windows prepared per instance chunk, queries per
     fixed block."""
     values, lengths = np.asarray(values), np.asarray(lengths)
-    blocks = [prepare_queries(queries[lo : lo + QUERY_BLOCK], znorm)
+    blocks = [prepare_queries(queries[lo : lo + QUERY_BLOCK])
               for lo in range(0, len(queries), QUERY_BLOCK)]
     chunks = []
     for i0 in range(0, len(values), INSTANCE_CHUNK):
         prep = prepare_windows(values[i0 : i0 + INSTANCE_CHUNK],
-                               lengths[i0 : i0 + INSTANCE_CHUNK], queries.shape[1], znorm=znorm)
+                               lengths[i0 : i0 + INSTANCE_CHUNK], queries.shape[1])
         chunks.append(np.concatenate([prepared_min_cid(prep, q) for q in blocks], axis=1))
     return np.concatenate(chunks)
 
@@ -170,21 +169,6 @@ def test_batch_matches_scalar_plain():
                               original_length=int(lengths[i]), channel_names=("c",))
             for j in range(len(qs)):
                 assert d[i, j] == pytest.approx(psd(x, 0, qs[j]).psd, rel=1e-9, abs=1e-9)
-
-
-def test_batch_matches_scalar_znorm_distances():
-    # the kernel factors the squared distance through one matmul, so under
-    # z-normalization it agrees with the exact engine to a looser tolerance
-    gen = np.random.default_rng(8)
-    values, lengths = _random_batch(gen)
-    qs = gen.normal(size=(6, 5))
-    d = _kernel(values, lengths, qs, znorm=True)
-    for i in range(len(values)):
-        x = LabeledSeries(id=str(i), values=values[i][None, :], label="NP",
-                          original_length=int(lengths[i]), channel_names=("c",))
-        for j in range(len(qs)):
-            m = psd(x, 0, qs[j], znorm=True)
-            assert d[i, j] == pytest.approx(m.psd, rel=1e-6, abs=1e-6)
 
 
 def test_batch_marks_too_short_instances():
@@ -225,51 +209,49 @@ def padded_case(draw):
 
 
 @PROPERTY
-@given(padded_case(), st.booleans())
-def test_match_agrees_with_oracle(case, use_z):
+@given(padded_case())
+def test_match_agrees_with_oracle(case):
     values, n, q = case
-    d, off = match(values[None, :], [n], q[None, :], znorm=use_z)
+    d, off = match(values[None, :], [n], q[None, :])
     got_d, got_j = d[0, 0], int(off[0, 0])
-    want_d, want_j = oracles.psd(values, n, q, use_znorm=use_z)
+    want_d, want_j = oracles.psd(values, n, q)
     assert 0 <= got_j <= n - len(q)          # never a window in the padding
     assert got_d == pytest.approx(want_d, rel=1e-9, abs=1e-9)
     ints = np.all(values == np.round(values)) and np.all(q == np.round(q))
-    if ints and not use_z:
+    if ints:
         # integer inputs are exact in both paths: equal distances, equal ties
         assert got_d == want_d and got_j == want_j
     else:
         w = values[got_j : got_j + len(q)]
-        q_ref = oracles.znorm(q) if use_z else list(q)
-        w_ref = oracles.znorm(w) if use_z else list(w)
-        assert oracles.cid(q_ref, w_ref) == pytest.approx(want_d, rel=1e-9, abs=1e-9)
+        assert oracles.cid(list(q), list(w)) == pytest.approx(want_d, rel=1e-9, abs=1e-9)
 
 
 @PROPERTY
 @given(st.lists(st.integers(-3, 3).map(float), min_size=1, max_size=6),
-       st.integers(2, 5), st.integers(0, 5), st.integers(1, 6), st.booleans())
-def test_match_ties_go_to_first_offset(pattern, reps, pad, l, use_z):
+       st.integers(2, 5), st.integers(0, 5), st.integers(1, 6))
+def test_match_ties_go_to_first_offset(pattern, reps, pad, l):
     k = len(pattern)
     n = k * reps
     l = min(l, n)
     values = np.zeros(n + pad)
     values[:n] = np.tile(pattern, reps)
     # the series repeats with period k, so offsets j and j + k tie exactly
-    d, off = match(values[None, :], [n], values[None, :l], znorm=use_z)
+    d, off = match(values[None, :], [n], values[None, :l])
     assert d[0, 0] == 0.0 and off[0, 0] == 0
     q = np.asarray(pattern[::-1] * 2)[:l]
-    d, off = match(values[None, :], [n], q[None, :], znorm=use_z)
+    d, off = match(values[None, :], [n], q[None, :])
     assert off[0, 0] < k
 
 
 @PROPERTY
-@given(st.floats(-1e3, 1e3), st.integers(3, 20), st.integers(0, 5), st.booleans())
-def test_match_constant_series_takes_offset_zero(level, n, pad, use_z):
+@given(st.floats(-1e3, 1e3), st.integers(3, 20), st.integers(0, 5))
+def test_match_constant_series_takes_offset_zero(level, n, pad):
     values = np.zeros(n + pad)
     values[:n] = level
     q = np.linspace(-1.0, 1.0, max(2, n // 2))
-    d, off = match(values[None, :], [n], q[None, :], znorm=use_z)
+    d, off = match(values[None, :], [n], q[None, :])
     assert off[0, 0] == 0
-    want_d, _ = oracles.psd(values, n, q, use_znorm=use_z)
+    want_d, _ = oracles.psd(values, n, q)
     assert d[0, 0] == pytest.approx(want_d, rel=1e-9, abs=1e-9)
 
 
@@ -279,8 +261,8 @@ def _shapelet(values, channel):
 
 
 @settings(max_examples=25, deadline=None, derandomize=True, database=None)
-@given(st.integers(0, 2**32 - 1), st.integers(1, 2 * INSTANCE_CHUNK + 5), st.booleans())
-def test_match_pool_independent_of_batching(seed, m, use_z):
+@given(st.integers(0, 2**32 - 1), st.integers(1, 2 * INSTANCE_CHUNK + 5))
+def test_match_pool_independent_of_batching(seed, m):
     gen = np.random.default_rng(seed)
     t = 24
     instances = []
@@ -292,18 +274,18 @@ def test_match_pool_independent_of_batching(seed, m, use_z):
                                        original_length=n, channel_names=("a", "b")))
     shapelets = [_shapelet(gen.normal(size=int(gen.integers(2, 9))), int(gen.integers(2)))
                  for _ in range(7)]
-    d, off = match_pool(instances, shapelets, use_z)
-    d_rev, off_rev = match_pool(instances[::-1], shapelets, use_z)
+    d, off = match_pool(instances, shapelets)
+    d_rev, off_rev = match_pool(instances[::-1], shapelets)
     assert np.array_equal(d_rev[::-1], d) and np.array_equal(off_rev[::-1], off)
     for i in range(0, m, max(1, m // 7)):
         x = instances[i]
-        d_one, off_one = match_pool([x], shapelets, use_z)
+        d_one, off_one = match_pool([x], shapelets)
         assert np.array_equal(d_one[0], d[i]) and np.array_equal(off_one[0], off[i])
         for j, s in enumerate(shapelets):
             if len(s) > x.original_length:
                 assert np.isinf(d[i, j]) and off[i, j] == -1
                 continue
-            one = psd(x, s.channel, s.values, znorm=use_z)
+            one = psd(x, s.channel, s.values)
             assert one.psd == d[i, j] and one.offset == off[i, j]
 
 
@@ -323,8 +305,8 @@ def _draw(gen, kind, n):
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(st.integers(0, 2**32 - 1), st.integers(1, INSTANCE_CHUNK + MIN_TILE + 3),
        st.integers(3, 14), st.sampled_from(["3", "T", "any"]),
-       st.sampled_from(["normal", "near-constant", "integers"]), st.booleans())
-def test_kernel_agrees_with_oracle(seed, m, t, l_kind, kind, use_z):
+       st.sampled_from(["normal", "near-constant", "integers"]))
+def test_kernel_agrees_with_oracle(seed, m, t, l_kind, kind):
     """Any batch size (across MIN_TILE and INSTANCE_CHUNK boundaries),
     ragged padded rows, rows too short for the query, l = 3 and l = T."""
     gen = np.random.default_rng(seed)
@@ -334,21 +316,20 @@ def test_kernel_agrees_with_oracle(seed, m, t, l_kind, kind, use_z):
     for i, n in enumerate(lengths):
         values[i, :n] = _draw(gen, kind, n)
     queries = np.stack([_draw(gen, kind, l) for _ in range(2)])
-    d = _kernel(values, lengths, queries, znorm=use_z)
+    d = _kernel(values, lengths, queries)
     assert d.shape == (m, 2)
-    tol = dict(rel=1e-6, abs=1e-6) if use_z else dict(rel=1e-9, abs=1e-9)
     for i in range(m):
         for j, q in enumerate(queries):
             if lengths[i] < l:
                 assert d[i, j] == np.inf
                 continue
-            want, _ = oracles.psd(values[i], int(lengths[i]), q, use_znorm=use_z)
-            assert d[i, j] == pytest.approx(want, **tol)
+            want, _ = oracles.psd(values[i], int(lengths[i]), q)
+            assert d[i, j] == pytest.approx(want, rel=1e-9, abs=1e-9)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
-@given(st.integers(0, 2**32 - 1), st.integers(3, 30), st.booleans())
-def test_kernel_self_match_error_is_bounded(seed, t, use_z):
+@given(st.integers(0, 2**32 - 1), st.integers(3, 30))
+def test_kernel_self_match_error_is_bounded(seed, t):
     """The matmul expansion cancels near an exact float match, so a window
     scored against itself reads a small positive distance, not 0; it stays
     below sqrt(l * eps) times the query's scale."""
@@ -357,9 +338,8 @@ def test_kernel_self_match_error_is_bounded(seed, t, use_z):
     l = int(gen.integers(3, t + 1))
     j = int(gen.integers(0, t - l + 1))
     q = values[:, j : j + l]
-    d = _kernel(values, [t], q, znorm=use_z)[0, 0]
-    scale = np.sqrt(l) if use_z else np.linalg.norm(q)
-    assert 0.0 <= d <= 4.0 * np.sqrt(l * np.finfo(float).eps) * scale
+    d = _kernel(values, [t], q)[0, 0]
+    assert 0.0 <= d <= 4.0 * np.sqrt(l * np.finfo(float).eps) * np.linalg.norm(q)
 
 
 def test_match_pool_refuses_a_channel_the_data_lacks():
@@ -403,13 +383,12 @@ def test_kernel_is_bitwise_stable_under_row_permutation(seed):
     assert np.array_equal(d[perm], d_perm)
 
 
-@pytest.mark.parametrize("znorm", [False, True])
-def test_windows_prepared_per_chunk_are_slices_of_the_whole(znorm):
+def test_windows_prepared_per_chunk_are_slices_of_the_whole():
     values, lengths, _ = _padded_chunk(2, m=2 * INSTANCE_CHUNK + 5)
-    whole = prepare_windows(values, lengths, 9, znorm=znorm)
+    whole = prepare_windows(values, lengths, 9)
     for i0 in range(0, len(values), INSTANCE_CHUNK):
         i1 = min(i0 + INSTANCE_CHUNK, len(values))
-        part = prepare_windows(values[i0:i1], lengths[i0:i1], 9, znorm=znorm)
+        part = prepare_windows(values[i0:i1], lengths[i0:i1], 9)
         w = whole.w
         assert np.array_equal(part.flat, whole.flat[i0 * w : i1 * w])
         for field in ("invalid", "ce2", "inv_ce2"):
@@ -433,9 +412,8 @@ def test_checked_columns_leave_scored_distances_unchanged(every):
     assert np.isnan(sub[:, ~live]).all()
 
 
-@pytest.mark.parametrize("l,znorm", [(8, False), (9, True)])
-def test_kernel_refuses_queries_prepared_for_other_windows(l, znorm):
+def test_kernel_refuses_queries_prepared_for_other_windows():
     values, lengths, queries = _padded_chunk(4)
     prep = prepare_windows(values, lengths, 9)
-    with pytest.raises(ValueError, match="do not match windows of length 9"):
-        prepared_min_cid(prep, prepare_queries(queries[:, :l], znorm))
+    with pytest.raises(ValueError, match="queries of length 8 do not match windows of length 9"):
+        prepared_min_cid(prep, prepare_queries(queries[:, :8]))

@@ -222,7 +222,7 @@ def test_transform_dataset_concatenation():
     pool = _pool([_shapelet([2, 4])])
     z, _, _ = transform_dataset(Dataset((x,)), pool, depth=2)
     assert z.shape == (1, 1 + 4)
-    shapelets = shapelet_features([x], pool, match_pool([x], pool.shapelets, False))[0]
+    shapelets = shapelet_features([x], pool, match_pool([x], pool.shapelets))[0]
     assert np.array_equal(z[0], np.concatenate([shapelets, logsig_transform([x], 2)[0]]))
     no_sha, _, _ = transform_dataset(Dataset((x,)), pool, depth=2, include_shapelets=False)
     assert np.array_equal(no_sha, z[:, 1:])
