@@ -20,7 +20,6 @@ from .core import (Config, Dataset, STREAM_SPLIT, SeededRng, ValidationError,
                    load_dataset, read_json, save_dataset,
                    write_json as _write_json)
 from .discovery import load_pool, save_pool
-from .distance import ShapeletLengthError
 from .explain import EncodedReport, build_explain_report, emit_plot_data
 from .features import load_features, save_features
 from .model import TrainingDivergedError, load_checkpoint, save_checkpoint
@@ -44,45 +43,35 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _config_flags(p: argparse.ArgumentParser, k: bool = True) -> None:
-    p.add_argument("--config", help="JSON config file; flags override its values")
-    p.add_argument("--seed", type=int, default=None)
-    if k:
-        p.add_argument("--k", type=int, default=None,
-                       help="number of perceptually important points")
-    p.add_argument("--g", type=int, default=None, help="shapelet pool size")
-    p.add_argument("--rsa", type=int, default=None, help="augmented copies per minority instance")
-    p.add_argument("--sigma-scale", type=float, default=None, help="noise std scale")
-    p.add_argument("--logsig-depth", type=int, default=None)
-    p.add_argument("--channels", default=None, help="comma-separated channel indices, e.g. 0,1")
-    p.add_argument("--no-augment", action="store_true", help="ablate augmentation")
-    p.add_argument("--no-shapelet-features", action="store_true",
-                   help="ablate shapelet distance features")
-    p.add_argument("--folds", type=int, default=None, help="cross-validation folds")
+# The config flags in help order: (flag, the Config field it sets, argparse options).
+CONFIG_FLAGS = (
+    ("--seed", "seed", {"type": int}),
+    ("--k", "k", {"type": int, "help": "number of perceptually important points"}),
+    ("--g", "g", {"type": int, "help": "shapelet pool size"}),
+    ("--rsa", "r_sa", {"type": int, "help": "augmented copies per minority instance"}),
+    ("--sigma-scale", "noise_sigma_scale", {"type": float, "help": "noise std scale"}),
+    ("--logsig-depth", "logsig_depth", {"type": int}),
+    # Parsed by build_config, so a bad list exits 2 as bad data.
+    ("--channels", "channel_subset", {"help": "comma-separated channel indices, e.g. 0,1"}),
+    ("--no-augment", "use_augment",
+     {"action": "store_const", "const": False, "help": "ablate augmentation"}),
+    ("--no-shapelet-features", "use_shapelet_features",
+     {"action": "store_const", "const": False, "help": "ablate shapelet distance features"}),
+    ("--folds", "folds", {"type": int, "help": "cross-validation folds"}),
+)
 
 
 def build_config(args) -> Config:
-    cfg = Config()
-    if getattr(args, "config", None):
-        cfg = read_json(args.config, Config.from_dict)
-    updates = {}
-    for flag, field in [("seed", "seed"), ("k", "k"), ("g", "g"), ("rsa", "r_sa"),
-                        ("sigma_scale", "noise_sigma_scale"),
-                        ("logsig_depth", "logsig_depth"), ("folds", "folds")]:
-        value = getattr(args, flag, None)
-        if value is not None:
-            updates[field] = value
-    channels = getattr(args, "channels", None)
-    if channels is not None:
+    cfg = read_json(args.config, Config.from_dict) if getattr(args, "config", None) else Config()
+    # A flag left out parses to None and sets nothing.
+    updates = {field: value for flag, field, _ in CONFIG_FLAGS
+               if (value := getattr(args, flag[2:].replace("-", "_"), None)) is not None}
+    if (channels := updates.get("channel_subset")) is not None:
         try:
-            updates["channel_subset"] = tuple(int(c) for c in str(channels).split(",") if c != "")
+            updates["channel_subset"] = tuple(int(c) for c in channels.split(",") if c != "")
         except ValueError:
             raise ValidationError(f"bad --channels value: {channels!r}") from None
-    if getattr(args, "no_augment", False):
-        updates["use_augment"] = False
-    if getattr(args, "no_shapelet_features", False):
-        updates["use_shapelet_features"] = False
-    return cfg.with_updates(**updates) if updates else cfg
+    return cfg.with_updates(**updates)
 
 
 def _parse_proportions(raw):
@@ -139,18 +128,13 @@ def _config_and_pool(run: Run, path):
     if not path:
         return None
     pool = load_pool(path)
-    subset = pool.config.get("channel_subset")
-    try:
-        pool_cfg = run.config.with_updates(
-            channel_subset=None if subset is None else tuple(subset))
-    except (TypeError, ValueError) as err:
-        raise ValidationError(f"pool {path} channel_subset is malformed: {err}") from err
-    if run.config.channel_subset not in (None, pool_cfg.channel_subset):
+    subset = pool.config.channel_subset
+    if run.config.channel_subset not in (None, subset):
         raise ValidationError(
             f"pool {path} was discovered on channel subset "
             f"{'all channels' if subset is None else list(subset)}, not "
             f"{list(run.config.channel_subset)}; drop --channels to use the pool's")
-    run.config = pool_cfg
+    run.config = run.config.with_updates(channel_subset=subset)
     return pool
 
 
@@ -280,7 +264,10 @@ def build_parser() -> _Parser:
         (``--k`` among them unless ``k`` is false)."""
         p = sub.add_parser(name, help=help_)
         if config:
-            _config_flags(p, k)
+            p.add_argument("--config", help="JSON config file; flags override its values")
+            for flag, _, options in CONFIG_FLAGS:
+                if k or flag != "--k":
+                    p.add_argument(flag, **options)
         for dest in inputs + optional:
             p.add_argument(f"--{dest.replace('_', '-')}", required=dest in inputs)
         if output:
@@ -340,6 +327,9 @@ def main(argv=None) -> int:
             return exc.code
         return EXIT_OK if exc.code is None else EXIT_USAGE
     try:
+        for path in filter(None, (getattr(args, "out", None), getattr(args, "plot_data", None))):
+            if not os.path.isdir(os.path.dirname(path) or "."):
+                raise ValidationError(f"cannot write {path}: no directory {os.path.dirname(path)}")
         run = Run(args.command, build_config(args),
                   {name: getattr(args, name) or "" for name in args.inputs},
                   {args.output: args.out} if args.output else {})
@@ -350,9 +340,6 @@ def main(argv=None) -> int:
     except TrainingDivergedError as exc:
         print(f"pvashape: training diverged: {exc}", file=sys.stderr)
         return EXIT_DIVERGED
-    except (ValidationError, ShapeletLengthError) as exc:
-        print(f"pvashape: {exc}", file=sys.stderr)
-        return EXIT_DATA
     except FileNotFoundError as exc:
         print(f"pvashape: missing file: {exc.filename or exc}", file=sys.stderr)
         return EXIT_DATA

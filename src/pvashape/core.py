@@ -13,7 +13,7 @@ import math
 import numbers
 import os
 from contextlib import contextmanager, suppress
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 from functools import cached_property
 from typing import Iterable
 
@@ -116,12 +116,16 @@ class Shapelet:
 
     def __post_init__(self):
         object.__setattr__(self, "values", _freeze(self.values))
+        if self.values.ndim != 1 or not np.all(np.isfinite(self.values)):
+            raise ValidationError("values are not a list of finite numbers")
         if self.channel < 0:
-            raise ValidationError(f"shapelet channel {self.channel} is negative")
+            raise ValidationError(f"channel {self.channel} is negative")
         if self.start >= self.end:
-            raise ValidationError(f"shapelet span [{self.start}, {self.end}] is degenerate")
+            raise ValidationError(f"span [{self.start}, {self.end}] is degenerate")
         if len(self.values) != self.end - self.start + 1:
-            raise ValidationError("shapelet values do not match its span")
+            raise ValidationError("values do not match its span")
+        finite_number(self.info_gain, "info_gain")
+        finite_number(self.split_threshold, "split_threshold")
 
     def __len__(self) -> int:
         return len(self.values)
@@ -129,16 +133,27 @@ class Shapelet:
 
 @dataclass(frozen=True)
 class ShapeletPool:
-    """Class-balanced ordered collection of selected shapelets."""
+    """Class-balanced ordered collection of selected shapelets, each with
+    its fallback distance, and the config they were discovered with."""
 
     shapelets: tuple[Shapelet, ...]
     per_class_quota: int
     labels: tuple[str, ...]
-    config: dict = field(default_factory=dict)
+    config: Config
 
     def __post_init__(self):
+        if not isinstance(self.config, Config):
+            raise ValidationError(f"pool config is a {type(self.config).__name__}, not a Config")
+        if (not isinstance(self.labels, (list, tuple))
+                or len({lab for lab in self.labels if isinstance(lab, str)}) != len(self.labels)):
+            raise ValidationError(f"pool labels {self.labels!r} are not distinct strings")
         object.__setattr__(self, "shapelets", tuple(self.shapelets))
         object.__setattr__(self, "labels", tuple(self.labels))
+        for j, s in enumerate(self.shapelets):
+            if s.label not in self.labels:
+                raise ValidationError(
+                    f"shapelet {j} label {s.label!r} is not one of the pool's labels")
+            finite_number(s.max_train_psd, f"shapelet {j} max_train_psd")
 
     def __len__(self) -> int:
         return len(self.shapelets)
@@ -295,6 +310,13 @@ _LOWER_BOUNDS = (("g", 1), ("r_sa", 0), ("noise_sigma_scale", 0), ("logsig_depth
 
 def _is_int(v) -> bool:
     return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
+def finite_number(value, what: str):
+    """``value`` when it is a finite number; a bool, None or text is refused."""
+    if not _TYPE_CHECKS["float"][1](value):
+        raise ValidationError(f"{what} is {value!r}, not a finite number")
+    return value
 
 
 # What each Config field annotation accepts, as named in a refusal, and

@@ -14,7 +14,6 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -235,8 +234,7 @@ def discover(dataset: Dataset, config: Config,
         replace(c, info_gain=float(g), split_threshold=float(th), max_train_psd=float(mx))
         for c, g, th, mx in zip(chosen, gains, thresholds, max_psds)
     )
-    return ShapeletPool(shapelets=pool, per_class_quota=quota,
-                        labels=classes, config=config.to_dict())
+    return ShapeletPool(shapelets=pool, per_class_quota=quota, labels=classes, config=config)
 
 
 def _gain_bound(dists: np.ndarray, targets: np.ndarray, unseen_targets: np.ndarray,
@@ -504,7 +502,7 @@ def _screen_gains(dataset: Dataset, candidates: Candidates, config: Config,
 
 def pool_to_dict(pool: ShapeletPool) -> dict:
     return {
-        "config": pool.config,
+        "config": pool.config.to_dict(),
         "labels": list(pool.labels),
         "per_class_quota": pool.per_class_quota,
         "shapelets": [
@@ -525,29 +523,29 @@ def pool_to_dict(pool: ShapeletPool) -> dict:
 
 
 def _shapelet_from_record(j: int, rec: dict) -> Shapelet:
-    """Pool entry ``j``; its values and numbers must be finite, its values
-    one list, its channel and span integers."""
-    values = np.asarray(rec["values"], dtype=np.float64)
-    if values.ndim != 1 or not np.all(np.isfinite(values)):
-        raise ValidationError(f"shapelet {j} values are not a list of finite numbers")
+    """Pool entry ``j``; its channel and span must be JSON integers."""
     channel, start, end = (json_integer(rec[name], f"shapelet {j} {name}")
                            for name in ("channel", "start", "end"))
-    numbers = {name: float(rec[name]) for name in ("info_gain", "split_threshold")}
-    if rec.get("max_train_psd") is not None:
-        numbers["max_train_psd"] = float(rec["max_train_psd"])
-    for name, value in numbers.items():
-        if not math.isfinite(value):
-            raise ValidationError(f"shapelet {j} {name} is {value}, not a finite number")
-    return Shapelet(values=values, channel=channel, source_id=str(rec["source_id"]),
-                    start=start, end=end, label=str(rec["label"]), **numbers)
+    try:
+        return Shapelet(values=rec["values"], channel=channel, source_id=str(rec["source_id"]),
+                        start=start, end=end, label=rec["label"],
+                        info_gain=rec["info_gain"], split_threshold=rec["split_threshold"],
+                        max_train_psd=rec["max_train_psd"])
+    except ValidationError as err:
+        raise ValidationError(f"shapelet {j} {err}") from err
 
 
 def pool_from_dict(d: dict) -> ShapeletPool:
     with refuse_malformed("pool"):
         shapelets = tuple(_shapelet_from_record(j, rec) for j, rec in enumerate(d["shapelets"]))
         quota = json_integer(d["per_class_quota"], "per_class_quota")
-        return ShapeletPool(shapelets=shapelets, per_class_quota=quota,
-                            labels=tuple(d["labels"]), config=dict(d.get("config", {})))
+        try:
+            config = Config.from_dict(d["config"])
+        except ValidationError as err:
+            raise ValidationError(
+                f"pool config: {err}; rewrite the pool with `discover` or `run-all`") from err
+        return ShapeletPool(shapelets=shapelets, per_class_quota=quota, labels=d["labels"],
+                            config=config)
 
 
 def pool_digest(pool: ShapeletPool) -> str:

@@ -18,7 +18,7 @@ import numpy as np
 
 from .core import (Dataset, ShapeletPool, ValidationError, read_ndjson, refuse_malformed,
                    write_ndjson)
-from .distance import ShapeletLengthError, match_pool
+from .distance import match_pool
 
 EPS_SCALE = 1e-8
 # Byte budget of the (rows, n * n) signed-log difference buffer that
@@ -33,7 +33,7 @@ def signed_log(d: np.ndarray) -> np.ndarray:
     return np.sign(d) * np.log1p(np.abs(d))
 
 
-def shapelet_features(instances, pool: ShapeletPool,
+def shapelet_features(pool: ShapeletPool,
                       matches: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
     """Shapelet block of the feature matrix from ``match_pool`` output.
 
@@ -42,19 +42,8 @@ def shapelet_features(instances, pool: ShapeletPool,
     training set, recorded at discovery time.
     """
     dists, offsets = matches
-    out = dists.copy()
-    for j, s in enumerate(pool.shapelets):
-        misses = offsets[:, j] < 0
-        if not misses.any():
-            continue
-        if s.max_train_psd is None:
-            x = instances[int(np.argmax(misses))]
-            raise ShapeletLengthError(
-                f"shapelet {j} does not fit instance {x.id} and the pool "
-                "carries no fallback distance (not produced by discovery)"
-            )
-        out[misses, j] = s.max_train_psd
-    return out
+    fallback = np.array([s.max_train_psd for s in pool.shapelets], dtype=np.float64)
+    return np.where(offsets < 0, fallback, dists)
 
 
 def logsig_transform(instances, depth: int) -> np.ndarray:
@@ -143,7 +132,7 @@ def feature_matrix(instances, pool: ShapeletPool | None, depth: int,
     """Rows of [shapelet distances | signed-log statistics], one per
     instance. ``matches`` is ``match_pool`` output for ``pool``; without a
     pool the rows hold the statistics only."""
-    blocks = [shapelet_features(instances, pool, matches)] if pool is not None else []
+    blocks = [shapelet_features(pool, matches)] if pool is not None else []
     blocks.append(logsig_transform(instances, depth))
     return np.concatenate(blocks, axis=1)
 

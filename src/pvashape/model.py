@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (Config, SeededRng, ShapeletPool, ValidationError, config_hash,
-                   order_labels, read_json, write_json)
+                   finite_number, json_integer, order_labels, read_json, write_json)
 from .discovery import pool_from_dict, pool_to_dict
 from .features import FeatureScaler, apply_scaler
 
@@ -236,11 +236,11 @@ class ModelCheckpoint:
         if scaler is not None and len(scaler.mean) != params.d:
             raise ValidationError(f"checkpoint scaler covers {len(scaler.mean)} features, "
                                   f"but the head takes {params.d}; {_REWRITE}")
-        pool = None if d.get("pool") is None else pool_from_dict(d["pool"])
         try:
             config = Config.from_dict(d["config"])
         except ValidationError as exc:
             raise ValidationError(f"{exc}; {_REWRITE}") from None
+        pool = None if d.get("pool") is None else pool_from_dict(d["pool"])
         if pool is None and config.use_shapelet_features:
             raise ValidationError(f"checkpoint uses shapelet features but holds no pool; "
                                   f"{_REWRITE}")
@@ -253,8 +253,9 @@ class ModelCheckpoint:
             config=config,
             pool=pool,
             history=tuple(d.get("history", [])),
-            best_epoch=int(d.get("best_epoch", 0)),
-            best_val_macro_f1=float(d.get("best_val_macro_f1", 0.0)),
+            best_epoch=json_integer(d.get("best_epoch", 0), "checkpoint best_epoch"),
+            best_val_macro_f1=finite_number(d.get("best_val_macro_f1", 0.0),
+                                            "checkpoint best_val_macro_f1"),
         )
 
     def head_input(self, z_raw: np.ndarray) -> np.ndarray:

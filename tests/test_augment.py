@@ -14,10 +14,10 @@ from pvashape.pipeline import SynthConfig, generate_synthetic
 from pvashape.workflow import Run, fit
 
 
-def _shapelet(values, channel=0, label="NP", source="s0", start=0, **kw):
+def _shapelet(values, channel=0, label="NP", source="s0", start=0):
     values = np.asarray(values, dtype=np.float64)
     return Shapelet(values=values, channel=channel, source_id=source,
-                    start=start, end=start + len(values) - 1, label=label, **kw)
+                    start=start, end=start + len(values) - 1, label=label, max_train_psd=1.0)
 
 
 def _match_mask(x, s):
@@ -62,7 +62,7 @@ def test_mask_only_touches_shapelet_channel():
 def _pool_for(shapelets):
     labels = order_labels([s.label for s in shapelets])
     return ShapeletPool(shapelets=tuple(shapelets), per_class_quota=1,
-                        labels=labels, config={})
+                        labels=labels, config=Config())
 
 
 def _with_majority(x, n=2):

@@ -484,7 +484,7 @@ def _break_pool(doc, kind):
 @pytest.mark.parametrize("kind,problem", [
     ("empty-object", "pool.json: pool missing field 'shapelets'"),
     ("shapelet-without-values", "pool.json: pool missing field 'values'"),
-    ("channel-minus-one", "pool.json: shapelet channel -1 is negative"),
+    ("channel-minus-one", "pool.json: shapelet 0 channel -1 is negative"),
     ("channel-nine", "shapelet channel 9 is out of range for data with 4 channels"),
     ("fractional-channel", "pool.json: shapelet 0 channel is 0.9, not an integer"),
     ("fractional-span", "pool.json: shapelet 1 start is"),
@@ -810,6 +810,14 @@ def _break_checkpoint(doc, kind):
         doc["pool"] = None
     elif kind == "config-znorm":      # as written while znorm was a config key
         doc["config"]["znorm"] = False
+    elif kind == "pool-config-znorm":
+        doc["pool"]["config"]["znorm"] = False
+    elif kind == "best-epoch-fraction":
+        doc["best_epoch"] = 2.7
+    elif kind == "best-epoch-string":
+        doc["best_epoch"] = "7"
+    elif kind == "best-val-macro-f1-nan":
+        doc["best_val_macro_f1"] = float("nan")
     else:
         doc["best_epoch"] = "best"
     return doc
@@ -827,7 +835,12 @@ CHECKPOINT_BREAKS = {
     "history-integer": "checkpoint history is not a list",
     "pool-null": "checkpoint uses shapelet features but holds no pool",
     "config-znorm": "unknown config key(s): znorm; rewrite the checkpoint",
-    "best-epoch-text": "is malformed",
+    "pool-config-znorm": ("pool config: unknown config key(s): znorm; "
+                          "rewrite the pool with `discover` or `run-all`"),
+    "best-epoch-fraction": "checkpoint best_epoch is 2.7, not an integer",
+    "best-epoch-string": "checkpoint best_epoch is '7', not an integer",
+    "best-val-macro-f1-nan": "checkpoint best_val_macro_f1 is nan, not a finite number",
+    "best-epoch-text": "checkpoint best_epoch is 'best', not an integer",
 }
 
 
@@ -890,6 +903,104 @@ def test_checkpoint_refuses_an_embedded_pool_with_non_finite_numbers(chain, tmp_
     assert main(_scoring_args(cmd, chain, bad, out)) == 2
     assert f"{bad}: {POOL_NUMBER_BREAKS[kind]}" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_a_checkpoint_holding_znorm_in_both_configs_is_refused_once(chain, tmp_path, capsys):
+    """As written before znorm stopped being a config key: the checkpoint's
+    own config is read first, so the refusal gives the checkpoint's hint."""
+    ckpt = json.loads((chain / "ckpt.json").read_text())
+    ckpt["config"]["znorm"] = ckpt["pool"]["config"]["znorm"] = False
+    bad = tmp_path / "ckpt.json"
+    bad.write_text(json.dumps(ckpt))
+    assert main(_scoring_args("evaluate", chain, bad, tmp_path / "m.json")) == 2
+    err = capsys.readouterr().err
+    assert f"{bad}: unknown config key(s): znorm; rewrite the checkpoint" in err
+    assert "rewrite the pool" not in err
+
+
+def _break_pool_invariant(doc, kind):
+    if kind == "config-znorm":
+        doc["config"]["znorm"] = False
+    elif kind == "config-clamp-mask":
+        doc["config"]["clamp_mask"] = True
+    elif kind == "config-mistyped":
+        doc["config"]["k"] = "ten"
+    elif kind == "config-not-an-object":
+        doc["config"] = []
+    elif kind == "labels-a-string":
+        doc["labels"] = "".join(doc["labels"])
+    elif kind == "labels-repeated":
+        doc["labels"][1] = doc["labels"][0]
+    elif kind == "label-outside-labels":
+        doc["shapelets"][0]["label"] = "XX"
+    elif kind == "label-a-number":       # not read as the label "5"
+        doc["labels"][0], doc["shapelets"][0]["label"] = "5", 5
+    else:
+        doc["shapelets"][0]["max_train_psd"] = None
+    return doc
+
+
+_POOL_REWRITE = "; rewrite the pool with `discover` or `run-all`"
+POOL_INVARIANT_BREAKS = {
+    "config-znorm": "pool config: unknown config key(s): znorm" + _POOL_REWRITE,
+    "config-clamp-mask": "pool config: unknown config key(s): clamp_mask" + _POOL_REWRITE,
+    "config-mistyped": "pool config: config k must be int, got 'ten'" + _POOL_REWRITE,
+    "config-not-an-object": "pool config: config must be a JSON object, got list" + _POOL_REWRITE,
+    "labels-a-string": "pool labels 'NPACDTIE' are not distinct strings",
+    "labels-repeated": "pool labels ['NP', 'NP', 'DT', 'IE'] are not distinct strings",
+    "label-outside-labels": "shapelet 0 label 'XX' is not one of the pool's labels",
+    "label-a-number": "shapelet 0 label 5 is not one of the pool's labels",
+    "max-train-psd-null": "shapelet 0 max_train_psd is None, not a finite number",
+}
+
+
+@pytest.mark.parametrize("cmd", ["augment", "transform", "train"])
+@pytest.mark.parametrize("kind", list(POOL_INVARIANT_BREAKS))
+def test_pool_readers_refuse_a_pool_that_breaks_an_invariant(chain, tmp_path, capsys, cmd,
+                                                             kind):
+    bad = tmp_path / "pool.json"
+    bad.write_text(json.dumps(_break_pool_invariant(
+        json.loads((chain / "pool.json").read_text()), kind)))
+    out = tmp_path / "out.json"
+    inputs = (["--train-features", str(chain / "ftr.ndjson"),
+               "--val-features", str(chain / "fva.ndjson")] if cmd == "train"
+              else ["--data", str(chain / "data.ndjson")])
+    assert main([cmd, *inputs, "--pool", str(bad), "--out", str(out)] + TINY) == 2
+    assert f"{bad}: {POOL_INVARIANT_BREAKS[kind]}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("cmd,flag", [("discover", "--out"), ("explain", "--plot-data")])
+def test_an_output_in_a_missing_directory_exits_two_before_the_command(chain, tmp_path,
+                                                                       capsys, cmd, flag):
+    missing = tmp_path / "nodir" / "out.json"
+    if cmd == "discover":
+        argv = ["discover", "--data", str(chain / "data.ndjson"), "--out", str(missing)] + TINY
+        written = missing
+    else:
+        written = tmp_path / "report.json"
+        argv = _scoring_args("explain", chain, chain / "ckpt.json", written) + [flag,
+                                                                               str(missing)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert str(tmp_path / "nodir") in err and ".tmp" not in err
+    assert not (tmp_path / "nodir").exists()
+    assert not written.exists() and not Path(f"{written}.manifest.json").exists()
+
+
+def test_every_config_flag_sets_its_field_over_the_config_file(tmp_path):
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps({"k": 7, "use_augment": True}))
+    base = ["discover", "--data", "d", "--out", "o", "--config", str(cfg_file)]
+    flags = ["--seed", "5", "--k", "4", "--g", "12", "--rsa", "3", "--sigma-scale", "0.5",
+             "--logsig-depth", "3", "--channels", "0,2", "--no-augment",
+             "--no-shapelet-features", "--folds", "4"]
+    parse = cli.build_parser().parse_args
+    assert cli.build_config(parse(base + flags)) == Config(
+        seed=5, k=4, g=12, r_sa=3, noise_sigma_scale=0.5, logsig_depth=3,
+        channel_subset=(0, 2), use_augment=False, use_shapelet_features=False, folds=4)
+    assert cli.build_config(parse(base)) == Config(k=7)
+    assert {field for _, field, _ in cli.CONFIG_FLAGS} < set(Config.__dataclass_fields__)
 
 
 @pytest.mark.parametrize("cmd", ["evaluate", "explain", "synth"])

@@ -1,6 +1,7 @@
 """Candidate generation, information gain, and pool discovery."""
 import itertools
 import math
+import re
 from collections import Counter
 from dataclasses import replace
 
@@ -11,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 import oracles
 from conftest import make_series
 from pvashape import discovery, distance
-from pvashape.core import Config, Dataset
+from pvashape.core import Config, Dataset, Shapelet, ShapeletPool, ValidationError
 from pvashape.discovery import (_gain_block, _gain_bound, _parent_entropy, discover,
                                 generate_candidates, load_pool, pool_from_dict, pool_to_dict,
                                 save_pool)
@@ -243,6 +244,29 @@ def test_pool_round_trip(tmp_path):
     again = load_pool(p)
     assert pool_to_dict(again) == pool_to_dict(pool)
     assert pool_from_dict(pool_to_dict(pool)).labels == pool.labels
+
+
+def test_a_pool_is_built_only_with_a_config_and_known_labels():
+    s = Shapelet(values=np.array([1.0, 2.0]), channel=0, source_id="x0", start=0, end=1,
+                 label="AC", max_train_psd=3.0)
+    assert ShapeletPool((s,), 1, ["AC", "NP"], Config()).labels == ("AC", "NP")
+    with pytest.raises(ValidationError, match="pool config is a dict, not a Config"):
+        ShapeletPool((s,), 1, ("AC", "NP"), {"k": 5})
+    with pytest.raises(ValidationError, match="shapelet 0 label 'AC' is not one of"):
+        ShapeletPool((s,), 1, ("NP",), Config())
+
+
+@pytest.mark.parametrize("field,value,problem", [
+    ("values", np.array([1.0, np.nan]), "values are not a list of finite numbers"),
+    ("values", np.ones((2, 2)), "values are not a list of finite numbers"),
+    ("info_gain", float("inf"), "info_gain is inf, not a finite number"),
+    ("split_threshold", "0.5", "split_threshold is '0.5', not a finite number"),
+])
+def test_a_shapelet_refuses_values_or_numbers_that_are_not_finite(field, value, problem):
+    fields = dict(values=np.array([1.0, 2.0]), channel=0, source_id="x0", start=0, end=1,
+                  label="AC")
+    with pytest.raises(ValidationError, match=re.escape(problem)):
+        Shapelet(**{**fields, field: value})
 
 
 # ---------------------------------------------------------------------------

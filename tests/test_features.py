@@ -8,8 +8,8 @@ import pytest
 import oracles
 from conftest import make_series
 from pvashape import features
-from pvashape.core import Dataset, Shapelet, ShapeletPool
-from pvashape.distance import ShapeletLengthError, match_pool
+from pvashape.core import Config, Dataset, Shapelet, ShapeletPool, ValidationError
+from pvashape.distance import match_pool
 from pvashape.features import (FeatureScaler, apply_scaler, fit_scaler,
                                load_features, logsig_transform, save_features,
                                shapelet_features, signed_log, transform_dataset)
@@ -169,7 +169,7 @@ def _pool(shapelets):
     from pvashape.core import order_labels
     return ShapeletPool(shapelets=tuple(shapelets), per_class_quota=1,
                         labels=order_labels([s.label for s in shapelets]),
-                        config={})
+                        config=Config())
 
 
 def _shapelet(values, channel=0, label="NP", sentinel=5.0):
@@ -211,10 +211,8 @@ def test_shapelet_transform_uses_sentinel_when_too_long():
 
 
 def test_shapelet_transform_without_sentinel_raises():
-    x = make_series([1, 2, 3])
-    pool = _pool([_shapelet([0, 1, 2, 3, 4], sentinel=None)])
-    with pytest.raises(ShapeletLengthError):
-        _shapelet_row(x, pool)
+    with pytest.raises(ValidationError, match="shapelet 0 max_train_psd is None"):
+        _pool([_shapelet([0, 1, 2, 3, 4], sentinel=None)])
 
 
 def test_transform_dataset_concatenation():
@@ -222,7 +220,7 @@ def test_transform_dataset_concatenation():
     pool = _pool([_shapelet([2, 4])])
     z, _, _ = transform_dataset(Dataset((x,)), pool, depth=2)
     assert z.shape == (1, 1 + 4)
-    shapelets = shapelet_features([x], pool, match_pool([x], pool.shapelets))[0]
+    shapelets = shapelet_features(pool, match_pool([x], pool.shapelets))[0]
     assert np.array_equal(z[0], np.concatenate([shapelets, logsig_transform([x], 2)[0]]))
     no_sha, _, _ = transform_dataset(Dataset((x,)), pool, depth=2, include_shapelets=False)
     assert np.array_equal(no_sha, z[:, 1:])

@@ -165,7 +165,7 @@ def _one_shapelet_pool():
     s = Shapelet(values=np.array([0.5, -1.25, 3.0]), channel=1, source_id="x7", start=2,
                  end=4, label="AC", info_gain=0.4, split_threshold=1.5, max_train_psd=9.0)
     return ShapeletPool(shapelets=(s,), per_class_quota=1, labels=("AC", "NP"),
-                        config={"k": 5})
+                        config=Config(k=5))
 
 
 def test_checkpoint_round_trip(tmp_path):
