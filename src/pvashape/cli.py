@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import logging
 import os
 import sys
 
@@ -31,6 +32,27 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_DIVERGED = 3
+
+
+class _StderrHandler(logging.Handler):
+    """Writes each record to whatever ``sys.stderr`` is when it is logged,
+    so a redirected or captured stderr receives it."""
+
+    def emit(self, record):
+        try:
+            print(self.format(record), file=sys.stderr)
+        except Exception:
+            self.handleError(record)
+
+
+@functools.cache
+def _package_logger() -> logging.Logger:
+    """The package's logger with one stderr handler, added once per process."""
+    logger = logging.getLogger("pvashape")
+    handler = _StderrHandler()
+    handler.setFormatter(logging.Formatter("%(name)s: %(levelname)s: %(message)s"))
+    logger.addHandler(handler)
+    return logger
 
 
 class _Parser(argparse.ArgumentParser):
@@ -169,8 +191,8 @@ def cmd_evaluate(args, run: Run) -> int:
     ckpt = load_checkpoint(args.checkpoint)
     run.config = ckpt.config
     ds = load_dataset(args.data)
-    with run.stage("evaluate"):
-        report = workflow.evaluate_on(ckpt, ds)
+    with run.stage("evaluate") as counters:
+        report = workflow.evaluate_on(ckpt, ds, counters)
     _write_json(args.out, report.to_dict())
     print(f"accuracy {report.accuracy:.4f}, macro-F1 {report.macro_f1:.4f}; wrote {args.out}")
     return EXIT_OK
@@ -190,9 +212,9 @@ def cmd_explain(args, run: Run) -> int:
     ckpt = load_checkpoint(args.checkpoint)
     run.config = ckpt.config
     ds = load_dataset(args.data)
-    with run.stage("explain"):
+    with run.stage("explain") as counters:
         report = build_explain_report(ds, ckpt, all_classes=args.all_classes,
-                                      instance_id=args.instance)
+                                      instance_id=args.instance, counters=counters)
     encoded = EncodedReport(report)
     encoded.write(args.out)
     if args.plot_data:
@@ -270,6 +292,9 @@ def build_parser() -> _Parser:
                     p.add_argument(flag, **options)
         for dest in inputs + optional:
             p.add_argument(f"--{dest.replace('_', '-')}", required=dest in inputs)
+        p.add_argument("--log-level", default="warning",
+                       choices=("debug", "info", "warning", "error"),
+                       help="least severity logged to stderr (default: warning)")
         if output:
             p.add_argument("--out", required=True)
         # By name, so the shared parser calls the module's current binding.
@@ -326,6 +351,7 @@ def main(argv=None) -> int:
         if isinstance(exc.code, int):
             return exc.code
         return EXIT_OK if exc.code is None else EXIT_USAGE
+    _package_logger().setLevel(args.log_level.upper())
     try:
         for path in filter(None, (getattr(args, "out", None), getattr(args, "plot_data", None))):
             if not os.path.isdir(os.path.dirname(path) or "."):

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .core import LabeledSeries, ValidationError
 
@@ -48,17 +47,176 @@ def _complexity_factor(ce_a, ce_b):
     return hi / lo
 
 
-# Instances per engine step: bounds the (chunk, windows, length) working
-# arrays whatever the dataset size. Both engines step by it.
+# Instances per engine step: bounds each engine's (chunk, windows, ...)
+# working arrays whatever the dataset size. Both engines step by it.
 INSTANCE_CHUNK = 64
 
+_UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2
 
-def _windows(values: np.ndarray, l: int) -> tuple[np.ndarray, np.ndarray]:
-    """Every length-``l`` window of each row of ``values``, shape (M, W, l),
-    and each window's squared complexity, shape (M, W). Each sum runs along
-    its own window, so its error is bounded by the window's values alone."""
-    dw = sliding_window_view(np.diff(values, axis=1), l - 1, axis=1)
-    return sliding_window_view(values, l, axis=1), np.einsum("...j,...j->...", dw, dw)
+
+def _strided_windows(a: np.ndarray, l: int) -> np.ndarray:
+    """Every length-``l`` window of each row of the C-contiguous (M, T)
+    array ``a``: a read-only view of shape (M, T-l+1, l). The ndarray
+    constructor builds it in a fraction of ``sliding_window_view``'s
+    time, which adds up over one call per group and chunk. Both engines
+    take their windows, and those of the first differences, from it."""
+    m, t = a.shape
+    view = np.ndarray((m, t - l + 1, l), a.dtype, a, 0,
+                      (a.strides[0], a.itemsize, a.itemsize))
+    view.flags.writeable = False
+    return view
+
+
+def _sq_norms(a: np.ndarray) -> np.ndarray:
+    """Sum of squares along the last axis. Each sum runs along its own row
+    in the same order whatever the batch, so a strided window and its
+    gathered copy give the same bits, and its error is bounded by that
+    row's values alone."""
+    return np.einsum("...j,...j->...", a, a)
+
+
+class _Queries:
+    """The query-side terms of one (channel, length) group, built once and
+    screened against every instance chunk."""
+
+    def __init__(self, queries: np.ndarray):
+        self.values = np.atleast_2d(np.asarray(queries, dtype=np.float64))
+        self.l = self.values.shape[1]
+        if self.l < 1:
+            raise ValueError("queries must have at least one sample")
+        self.ce = np.array([complexity_estimate(q) for q in self.values])
+        self.neg2 = -2.0 * self.values                       # exact: a power of two
+        self.sq = _sq_norms(self.values)
+        self.ce2 = np.square(self.ce)[:, None, None]
+        self.ce2_floor = np.maximum(self.ce2, EPS_COMPLEXITY ** 2)
+
+    def __len__(self) -> int:
+        return len(self.values)
+
+
+class _Rows:
+    """One instance chunk of one channel and the running sums of its
+    squares and squared first differences, from which the screen reads
+    every window's squared norm and squared complexity for any length."""
+
+    def __init__(self, values: np.ndarray, lengths: np.ndarray):
+        self.values = np.ascontiguousarray(values)
+        self.diffs = np.diff(self.values, axis=1)
+        c, t = values.shape
+        self.lengths = np.clip(lengths, 0, t)
+        self.sq = np.zeros((c, t + 1))
+        np.cumsum(np.square(self.values), axis=1, out=self.sq[:, 1:])
+        self.dsq = np.zeros((c, t))
+        np.cumsum(np.square(self.diffs), axis=1, out=self.dsq[:, 1:])
+        # Sums over each row's unpadded region: they bound every running
+        # sum a valid window reads.
+        rows, n = np.arange(c), np.maximum(self.lengths, 1)
+        self.sq_total, self.dsq_total = self.sq[rows, n], self.dsq[rows, n - 1]
+
+    def match(self, q: _Queries, counts: dict) -> tuple[np.ndarray, np.ndarray]:
+        """Minimum-CID match of each query on each row, shape (c, n).
+
+        A certified screen, then exact re-scores. Each window's squared CID
+        gets a lower bound (see ``_lower_bounds``). Each row's screen
+        minimum is re-scored exactly, and only windows whose lower bound
+        reaches that distance can match it or beat it; they are re-scored
+        too. The re-score is the direct difference, so every distance and
+        offset is the one direct matching gives. ``counts["pairs"]`` and
+        ``counts["rescored"]`` count the pairs scored and the windows
+        re-scored.
+        """
+        c, t = self.values.shape
+        n, l = len(q), q.l
+        w = t - l + 1
+        dists = np.full((c, n), np.inf)
+        offsets = np.full((c, n), -1, dtype=np.int64)
+        n_valid = np.maximum(self.lengths - (l - 1), 0)
+        kk, ii = np.nonzero(np.broadcast_to(n_valid > 0, (n, c)))
+        if len(kk) == 0:
+            return dists, offsets
+        views = _strided_windows(self.values, l), _strided_windows(self.diffs, l - 1)
+        lo = self._lower_bounds(q, views[0], n_valid)              # (n, c, W)
+        best = np.argmin(lo, axis=2)
+        ww = best[kk, ii]
+        d = _rescore(views, q, ii, ww, kk)
+        # A window ties or beats the minimum only if its lower bound
+        # reaches the minimum's square; the factor covers the rounding of
+        # the direct engine and of the bound's last products.
+        reach = np.full((n, c), -np.inf)
+        reach[kk, ii] = np.square(d) * (1.0 + 8 * (l + 8) * _UNIT_ROUNDOFF)
+        candidates = lo <= reach[:, :, None]
+        n_extra = int(np.count_nonzero(candidates)) - len(kk)
+        if n_extra:
+            k3, i3, w3 = np.nonzero(candidates)
+            keep = (w3 != best[k3, i3]) & (w3 < n_valid[i3])
+            k3, i3, w3 = k3[keep], i3[keep], w3[keep]
+            n_extra = len(k3)
+            # Least distance per (query, row), then least offset on ties.
+            kk, ii = np.concatenate([kk, k3]), np.concatenate([ii, i3])
+            ww = np.concatenate([ww, w3])
+            d = np.concatenate([d, _rescore(views, q, i3, w3, k3)])
+            pair = kk * c + ii
+            order = np.lexsort((ww, d, pair))
+            first = order[np.r_[True, pair[order][1:] != pair[order][:-1]]]
+            kk, ii, ww, d = kk[first], ii[first], ww[first], d[first]
+        dists[ii, kk], offsets[ii, kk] = d, ww
+        counts["pairs"] += len(kk)
+        counts["rescored"] += len(kk) + n_extra
+        return dists, offsets
+
+    def _lower_bounds(self, q: _Queries, windows: np.ndarray,
+                      n_valid: np.ndarray) -> np.ndarray:
+        """A lower bound on the squared CID that direct matching computes
+        for every (query, row, window), shape (n, c, W); +inf where the
+        window leaves the row's unpadded region.
+
+        The squared distance is the expansion ||w||^2 - 2w.q + ||q||^2, its
+        dot products from one einsum over the strided windows and its
+        norms from the running sums, less an allowance dE for the rounding
+        of the dot product (Higham's gamma_l bound), of the running sums
+        and of the expansion. A running sum's error is bounded by the row's
+        own sum, so dE and the complexity allowance dC scale with the row's
+        sums, not the window's (u is the unit roundoff):
+
+            dE = 4 (t + l + 4) u (sum of the row's squares + ||q||^2)
+            dC = 4 (t + 4) u (sum of the row's squared first differences)
+
+        The window's squared complexity lies in [C - dC, C + dC], so the
+        squared complexity factor max(a, b) / max(min(a, b), eps^2) is at
+        least max(C - dC, ce_q^2) / max(min(C + dC, ce_q^2), eps^2). The
+        bounds hold for values whose squares neither overflow nor
+        underflow.
+        """
+        c, t = self.values.shape
+        l, w = q.l, windows.shape[1]
+        sq = self.sq[:, l:] - self.sq[:, :w]                           # ||w||^2
+        dsq = self.dsq[:, l - 1:] - self.dsq[:, :w]                    # complexity^2
+        d_c = (4 * (t + 4) * _UNIT_ROUNDOFF * self.dsq_total)[:, None]
+        ce2_lo = dsq - d_c           # may be negative: the factor's max with ce_q^2 >= 0 clips it
+        ce2_hi = np.maximum(dsq + d_c, EPS_COMPLEXITY ** 2)
+        if n_valid.min() < w:
+            invalid = np.arange(w)[None, :] >= n_valid[:, None]
+            sq[invalid] = ce2_lo[invalid] = np.inf
+        d_e = 4 * (t + l + 4) * _UNIT_ROUNDOFF * (self.sq_total[None, :] + q.sq[:, None])
+
+        # No clip at 0: a negative bound is still a lower bound.
+        lo = np.einsum("kj,iwj->kiw", q.neg2, windows)                 # -2 w.q
+        lo += sq
+        lo += (q.sq[:, None] - d_e)[:, :, None]
+        factor = np.maximum(ce2_lo, q.ce2)
+        lo *= factor
+        lo /= np.minimum(ce2_hi, q.ce2_floor, out=factor)
+        return lo
+
+
+def _rescore(views: tuple[np.ndarray, np.ndarray], q: _Queries, i: np.ndarray,
+             w: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """Direct CID of query ``k[p]`` and window ``w[p]`` of row ``i[p]``:
+    the same sums, in the same order, as a strided pass over every window
+    takes, so an exact match reads 0."""
+    windows, dwindows = views
+    ce_w = np.sqrt(_sq_norms(dwindows[i, w]))
+    return np.sqrt(_sq_norms(windows[i, w] - q.values[k])) * _complexity_factor(ce_w, q.ce[k])
 
 
 def match(values: np.ndarray, lengths: np.ndarray,
@@ -71,59 +229,52 @@ def match(values: np.ndarray, lengths: np.ndarray,
     lengths : (M,) unpadded lengths
     queries : (n, l) equal-length queries
 
-    Returns ``(dists, offsets)`` of shape (M, n). Each distance is computed
-    by direct difference, so an exact match reads 0. Windows that leave the
-    unpadded region never win, ties go to the smallest offset, and an
-    instance shorter than ``l`` gets +inf and offset -1. Every sum runs
-    along one window in the same order for any batch, so a result never
-    depends on which other instances or queries share the call.
+    Returns ``(dists, offsets)`` of shape (M, n). A certified screen picks
+    the windows that can win (see ``_Rows.match``), and each distance is
+    computed by direct difference, so an exact match reads 0. Windows that
+    leave the unpadded region never win, ties go to the smallest offset,
+    and an instance shorter than ``l`` gets +inf and offset -1. Every sum
+    runs along one window in the same order for any batch, so a result
+    never depends on which other instances or queries share the call.
     """
     values = np.asarray(values, dtype=np.float64)
     lengths = np.asarray(lengths, dtype=np.int64)
-    queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
-    (m, t), (n, l) = values.shape, queries.shape
-    if l < 1:
-        raise ValueError("queries must have at least one sample")
-    dists = np.full((m, n), np.inf)
-    offsets = np.full((m, n), -1, dtype=np.int64)
-    if l > t:
+    q = _Queries(queries)
+    m, t = values.shape
+    dists = np.full((m, len(q)), np.inf)
+    offsets = np.full((m, len(q)), -1, dtype=np.int64)
+    if q.l > t:
         return dists, offsets
-
-    ce_q = [complexity_estimate(q) for q in queries]
-    w = t - l + 1
+    counts = {"pairs": 0, "rescored": 0}
     for i0 in range(0, m, INSTANCE_CHUNK):
-        i1 = min(i0 + INSTANCE_CHUNK, m)
-        windows, ce2 = _windows(values[i0:i1], l)                    # (c, W, l), (c, W)
-        ce_w = np.sqrt(ce2)
-        invalid = np.arange(w)[None, :] > (lengths[i0:i1, None] - l)
-        rows = np.arange(i1 - i0)
-        for k, q in enumerate(queries):
-            diff = windows - q
-            profile = np.sqrt(np.einsum("...j,...j->...", diff, diff))
-            profile *= _complexity_factor(ce_w, ce_q[k])
-            profile[invalid] = np.inf
-            best = np.argmin(profile, axis=1)                         # first index wins ties
-            dists[i0:i1, k] = profile[rows, best]
-            offsets[i0:i1, k] = best
-    offsets[lengths < l] = -1                     # no window fits: dists stay +inf
+        chunk = slice(i0, i0 + INSTANCE_CHUNK)
+        dists[chunk], offsets[chunk] = _Rows(values[chunk], lengths[chunk]).match(q, counts)
     return dists, offsets
 
 
-def match_pool(instances, shapelets) -> tuple[np.ndarray, np.ndarray]:
+def match_pool(instances, shapelets,
+               counters: dict | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Best match of every shapelet on every instance, in the given orders.
 
-    Shapelets are grouped by (channel, length) and each group is scored
-    against all instances in one ``match`` call. Returns ``(dists,
-    offsets)`` of shape (len(instances), len(shapelets)); offset -1 marks
-    a shapelet longer than the instance's unpadded region. A shapelet on a
-    channel the instances do not have is refused.
+    Shapelets are grouped by (channel, length); each instance chunk's
+    running sums are built once per channel and screened against every
+    group on it (see ``match``). Returns ``(dists, offsets)`` of shape
+    (len(instances), len(shapelets)); offset -1 marks a shapelet longer
+    than the instance's unpadded region. A shapelet on a channel the
+    instances do not have is refused. ``counters``, when given, has the
+    (instance, shapelet) ``pairs`` scored and the windows ``rescored`` by
+    direct difference added to it.
     """
+    counts = {} if counters is None else counters
+    for key in ("pairs", "rescored"):
+        counts.setdefault(key, 0)
     instances = list(instances)
     dists = np.full((len(instances), len(shapelets)), np.inf)
     offsets = np.full(dists.shape, -1, dtype=np.int64)
     if not instances:
         return dists, offsets
     n_channels = instances[0].n_channels
+    t = instances[0].values.shape[1]
     lengths = np.asarray([x.original_length for x in instances], dtype=np.int64)
     groups: dict[tuple[int, int], list[int]] = {}
     for j, s in enumerate(shapelets):
@@ -131,10 +282,17 @@ def match_pool(instances, shapelets) -> tuple[np.ndarray, np.ndarray]:
             raise ValidationError(f"shapelet channel {s.channel} is out of range for "
                                   f"data with {n_channels} channels")
         groups.setdefault((s.channel, len(s)), []).append(j)
-    channels = {v: np.stack([x.values[v] for x in instances]) for v, _ in groups}
-    for (channel, _), idx in sorted(groups.items()):
-        dists[:, idx], offsets[:, idx] = match(
-            channels[channel], lengths, np.stack([shapelets[j].values for j in idx]))
+    queries = {key: _Queries(np.stack([shapelets[j].values for j in idx]))
+               for key, idx in sorted(groups.items()) if key[1] <= t}
+    for i0 in range(0, len(instances), INSTANCE_CHUNK):
+        chunk = slice(i0, i0 + INSTANCE_CHUNK)
+        rows = {}
+        for (channel, l), q in queries.items():
+            if channel not in rows:
+                rows[channel] = _Rows(np.stack([x.values[channel] for x in instances[chunk]]),
+                                      lengths[chunk])
+            idx = groups[(channel, l)]
+            dists[chunk, idx], offsets[chunk, idx] = rows[channel].match(q, counts)
     return dists, offsets
 
 
@@ -202,21 +360,22 @@ def prepare_windows(values: np.ndarray, lengths: np.ndarray, l: int) -> Prepared
     from the matmul. The windows and their complexities are the ones
     ``match`` scores, and each squared norm is summed over its own window.
     """
-    values = np.asarray(values, dtype=np.float64)
+    values = np.ascontiguousarray(values, dtype=np.float64)
     lengths = np.asarray(lengths, dtype=np.int64)
     m, t = values.shape
     w = t - l + 1
     if w <= 0:
         raise ShapeletLengthError(f"query length {l} exceeds series length {t}")
 
-    windows, ce2 = _windows(values, l)
+    windows = _strided_windows(values, l)
+    dwindows = _strided_windows(np.diff(values, axis=1), l - 1)
     flat = np.empty((m * w, l + 2))
     body = flat.reshape(m, w, l + 2)[:, :, :l]               # one copy of the windows
     np.copyto(body, windows)
-    flat[:, l] = np.einsum("...j,...j->...", body, body).ravel()
+    flat[:, l] = _sq_norms(body).ravel()
     flat[:, l + 1] = 1.0
 
-    ce_w = np.sqrt(ce2)
+    ce_w = np.sqrt(_sq_norms(dwindows))
     inv_ce2 = np.square(1.0 / np.maximum(ce_w, EPS_COMPLEXITY))
 
     n_valid = np.maximum(lengths - l + 1, 0)                  # valid windows per instance

@@ -23,7 +23,8 @@ from .pipeline import align_channels
 
 def build_explain_report(dataset: Dataset, checkpoint: ModelCheckpoint,
                          all_classes: bool = False,
-                         instance_id: str | None = None) -> dict:
+                         instance_id: str | None = None,
+                         counters: dict | None = None) -> dict:
     """Prediction plus best-match evidence for each requested instance.
 
     Shapelets longer than an instance's unpadded region cannot match and
@@ -33,6 +34,7 @@ def build_explain_report(dataset: Dataset, checkpoint: ModelCheckpoint,
     scores every row, as ``evaluate`` scores a file. The pool's values and
     the unpadded waveforms ride along so the report is self-contained for
     plotting; ``pool_sha256`` names the checkpoint's pool they came from.
+    ``counters`` (if given) gains the matching counts.
     """
     cfg, pool = checkpoint.config, checkpoint.pool
     if pool is None:
@@ -43,7 +45,7 @@ def build_explain_report(dataset: Dataset, checkpoint: ModelCheckpoint,
         instances = [x for x in instances if x.id == instance_id]
         if not instances:
             raise ValidationError(f"instance {instance_id!r} not found")
-    dists, offsets = match_pool(instances, pool.shapelets)
+    dists, offsets = match_pool(instances, pool.shapelets, counters)
     z = feature_matrix(instances, pool if cfg.use_shapelet_features else None,
                        cfg.logsig_depth, (dists, offsets))
     probs = forward_batch(checkpoint.params, checkpoint.head_input(z))

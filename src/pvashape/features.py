@@ -138,12 +138,12 @@ def feature_matrix(instances, pool: ShapeletPool | None, depth: int,
 
 
 def transform_dataset(dataset: Dataset, pool: ShapeletPool | None, depth: int,
-                      include_shapelets: bool = True,
-                      znorm: bool = False) -> tuple[np.ndarray, list[str], list[str]]:
+                      include_shapelets: bool = True, znorm: bool = False,
+                      counters: dict | None = None) -> tuple[np.ndarray, list[str], list[str]]:
     """Feature matrix for a dataset, row order matching instance order.
 
-    Each (channel, length) group of pool shapelets is scored against the
-    whole dataset in one engine call. ``znorm`` is kept only because the
+    Pool shapelets are matched by ``match_pool``, which adds its counts
+    to ``counters`` when one is given. ``znorm`` is kept only because the
     benchmark's output checks pass it (as ``False``); matching is on raw
     windows, and a true value is refused.
     """
@@ -151,7 +151,7 @@ def transform_dataset(dataset: Dataset, pool: ShapeletPool | None, depth: int,
         raise ValueError("z-normalized matching is not supported: windows are matched raw")
     instances = list(dataset)
     pool = pool if include_shapelets else None
-    matches = match_pool(instances, pool.shapelets) if pool is not None else None
+    matches = match_pool(instances, pool.shapelets, counters) if pool is not None else None
     z = feature_matrix(instances, pool, depth, matches)
     return z, [x.id for x in instances], [x.label for x in instances]
 

@@ -231,9 +231,10 @@ def augment_stage(run: Run, dataset: Dataset, pool: ShapeletPool) -> Dataset:
 
 
 def transform_stage(run: Run, pool: ShapeletPool | None, *datasets: Dataset) -> list:
-    """The raw (features, ids, labels) of each dataset, by `featurize`."""
-    with run.stage("transform"):
-        return [featurize(ds, pool, run.config) for ds in datasets]
+    """The raw (features, ids, labels) of each dataset, by `featurize`.
+    Counts the pairs matched and the windows re-scored."""
+    with run.stage("transform") as counters:
+        return [featurize(ds, pool, run.config, counters) for ds in datasets]
 
 
 def train_stage(run: Run, train_features: tuple, val_features: tuple, *,
@@ -254,14 +255,16 @@ def train_stage(run: Run, train_features: tuple, val_features: tuple, *,
     return checkpoint
 
 
-def featurize(dataset: Dataset, pool: ShapeletPool | None,
-              config: Config) -> tuple[np.ndarray, list, list]:
+def featurize(dataset: Dataset, pool: ShapeletPool | None, config: Config,
+              counters: dict | None = None) -> tuple[np.ndarray, list, list]:
     """Raw (features, ids, labels) of a dataset as ``config`` defines them:
     its channel subset, its log-signature depth, and shapelet distances
-    only when shapelet features are enabled, which then needs a pool."""
+    only when shapelet features are enabled, which then needs a pool.
+    ``counters`` (if given) gains the matching counts."""
     _require_pool(pool, config)
     return transform_dataset(align_channels(dataset, config), pool, config.logsig_depth,
-                             include_shapelets=config.use_shapelet_features)
+                             include_shapelets=config.use_shapelet_features,
+                             counters=counters)
 
 
 def _require_pool(pool: ShapeletPool | None, config: Config) -> None:
@@ -270,10 +273,12 @@ def _require_pool(pool: ShapeletPool | None, config: Config) -> None:
                               "given (pass --pool, or --no-shapelet-features)")
 
 
-def evaluate_on(checkpoint: ModelCheckpoint, dataset: Dataset) -> EvalReport:
+def evaluate_on(checkpoint: ModelCheckpoint, dataset: Dataset,
+                counters: dict | None = None) -> EvalReport:
     """Score a dataset with a fitted checkpoint (its pool's features, its
-    scaler and its head)."""
-    z_raw, _, labels = featurize(dataset, checkpoint.pool, checkpoint.config)
+    scaler and its head); ``counters`` (if given) gains the matching
+    counts."""
+    z_raw, _, labels = featurize(dataset, checkpoint.pool, checkpoint.config, counters)
     return score_features(checkpoint, z_raw, labels)
 
 

@@ -7,6 +7,7 @@ import bisect
 import math
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 
 def complexity(q):
@@ -211,3 +212,63 @@ def logsig_stacked(instances, depth, chunk_bytes):
         series = np.stack([instances[i].values[:, :n] for i in rows]).reshape(-1, n)
         out[rows] = series_terms(series, depth).reshape(len(rows), n_channels, depth)
     return out.reshape(len(instances), n_channels * depth)
+
+
+# The exact engine ``distance.match`` was before it screened windows:
+# every window differenced against every query, one query at a time. Kept
+# verbatim, with the helpers it called, as the bit-exact reference for the
+# screened form.
+
+_DIRECT_EPS_COMPLEXITY = 1e-8
+_DIRECT_INSTANCE_CHUNK = 64
+
+
+def _direct_complexity_estimate(q):
+    q = np.asarray(q, dtype=np.float64)
+    if q.size <= 1:
+        return 0.0
+    d = np.diff(q)
+    return float(np.sqrt(np.dot(d, d)))
+
+
+def _direct_complexity_factor(ce_a, ce_b):
+    hi = np.maximum(ce_a, ce_b)
+    lo = np.maximum(np.minimum(ce_a, ce_b), _DIRECT_EPS_COMPLEXITY)
+    return hi / lo
+
+
+def _direct_windows(values, l):
+    dw = sliding_window_view(np.diff(values, axis=1), l - 1, axis=1)
+    return sliding_window_view(values, l, axis=1), np.einsum("...j,...j->...", dw, dw)
+
+
+def match_direct(values, lengths, queries):
+    values = np.asarray(values, dtype=np.float64)
+    lengths = np.asarray(lengths, dtype=np.int64)
+    queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
+    (m, t), (n, l) = values.shape, queries.shape
+    if l < 1:
+        raise ValueError("queries must have at least one sample")
+    dists = np.full((m, n), np.inf)
+    offsets = np.full((m, n), -1, dtype=np.int64)
+    if l > t:
+        return dists, offsets
+
+    ce_q = [_direct_complexity_estimate(q) for q in queries]
+    w = t - l + 1
+    for i0 in range(0, m, _DIRECT_INSTANCE_CHUNK):
+        i1 = min(i0 + _DIRECT_INSTANCE_CHUNK, m)
+        windows, ce2 = _direct_windows(values[i0:i1], l)             # (c, W, l), (c, W)
+        ce_w = np.sqrt(ce2)
+        invalid = np.arange(w)[None, :] > (lengths[i0:i1, None] - l)
+        rows = np.arange(i1 - i0)
+        for k, q in enumerate(queries):
+            diff = windows - q
+            profile = np.sqrt(np.einsum("...j,...j->...", diff, diff))
+            profile *= _direct_complexity_factor(ce_w, ce_q[k])
+            profile[invalid] = np.inf
+            best = np.argmin(profile, axis=1)                         # first index wins ties
+            dists[i0:i1, k] = profile[rows, best]
+            offsets[i0:i1, k] = best
+    offsets[lengths < l] = -1                     # no window fits: dists stay +inf
+    return dists, offsets

@@ -634,17 +634,27 @@ def test_subcommands_reproduce_run_all(tmp_path):
                  "features_val.ndjson", "checkpoint.json", "metrics.json"):
         assert (sub / name).read_bytes() == (run / name).read_bytes(), name
     # The same stage functions count the same things, and every manifest
-    # has run-all's keys; only a stage that counts nothing has no counters.
+    # has run-all's keys. run-all's transform stage matches both splits,
+    # one per transform call here; its evaluate stage scores features and
+    # matches nothing, where the evaluate command matches its data.
     whole = json.loads((run / "manifest.json").read_text())
+    counters = {}
     for name, stage in [("pool.json", "discover"), ("train_aug.ndjson", "augment"),
-                        ("features_train.ndjson", None), ("features_val.ndjson", None),
-                        ("checkpoint.json", "train"), ("metrics.json", None)]:
+                        ("features_train.ndjson", "transform"),
+                        ("features_val.ndjson", "transform"),
+                        ("checkpoint.json", "train"), ("metrics.json", "evaluate")]:
         man = json.loads((sub / f"{name}.manifest.json").read_text())
         assert set(man) | {"counters"} == set(whole), name
-        if stage is None:
-            assert "counters" not in man, name
-        else:
-            assert man["counters"] == {stage: whole["counters"][stage]}, name
+        assert list(man["counters"]) == [stage], name
+        counters[name] = man["counters"][stage]
+    for name, stage in [("pool.json", "discover"), ("train_aug.ndjson", "augment"),
+                        ("checkpoint.json", "train")]:
+        assert counters[name] == whole["counters"][stage], name
+    assert {key: counters["features_train.ndjson"][key] + counters["features_val.ndjson"][key]
+            for key in ("pairs", "rescored")} == whole["counters"]["transform"]
+    assert "evaluate" not in whole["counters"]
+    assert counters["metrics.json"]["pairs"] == (_count_lines(val)
+                                                 * len(load_pool(run / "pool.json")))
 
 
 def test_run_all_dataset_files_read_as_fresh_encodings(tmp_path):
@@ -1096,6 +1106,48 @@ def test_run_all_seeded_twice_identical(tmp_path):
     assert man["counters"]["discover"]["candidates"] > 0
 
 
+def test_log_level_info_shows_the_screen_line_and_changes_no_artifact(tmp_path, capsys):
+    """At the default level no info line reaches stderr; at ``--log-level
+    info`` discovery's screen line does, and every artifact keeps its
+    bytes."""
+    args = lambda d: (["run-all", "--out-dir", str(d), "--n", "24", "--t", "40",
+                       "--proportions", PROPS, "--train-fraction", "0.75"] + TINY)
+    assert main(args(tmp_path / "a")) == 0
+    assert "discovery screen:" not in capsys.readouterr().err
+    assert main(args(tmp_path / "b") + ["--log-level", "info"]) == 0
+    assert "pvashape.discovery: INFO: discovery screen: {" in capsys.readouterr().err
+    names = sorted(p.name for p in (tmp_path / "a").iterdir() if p.name != "manifest.json")
+    assert names == sorted(p.name for p in (tmp_path / "b").iterdir()
+                           if p.name != "manifest.json")
+    for name in names:
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes(), name
+
+
+def test_matching_counts_reach_the_manifests_only(chain, tmp_path):
+    """transform, evaluate and explain count the (instance, shapelet) pairs
+    matched and the windows re-scored, at least one per pair, in their
+    manifests. No result artifact holds them, and the features are those
+    of a transform that counts nothing."""
+    report = tmp_path / "report.json"
+    assert main(["explain", "--data", str(chain / "data.ndjson"),
+                 "--checkpoint", str(chain / "ckpt.json"), "--out", str(report)]) == 0
+    pool = load_pool(chain / "pool.json")
+    for output, stage, data in [(chain / "ftr.ndjson", "transform", "aug.ndjson"),
+                                (chain / "metrics.json", "evaluate", "data.ndjson"),
+                                (report, "explain", "data.ndjson")]:
+        man = json.loads(output.with_name(output.name + ".manifest.json").read_text())
+        counts = man["counters"][stage]
+        assert counts["pairs"] == len(load_dataset(chain / data)) * len(pool)
+        assert counts["pairs"] <= counts["rescored"]
+    for path in [chain / name for name in ("pool.json", "aug.ndjson", "ftr.ndjson",
+                                           "fva.ndjson", "ckpt.json", "metrics.json")] + [report]:
+        assert "rescored" not in path.read_text(), path.name
+    z, ids, labels = transform_dataset(load_dataset(chain / "aug.ndjson"), pool,
+                                       Config().logsig_depth)
+    save_features(tmp_path / "ftr.ndjson", z, ids, labels)
+    assert (tmp_path / "ftr.ndjson").read_bytes() == (chain / "ftr.ndjson").read_bytes()
+
+
 def test_manifests_count_copies_epochs_and_stage_peaks(chain, tmp_path):
     """Copies, epochs and each stage's peak memory go to the manifests,
     from run-all and from the augment and train subcommands alike."""
@@ -1289,7 +1341,8 @@ def test_discovery_counters_go_to_the_manifest_only(chain, tmp_path):
         assert set(margin) == {"quota_gain", "best_outside"}
         if None not in margin.values():
             assert margin["best_outside"] <= margin["quota_gain"]
-    assert "counters" not in json.loads((chain / "metrics.json.manifest.json").read_text())
+    metrics_manifest = json.loads((chain / "metrics.json.manifest.json").read_text())
+    assert set(metrics_manifest["counters"]) == {"evaluate"}
     for name in ("pool.json", "ckpt.json", "metrics.json"):
         assert "matmuls" not in (chain / name).read_text()
 
@@ -1336,8 +1389,9 @@ def test_tune_k_manifest_names_the_chosen_k_and_keeps_every_fit_s_counters(tmp_p
         fits = man["counters"]["tune_k"]["fits"]
         assert [(f["k"], f["fold"]) for f in fits] == [(3, 0), (3, 1), (4, 0), (4, 1)]
         for f in fits:
-            assert set(f) == {"k", "fold", "discover", "augment", "train"}
+            assert set(f) == {"k", "fold", "discover", "augment", "transform", "train"}
             assert f["discover"]["candidates"] > 0 and f["train"]["epochs"] > 0
+            assert f["transform"]["pairs"] > 0
 
 
 def _readme_commands():

@@ -1,6 +1,7 @@
 """Complexity-invariant subsequence distance against naive enumeration."""
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -417,3 +418,93 @@ def test_kernel_refuses_queries_prepared_for_other_windows():
     prep = prepare_windows(values, lengths, 9)
     with pytest.raises(ValueError, match="queries of length 8 do not match windows of length 9"):
         prepared_min_cid(prep, prepare_queries(queries[:, :8]))
+
+
+# ---------------------------------------------------------------------------
+# The screened engine against the direct one it replaced, bit for bit
+# ---------------------------------------------------------------------------
+
+def _screen_row(gen, kind, n):
+    if kind == "integers":                  # small alphabet: exact ties, exact sums
+        return gen.integers(-3, 4, size=n).astype(float)
+    if kind == "constant":                  # constant runs: zero-complexity windows
+        return np.repeat(gen.uniform(-50.0, 50.0, size=3), -(-n // 3))[:n]
+    if kind == "normal":
+        return gen.normal(size=n)
+    # Periodic rows tie at j and j + period, and their sums round.
+    row = np.resize(gen.normal(size=int(gen.integers(2, 5))), n)
+    if kind != "periodic":                  # halves whose scales differ by 1e6 or 1e-6
+        row[: n // 2] *= float(kind.split()[1])
+    return row
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 2**32 - 1),
+       st.sampled_from(["integers", "periodic", "constant", "halves 1e6", "halves 1e-6",
+                        "normal"]),
+       st.sampled_from([1, 2, INSTANCE_CHUNK - 1, INSTANCE_CHUNK + 1]),
+       st.integers(1, 30), st.sampled_from(["1", "t", "any", "any"]))
+def test_match_equals_direct_matching_bit_for_bit(seed, kind, m, t, l_kind):
+    """``match`` screens windows and re-scores only those that can win; its
+    distances and offsets must be those of direct matching, bit for bit:
+    ties, zero complexities, mixed magnitudes, l = 1 and l = t, chunk
+    edges, and rows shorter than l (the screen must not re-score their
+    padding)."""
+    gen = np.random.default_rng(seed)
+    l = {"1": 1, "t": t, "any": int(gen.integers(1, t + 1))}[l_kind]
+    lengths = gen.integers((t + 1) // 2, t + 1, size=m)
+    values = np.zeros((m, t))
+    for i, n in enumerate(lengths):
+        values[i, :n] = _screen_row(gen, kind, n)
+    queries = []
+    fits = np.flatnonzero(lengths >= l)
+    for k in range(int(gen.integers(1, 4))):
+        if len(fits) and (k == 0 or gen.random() < 0.5):     # a window: an exact match
+            i = int(gen.choice(fits))
+            j = int(gen.integers(0, lengths[i] - l + 1))
+            queries.append(values[i, j : j + l].copy())
+        else:
+            queries.append(_screen_row(gen, kind, l))
+    queries = np.stack(queries)
+    d, off = match(values, lengths, queries)
+    want_d, want_off = oracles.match_direct(values, lengths, queries)
+    assert d.tobytes() == want_d.tobytes()
+    assert np.array_equal(off, want_off)
+
+
+def test_match_pool_memory_follows_the_chunk():
+    """The screen's working arrays are sized by one instance chunk, not by
+    the dataset: eight chunks of instances peak within 1.25x of one."""
+    gen = np.random.default_rng(5)
+    t = 150
+    instances = [LabeledSeries(id=f"i{i}", values=gen.normal(size=(2, t)), label="NP",
+                               original_length=t, channel_names=("a", "b"))
+                 for i in range(8 * INSTANCE_CHUNK)]
+    shapelets = [_shapelet(gen.normal(size=l), channel)
+                 for l, channel in [(20, 0), (20, 0), (60, 1), (100, 1)]]
+
+    def peak(xs):
+        tracemalloc.start()
+        try:
+            match_pool(xs, shapelets)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(instances) <= 1.25 * peak(instances[:INSTANCE_CHUNK])
+
+
+def test_match_pool_counts_pairs_and_rescored_windows():
+    """``counters`` gains the (instance, shapelet) pairs that have a window
+    and the windows re-scored, which are at least one per pair; a second
+    call adds to them."""
+    x = make_series([[1, 2, 1, 2, 1, 2], [0, 3, 1, 4, 1, 5]])
+    short = make_series([[1, 2, 3], [1, 1, 1]], id="s", pad_to=6)
+    shapelets = [_shapelet(np.array([1.0, 2.0]), 0),          # ties at offsets 0, 2, 4
+                 _shapelet(np.array([3.0, 1.0, 4.0, 1.0]), 1)]
+    counters = {}
+    match_pool([x, short], shapelets, counters)
+    assert counters["pairs"] == 3                             # the short row has no 4-window
+    assert counters["rescored"] >= 3 + 2                      # the tied windows re-scored
+    match_pool([x], shapelets, counters)
+    assert counters["pairs"] == 5
